@@ -1,7 +1,7 @@
 """Grid-based coastal flood risk assessment.
 
 Fishnet tessellation, area-weighted parcel-value apportionment, zonal
-elevation statistics, capped depth-damage costing, sea-level-rise scenario
+elevation statistics, depth-damage costing, sea-level-rise scenario
 sweeps, and exploratory data analysis with regression diagnostics.
 """
 
@@ -28,9 +28,9 @@ from .overlay import (
     point_in_polygon,
     shoelace_area,
 )
-from .scenario import ScenarioResult, flooded_cells_geojson, run_scenario, sweep
+from .scenario import ScenarioResult, flooded_cells_geojson, sweep
 from .terrain import (
-    CellState,
+    CellArrays,
     assign_bfe,
     build_cell_states,
     flood_depth,

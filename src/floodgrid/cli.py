@@ -4,7 +4,7 @@ Subcommands: ``fishnet`` (print a grid definition), ``assess`` (full
 pipeline: parse inputs, overlay, zonal stats, scenario sweep, write report
 and per-scenario GeoJSON), ``eda`` (attribute-table diagnostics). Runs are
 driven by a JSON config with flag overrides; identical inputs produce
-byte-identical outputs regardless of worker count.
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -73,10 +74,12 @@ class RunConfig:
         for name in ("dem_path", "parcels_path", "bfe_path", "output_dir"):
             if not getattr(self, name):
                 raise ConfigError(f"config field {name!r} must be a nonempty path")
-        if self.cell_size <= 0:
-            raise ConfigError(f"cell_size must be positive, got {self.cell_size}")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ConfigError(f"cell_size must be positive and finite, got {self.cell_size}")
         if not self.slr_list:
             raise ConfigError("slr_list must be nonempty")
+        if not all(math.isfinite(s) for s in self.slr_list):
+            raise ConfigError(f"slr_list values must be finite, got {self.slr_list}")
         if self.slr_list[0] != 0:
             raise ConfigError(f"slr_list must start at 0, got {self.slr_list[0]}")
         if any(not b > a for a, b in zip(self.slr_list, self.slr_list[1:])):
@@ -123,18 +126,6 @@ def _resolve(base: Path, p: str) -> str:
     return str(Path(p) if Path(p).is_absolute() else base / p)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FLOODGRID_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        logger.warning("ignoring non-integer FLOODGRID_THREADS=%r", raw)
-        return 1
-    return max(1, n)
-
-
 def _read_input(path: str, what: str) -> str:
     try:
         return Path(path).read_text()
@@ -162,20 +153,18 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
         raise EmptyInputError(f"no parcels in {config.parcels_path}")
 
     g = make_fishnet(dem.bbox(), config.cell_size)
-    workers = _worker_count()
-    logger.info("fishnet %dx%d over DEM extent, %d parcels, %d workers",
-                g.n_rows, g.n_cols, len(parcels), workers)
+    logger.info("fishnet %dx%d over DEM extent, %d parcels", g.n_rows, g.n_cols, len(parcels))
 
-    attributions = apportion_many(parcels, g, workers=workers)
+    attributions = apportion_many(parcels, g)
     elevations = zonal_mean_elevation(dem, g)
     bfes = assign_bfe(g, zones)
     states = build_cell_states(g, attributions, elevations, bfes)
     results = sweep(states, curve, config.slr_list, area_basis=config.area_basis,
-                    cell_area=config.cell_size ** 2, workers=workers)
+                    cell_area=config.cell_size ** 2)
 
     outputs = {
         "report.csv": write_report(results),
-        "cells.csv": cell_states_csv(states),
+        "cells.csv": cell_states_csv(g, states),
     }
     for r in results:
         outputs[f"flood_{format_number(r.slr)}.geojson"] = flooded_cells_geojson(g, r)

@@ -1,44 +1,43 @@
 """Depth-damage costing.
 
 The damage fraction comes from a piecewise-linear curve over depth; cost is
-fraction times the cell's exposed value, capped at the exposed value so a
-cell can never lose more than what it holds.
+fraction times the cell's exposed value. Fractions lie in [0, 1], so a cell
+never loses more than what it holds.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
+import numpy as np
+
 from .geodata import DamageCurve, parse_damage_curve
 
 
-def evaluate_curve(curve: DamageCurve, depth: float) -> float:
+def evaluate_curve(curve: DamageCurve, depth):
     """Damage fraction at ``depth`` by linear interpolation between breakpoints.
 
-    Depths below the first breakpoint clamp to the first fraction, above the
-    last to the last fraction.
+    Elementwise over arrays. Depths below the first breakpoint clamp to the
+    first fraction, above the last to the last fraction. Each depth is
+    interpolated as f0 + ((x - d0) / (d1 - d0)) * (f1 - f0) on the first
+    segment whose right end reaches it; ``np.interp`` rounds differently.
     """
-    pts = curve.breakpoints
-    if depth <= pts[0][0]:
-        return pts[0][1]
-    if depth >= pts[-1][0]:
-        return pts[-1][1]
-    for (d0, f0), (d1, f1) in zip(pts, pts[1:]):
-        if depth <= d1:
-            t = (depth - d0) / (d1 - d0)
-            return f0 + t * (f1 - f0)
-    return pts[-1][1]
+    d = np.array([p[0] for p in curve.breakpoints])
+    f = np.array([p[1] for p in curve.breakpoints])
+    x = np.asarray(depth, dtype=float)
+    k = np.clip(np.searchsorted(d, x), 1, len(d) - 1)
+    d0, d1, f0, f1 = d[k - 1], d[k], f[k - 1], f[k]
+    out = f0 + ((x - d0) / (d1 - d0)) * (f1 - f0)
+    return np.where(x <= d[0], f[0], np.where(x >= d[-1], f[-1], out))[()]
 
 
-def cell_damage(state, depth: float, curve: DamageCurve) -> float:
-    """Damage cost (USD) for one cell at the given flood depth.
+def cell_damage(exposed_value, depth, curve: DamageCurve):
+    """Damage cost (USD) at the given flood depth, elementwise.
 
-    Zero when the cell is dry (depth <= 0); otherwise curve fraction times
-    exposed value, capped at the exposed value.
+    Zero where the cell is dry (depth <= 0, or NaN); otherwise curve
+    fraction times exposed value.
     """
-    if depth <= 0:
-        return 0.0
-    return min(evaluate_curve(curve, depth) * state.exposed_value, state.exposed_value)
+    return np.where(depth > 0, evaluate_curve(curve, depth) * exposed_value, 0.0)[()]
 
 
 def load_default_curve() -> DamageCurve:

@@ -8,6 +8,7 @@ CSV. All coordinates are planar feet; no reprojection is performed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ class Raster:
     """Rectangular elevation grid with georeferencing header.
 
     ``values`` is row-major with the first row northernmost. Cells equal to
-    ``nodata_value`` (exact comparison) carry no elevation.
+    ``nodata_value`` (exact comparison) or non-finite carry no elevation.
     """
 
     ncols: int
@@ -91,7 +92,7 @@ class Raster:
 
     def data_mask(self) -> np.ndarray:
         """Boolean array, True where the cell holds a real elevation."""
-        return self.values != self.nodata_value
+        return (self.values != self.nodata_value) & np.isfinite(self.values)
 
 
 def parse_ascii_grid(text: str) -> Raster:
@@ -135,19 +136,29 @@ def parse_ascii_grid(text: str) -> Raster:
     if missing:
         raise ParseError(f"missing header key(s): {', '.join(missing)}")
 
-    values: list[float] = []
-    for lineno, line in enumerate(lines[len(_HEADER_KEYS):], start=len(_HEADER_KEYS) + 1):
-        for pos, token in enumerate(line.split(), start=1):
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}, token {pos}: non-numeric token {token!r}"
-                ) from None
-
     expected = int(header["ncols"]) * int(header["nrows"])
-    if len(values) != expected:
-        raise ParseError(f"value count mismatch: expected {expected}, got {len(values)}")
+    # Filled line by line. A text holds at most one value per two characters,
+    # so a header promising more is a count mismatch, not an allocation.
+    values = np.empty(max(0, min(expected, len(text) // 2 + 1)))
+    n = 0
+    for lineno, line in enumerate(lines[len(_HEADER_KEYS):], start=len(_HEADER_KEYS) + 1):
+        tokens = line.split()
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError:
+            for pos, token in enumerate(tokens, start=1):
+                try:
+                    float(token)
+                except ValueError:
+                    raise ParseError(
+                        f"line {lineno}, token {pos}: non-numeric token {token!r}"
+                    ) from None
+        if n + len(row) <= values.size:
+            values[n:n + len(row)] = row
+        n += len(row)
+
+    if n != expected:
+        raise ParseError(f"value count mismatch: expected {expected}, got {n}")
 
     try:
         return Raster(
@@ -157,7 +168,7 @@ def parse_ascii_grid(text: str) -> Raster:
             yllcorner=header["yllcorner"],
             cellsize=header["cellsize"],
             nodata_value=header["nodata_value"],
-            values=np.array(values, dtype=float),
+            values=values,
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -299,11 +310,14 @@ def _require_property(props, name, where: str) -> float:
     if name not in props:
         raise ParseError(f"{where}: missing required property {name!r}")
     try:
-        return float(props[name])
+        value = float(props[name])
     except (TypeError, ValueError):
         raise ParseError(
             f"{where}: non-numeric value {props[name]!r} for property {name!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite value {props[name]!r} for property {name!r}")
+    return value
 
 
 def parse_parcels(text: str) -> list[Parcel]:
@@ -397,6 +411,8 @@ class DamageCurve:
         self.breakpoints = [(float(d), float(f)) for d, f in self.breakpoints]
         depths = [d for d, _ in self.breakpoints]
         fractions = [f for _, f in self.breakpoints]
+        if not all(math.isfinite(v) for v in depths + fractions):
+            raise ValueError("breakpoint depths and fractions must be finite")
         if any(not b > a for a, b in zip(depths, depths[1:])):
             raise ValueError("depths strictly increasing violated")
         if any(f < 0 or f > 1 for f in fractions):

@@ -53,17 +53,6 @@ class GridSpec:
             "n_rows": self.n_rows,
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "GridSpec":
-        doc = json.loads(text)
-        return cls(
-            origin_x=float(doc["origin_x"]),
-            origin_y=float(doc["origin_y"]),
-            cell_size=float(doc["cell_size"]),
-            n_cols=int(doc["n_cols"]),
-            n_rows=int(doc["n_rows"]),
-        )
-
 
 def make_fishnet(bbox: tuple[float, float, float, float], cell_size: float) -> GridSpec:
     """Build the fishnet covering ``bbox``, anchored at its southwest corner.
@@ -93,16 +82,6 @@ def cell_rect(g: GridSpec, i: int, j: int) -> tuple[float, float, float, float]:
         g.origin_y + i * g.cell_size,
         g.origin_x + (j + 1) * g.cell_size,
         g.origin_y + (i + 1) * g.cell_size,
-    )
-
-
-def cell_centroid(g: GridSpec, i: int, j: int) -> tuple[float, float]:
-    """Center point of cell (i, j)."""
-    if not (0 <= i < g.n_rows and 0 <= j < g.n_cols):
-        raise IndexError(f"cell ({i}, {j}) out of range for {g.n_rows}x{g.n_cols} grid")
-    return (
-        g.origin_x + (j + 0.5) * g.cell_size,
-        g.origin_y + (i + 0.5) * g.cell_size,
     )
 
 

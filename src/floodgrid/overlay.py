@@ -8,10 +8,7 @@ land_area field, which guarantees exact value conservation.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,32 +182,12 @@ def apportion(parcel, g: GridSpec) -> list[CellAttribution]:
     return out
 
 
-def apportion_many(parcels, g: GridSpec, workers: int = 1) -> list[CellAttribution]:
+def apportion_many(parcels, g: GridSpec) -> list[CellAttribution]:
     """Apportion a batch of parcels, deterministically ordered.
 
-    Output is sorted by (parcel_id, cell) so downstream aggregation gives
-    byte-identical results regardless of worker count.
+    Output is sorted by (parcel_id, cell), the fixed order in which
+    downstream exposure sums are added up.
     """
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda p: apportion(p, g), parcels))
-    else:
-        chunks = [apportion(p, g) for p in parcels]
-    flat = [a for chunk in chunks for a in chunk]
+    flat = [a for p in parcels for a in apportion(p, g)]
     flat.sort(key=lambda a: (a.parcel_id, a.cell))
     return flat
-
-
-def attributions_csv(attrs) -> str:
-    """Debug dump of attributions as CSV rows."""
-    from .geodata import format_number
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "col", "parcel_id", "clipped_area", "apportioned_value"])
-    for a in attrs:
-        writer.writerow([
-            a.cell[0], a.cell[1], a.parcel_id,
-            format_number(a.clipped_area), f"{a.apportioned_value:.2f}",
-        ])
-    return buf.getvalue()

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .damage import cell_damage
 from .geodata import DamageCurve
 from .grid import GridSpec, cell_rect
-from .terrain import Cell, CellState, flood_depth
+from .terrain import CellArrays, flood_depth
 
 logger = logging.getLogger(__name__)
 
@@ -25,52 +26,20 @@ AREA_BASES = ("parcel", "cell")
 
 @dataclass
 class ScenarioResult:
-    """Totals and per-cell detail for one sea-level-rise scenario."""
+    """Totals and per-cell detail for one sea-level-rise scenario.
+
+    ``cells`` holds the row-major indices of the flooded cells, ascending;
+    ``depths`` and ``damages`` are aligned with it.
+    """
 
     slr: float
     total_damage: float
     total_flooded_area: float
     cost_pct_delta: float | None = None
     area_pct_delta: float | None = None
-    per_cell: list[tuple[Cell, float, float]] = field(default_factory=list)
-
-
-def run_scenario(
-    cells: dict[Cell, CellState],
-    curve: DamageCurve,
-    slr: float,
-    area_basis: str = "parcel",
-    cell_area: float = 0.0,
-) -> ScenarioResult:
-    """Evaluate one scenario over the cell states.
-
-    A cell floods when it has both a mean elevation and a BFE and its depth
-    is positive. A flooded cell contributes its whole exposed parcel area
-    (or, under the ``cell`` basis, the full cell area) once, plus its capped
-    damage. Cells are visited in ascending (row, col) order so totals are
-    deterministic.
-    """
-    if area_basis not in AREA_BASES:
-        raise ValueError(f"area_basis must be one of {AREA_BASES}, got {area_basis!r}")
-    if area_basis == "cell" and cell_area <= 0:
-        raise ValueError("cell basis requires a positive cell_area")
-
-    total_damage = 0.0
-    total_area = 0.0
-    per_cell: list[tuple[Cell, float, float]] = []
-    for cell in sorted(cells):
-        st = cells[cell]
-        if st.mean_elevation is None or st.bfe is None:
-            continue
-        depth = flood_depth(st.bfe, slr, st.mean_elevation)
-        if depth <= 0:
-            continue
-        dmg = cell_damage(st, depth, curve)
-        total_damage += dmg
-        total_area += st.exposed_area if area_basis == "parcel" else cell_area
-        per_cell.append((cell, depth, dmg))
-    return ScenarioResult(slr=slr, total_damage=total_damage, total_flooded_area=total_area,
-                          per_cell=per_cell)
+    cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    depths: np.ndarray = field(default_factory=lambda: np.empty(0))
+    damages: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def incremental_deltas(totals: list[float]) -> list[float | None]:
@@ -96,15 +65,27 @@ def incremental_deltas(totals: list[float]) -> list[float | None]:
     return deltas
 
 
+def _sequential_totals(x: np.ndarray) -> np.ndarray:
+    """Row sums added strictly left to right, as a ``total += v`` loop would.
+
+    ``np.sum`` adds pairwise and can differ in the last bit.
+    """
+    return np.add.accumulate(x, axis=1)[:, -1]
+
+
 def sweep(
-    cells: dict[Cell, CellState],
+    states: CellArrays,
     curve: DamageCurve,
     slr_list: list[float],
     area_basis: str = "parcel",
     cell_area: float = 0.0,
-    workers: int = 1,
 ) -> list[ScenarioResult]:
-    """Run the scenario list (base first) and attach percent deltas.
+    """Run the scenario list (base first) in one pass and attach percent deltas.
+
+    A cell floods when its depth is positive; a missing elevation or BFE
+    (NaN) never floods. A flooded cell contributes its whole exposed parcel
+    area (or, under the ``cell`` basis, the full cell area) once, plus its
+    damage. Totals add cells in row-major order.
 
     ``slr_list`` must be strictly ascending and start at 0. Totals are
     checked for monotonicity in the rise: more water can never flood less.
@@ -115,24 +96,39 @@ def sweep(
         raise ValueError(f"first scenario must be the base flood (slr 0), got {slr_list[0]}")
     if any(not b > a for a, b in zip(slr_list, slr_list[1:])):
         raise ValueError("slr list must be strictly ascending")
+    if area_basis not in AREA_BASES:
+        raise ValueError(f"area_basis must be one of {AREA_BASES}, got {area_basis!r}")
+    if area_basis == "cell" and cell_area <= 0:
+        raise ValueError("cell basis requires a positive cell_area")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda s: run_scenario(cells, curve, s, area_basis, cell_area), slr_list))
-    else:
-        results = [run_scenario(cells, curve, s, area_basis, cell_area) for s in slr_list]
+    slr = np.asarray(slr_list, dtype=float)
+    depth = flood_depth(states.bfe, slr[:, None], states.mean_elevation)
+    flooded = depth > 0
+    damage = cell_damage(states.exposed_value, depth, curve)
+    area = np.where(flooded, states.exposed_area if area_basis == "parcel" else cell_area, 0.0)
+    total_damage = _sequential_totals(damage)
+    total_area = _sequential_totals(area)
 
-    for prev, cur in zip(results, results[1:]):
-        assert cur.total_damage >= prev.total_damage, "damage decreased with rising sea level"
-        assert cur.total_flooded_area >= prev.total_flooded_area, \
-            "flooded area decreased with rising sea level"
+    if not np.all(total_damage[1:] >= total_damage[:-1]):
+        raise RuntimeError("damage decreased with rising sea level")
+    if not np.all(total_area[1:] >= total_area[:-1]):
+        raise RuntimeError("flooded area decreased with rising sea level")
 
-    cost_deltas = incremental_deltas([r.total_damage for r in results])
-    area_deltas = incremental_deltas([r.total_flooded_area for r in results])
-    for r, cd, ad in zip(results, cost_deltas, area_deltas):
-        r.cost_pct_delta = cd
-        r.area_pct_delta = ad
+    cost_deltas = incremental_deltas(total_damage.tolist())
+    area_deltas = incremental_deltas(total_area.tolist())
+    results = []
+    for k, s in enumerate(slr_list):
+        cells = np.flatnonzero(flooded[k])
+        results.append(ScenarioResult(
+            slr=s,
+            total_damage=float(total_damage[k]),
+            total_flooded_area=float(total_area[k]),
+            cost_pct_delta=cost_deltas[k],
+            area_pct_delta=area_deltas[k],
+            cells=cells,
+            depths=depth[k, cells],
+            damages=damage[k, cells],
+        ))
     return results
 
 
@@ -143,8 +139,9 @@ def flooded_cells_geojson(g: GridSpec, result: ScenarioResult) -> str:
     (damage rounded to cents at serialization).
     """
     features = []
-    for cell, depth, dmg in result.per_cell:
-        xmin, ymin, xmax, ymax = cell_rect(g, *cell)
+    for idx, depth, dmg in zip(result.cells.tolist(), result.depths.tolist(),
+                               result.damages.tolist()):
+        xmin, ymin, xmax, ymax = cell_rect(g, *divmod(idx, g.n_cols))
         ring = [[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax], [xmin, ymin]]
         features.append({
             "type": "Feature",

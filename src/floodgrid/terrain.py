@@ -3,10 +3,12 @@
 Zonal elevation is the arithmetic mean of DEM samples whose cell-center
 points fall inside the fishnet cell (half-open membership, NODATA excluded).
 BFE is assigned by cell-centroid containment against the zone polygons.
+Each is one row-major array over the grid, NaN where unknown.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,26 +17,28 @@ from .geodata import BfeZone, Raster, format_number
 from .grid import GridSpec, col_of, row_of
 from .overlay import CellAttribution, points_in_polygon
 
-Cell = tuple[int, int]
-
 
 @dataclass
-class CellState:
-    """Everything known about one fishnet cell before running scenarios."""
+class CellArrays:
+    """Everything known about the fishnet cells before running scenarios.
 
-    cell: Cell
-    mean_elevation: float | None = None
-    bfe: float | None = None
-    exposed_value: float = 0.0
-    exposed_area: float = 0.0
+    Four row-major arrays of length ``n_cells``: cell (i, j) sits at index
+    ``i * n_cols + j``. A missing mean elevation or BFE is NaN, and such a
+    cell never floods.
+    """
+
+    mean_elevation: np.ndarray
+    bfe: np.ndarray
+    exposed_value: np.ndarray
+    exposed_area: np.ndarray
 
 
-def zonal_mean_elevation(dem: Raster, g: GridSpec) -> dict[Cell, float]:
-    """Mean DEM elevation per fishnet cell.
+def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
+    """Mean DEM elevation per fishnet cell, row-major.
 
     A DEM sample belongs to the fishnet cell containing its center point;
-    NODATA samples are excluded. Cells with no samples are absent from the
-    returned map.
+    NODATA and non-finite samples are excluded. Cells with no samples are
+    NaN.
     """
     cs = dem.cellsize
     centers_x = dem.xllcorner + (np.arange(dem.ncols) + 0.5) * cs
@@ -45,25 +49,17 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> dict[Cell, float]:
     ii = row_of(g, centers_y)
 
     valid = (ii[:, None] >= 0) & (jj[None, :] >= 0) & dem.data_mask()
-    if not valid.any():
-        return {}
-
     flat = (ii[:, None] * g.n_cols + jj[None, :])[valid]
-    weights = dem.values[valid]
-    sums = np.bincount(flat, weights=weights, minlength=g.n_cells)
+    sums = np.bincount(flat, weights=dem.values[valid], minlength=g.n_cells)
     counts = np.bincount(flat, minlength=g.n_cells)
-
-    out: dict[Cell, float] = {}
-    for idx in np.flatnonzero(counts):
-        out[(int(idx) // g.n_cols, int(idx) % g.n_cols)] = float(sums[idx] / counts[idx])
-    return out
+    return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 
 
-def assign_bfe(g: GridSpec, zones: list[BfeZone]) -> dict[Cell, float]:
-    """Base flood elevation per cell by centroid containment.
+def assign_bfe(g: GridSpec, zones: list[BfeZone]) -> np.ndarray:
+    """Base flood elevation per cell by centroid containment, row-major.
 
     The first zone in input order whose polygon contains the cell centroid
-    wins; cells whose centroid lies outside every zone are absent (they can
+    wins; cells whose centroid lies outside every zone are NaN (they can
     never flood).
     """
     cx = g.origin_x + (np.arange(g.n_cols) + 0.5) * g.cell_size
@@ -79,18 +75,15 @@ def assign_bfe(g: GridSpec, zones: list[BfeZone]) -> dict[Cell, float]:
         hit = points_in_polygon(xs, ys, zone.rings) & unassigned
         bfe[hit] = zone.static_bfe
         unassigned &= ~hit
-
-    out: dict[Cell, float] = {}
-    for idx in np.flatnonzero(~np.isnan(bfe)):
-        out[(int(idx) // g.n_cols, int(idx) % g.n_cols)] = float(bfe[idx])
-    return out
+    return bfe
 
 
-def flood_depth(bfe: float, slr: float, elevation: float) -> float:
-    """Water depth over ground: (bfe + slr) - elevation.
+def flood_depth(bfe, slr, elevation):
+    """Water depth over ground: (bfe + slr) - elevation, elementwise.
 
     Positive means the cell floods; negative means the ground sits above the
-    flood elevation.
+    flood elevation. NaN (a missing BFE or elevation) never compares
+    positive.
     """
     return (bfe + slr) - elevation
 
@@ -98,41 +91,35 @@ def flood_depth(bfe: float, slr: float, elevation: float) -> float:
 def build_cell_states(
     g: GridSpec,
     attributions: list[CellAttribution],
-    elevations: dict[Cell, float],
-    bfes: dict[Cell, float],
-) -> dict[Cell, CellState]:
-    """Assemble the per-cell state map for the whole grid, row-major.
+    elevations: np.ndarray,
+    bfes: np.ndarray,
+) -> CellArrays:
+    """Assemble the cell arrays for the whole grid.
 
-    Exposure sums assume ``attributions`` is already in deterministic order
-    (see overlay.apportion_many).
+    Exposure is summed per cell in attribution order, so ``attributions``
+    must already be in deterministic order (see overlay.apportion_many).
     """
-    states: dict[Cell, CellState] = {}
-    for i in range(g.n_rows):
-        for j in range(g.n_cols):
-            cell = (i, j)
-            states[cell] = CellState(
-                cell=cell,
-                mean_elevation=elevations.get(cell),
-                bfe=bfes.get(cell),
-            )
-    for a in attributions:
-        st = states.get(a.cell)
-        if st is None:
-            continue
-        st.exposed_value += a.apportioned_value
-        st.exposed_area += a.clipped_area
-    return states
+    n = len(attributions)
+    idx = np.fromiter((a.cell[0] * g.n_cols + a.cell[1] for a in attributions),
+                      dtype=np.int64, count=n)
+    value = np.fromiter((a.apportioned_value for a in attributions), dtype=float, count=n)
+    area = np.fromiter((a.clipped_area for a in attributions), dtype=float, count=n)
+    return CellArrays(
+        mean_elevation=elevations,
+        bfe=bfes,
+        exposed_value=np.bincount(idx, weights=value, minlength=g.n_cells),
+        exposed_area=np.bincount(idx, weights=area, minlength=g.n_cells),
+    )
 
 
-def cell_states_csv(states: dict[Cell, CellState]) -> str:
+def cell_states_csv(g: GridSpec, states: CellArrays) -> str:
     """Dump cell states as CSV, row-major; absent elevations/BFEs are empty."""
     lines = ["row,col,mean_elevation,bfe,exposed_value,exposed_area"]
-    for cell in sorted(states):
-        st = states[cell]
-        elev = "" if st.mean_elevation is None else format_number(st.mean_elevation)
-        bfe = "" if st.bfe is None else format_number(st.bfe)
-        lines.append(
-            f"{cell[0]},{cell[1]},{elev},{bfe},"
-            f"{st.exposed_value:.2f},{format_number(st.exposed_area)}"
-        )
+    columns = zip(states.mean_elevation.tolist(), states.bfe.tolist(),
+                  states.exposed_value.tolist(), states.exposed_area.tolist())
+    for k, (elev, bfe, value, area) in enumerate(columns):
+        elev = "" if math.isnan(elev) else format_number(elev)
+        bfe = "" if math.isnan(bfe) else format_number(bfe)
+        lines.append(f"{k // g.n_cols},{k % g.n_cols},{elev},{bfe},"
+                     f"{value:.2f},{format_number(area)}")
     return "\n".join(lines) + "\n"

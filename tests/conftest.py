@@ -89,6 +89,12 @@ def random_raster(rng: np.random.Generator) -> Raster:
     )
 
 
+def cell_map(values, g: GridSpec) -> dict[tuple[int, int], float]:
+    """A row-major per-cell array as a {(i, j): v} map, NaN cells left out."""
+    return {divmod(k, g.n_cols): v for k, v in enumerate(np.asarray(values).tolist())
+            if not math.isnan(v)}
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

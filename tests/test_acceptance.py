@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     brute_force_zonal_means,
+    cell_map,
     mc_cell_areas,
     ols_normal_equations,
     random_l_ring,
@@ -37,7 +38,7 @@ from floodgrid.geodata import (
 from floodgrid.grid import GridSpec, make_fishnet
 from floodgrid.overlay import apportion, apportion_many, polygon_area, shoelace_area
 from floodgrid.scenario import ScenarioResult, incremental_deltas, sweep
-from floodgrid.terrain import CellState, assign_bfe, build_cell_states, zonal_mean_elevation
+from floodgrid.terrain import assign_bfe, build_cell_states, zonal_mean_elevation
 from floodgrid.geodata import BfeZone
 
 LINEAR_CURVE = DamageCurve([(0.0, 0.0), (10.0, 1.0)])
@@ -237,7 +238,7 @@ def test_c5_zonal_oracle():
         oy = dem.yllcorner + rng.uniform(-1.5, 1.0) * dem.nrows * dem.cellsize
         g = GridSpec(ox, oy, float(rng.uniform(0.5, 5) * dem.cellsize),
                      int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-        engine = zonal_mean_elevation(dem, g)
+        engine = cell_map(zonal_mean_elevation(dem, g), g)
         oracle = brute_force_zonal_means(dem, g)
         assert engine == oracle  # exact: same keys, bit-identical means
     report("C5", True, "(50 randomized raster/grid configs, exact equality)")
@@ -255,11 +256,9 @@ def test_c6_damage_properties():
         fractions = np.sort(rng.uniform(0, 1, n))
         curve = DamageCurve(list(zip(depths, fractions)))
         value = float(rng.uniform(0, 1e6))
-        state = CellState(cell=(0, 0), mean_elevation=0.0, bfe=0.0,
-                          exposed_value=value, exposed_area=1.0)
         d1, d2 = sorted(rng.uniform(-5, 15, 2))
-        c1 = cell_damage(state, d1, curve)
-        c2 = cell_damage(state, d2, curve)
+        c1 = cell_damage(value, d1, curve)
+        c2 = cell_damage(value, d2, curve)
         assert 0.0 <= c1 <= value
         assert 0.0 <= c2 <= value
         assert c1 <= c2 + 1e-9 * max(value, 1.0)

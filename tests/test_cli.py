@@ -22,7 +22,9 @@ from floodgrid.cli import (
     EXIT_EMPTY_INPUT,
     EXIT_OK,
     EXIT_PARSE_ERROR,
+    ConfigError,
     RunConfig,
+    cmd_assess,
     main,
 )
 from floodgrid.geodata import Raster, write_ascii_grid
@@ -142,6 +144,7 @@ class TestAssessCommand:
     def test_thread_count_does_not_change_bytes(self, coastal_fixture, monkeypatch):
         assert self.run(coastal_fixture) == EXIT_OK
         serial = read_outputs(coastal_fixture / "out")
+        # runs are single-threaded; the old thread-count variable is ignored
         monkeypatch.setenv("FLOODGRID_THREADS", "4")
         assert self.run(coastal_fixture, "--out", str(coastal_fixture / "out2")) == EXIT_OK
         threaded = read_outputs(coastal_fixture / "out2")
@@ -163,6 +166,13 @@ class TestAssessCommand:
 
     def test_slr_not_starting_at_zero(self, coastal_fixture):
         assert self.run(coastal_fixture, "--slr", "1,2") == EXIT_CONFIG_ERROR
+
+    def test_non_finite_assessment_is_parse_error(self, coastal_fixture, capsys):
+        doc = json.loads((coastal_fixture / "parcels.geojson").read_text())
+        doc["features"][2]["properties"]["current_assessment"] = float("nan")
+        (coastal_fixture / "parcels.geojson").write_text(json.dumps(doc))
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert "feature 2: non-finite value" in capsys.readouterr().err
 
     def test_unknown_config_key(self, coastal_fixture):
         doc = json.loads((coastal_fixture / "run.json").read_text())
@@ -200,6 +210,20 @@ class TestRunConfig:
         cfg = RunConfig.from_file(str(coastal_fixture / "run.json"))
         assert cfg.dem_path == str(coastal_fixture / "dem.asc")
         assert cfg.output_dir == str(coastal_fixture / "out")
+
+    @pytest.mark.parametrize("field, value", [
+        ("cell_size", float("nan")),
+        ("cell_size", float("inf")),
+        ("slr_list", [0.0, 1.0, float("inf")]),
+        ("slr_list", [0.0, float("nan"), 2.0]),
+        ("slr_list", [float("nan")]),
+    ])
+    def test_non_finite_config_is_config_error(self, coastal_fixture, field, value):
+        cfg = RunConfig.from_file(str(coastal_fixture / "run.json"))
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match="finite"):
+            cfg.validate()
+        assert cmd_assess(cfg) == EXIT_CONFIG_ERROR
 
     def test_validate_rejects_bad_cell_size(self, coastal_fixture):
         cfg = RunConfig.from_file(str(coastal_fixture / "run.json"))

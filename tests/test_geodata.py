@@ -37,9 +37,15 @@ class TestAsciiGrid:
         assert r.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_value_count_mismatch(self):
-        text = MINIMAL_GRID.replace("1 2\n3 4\n", "1 2 3\n")
-        with pytest.raises(ParseError, match="value count mismatch"):
-            parse_ascii_grid(text)
+        for text, got in [
+            (MINIMAL_GRID.replace("1 2\n3 4\n", "1 2 3\n"), "expected 4, got 3"),
+            (MINIMAL_GRID.replace("3 4\n", "3 4 5\n6\n"), "expected 4, got 6"),
+            # a header promising more values than the text can hold
+            (MINIMAL_GRID.replace("ncols 2", "ncols 1000000000000"),
+             "expected 2000000000000, got 4"),
+        ]:
+            with pytest.raises(ParseError, match=f"value count mismatch: {got}"):
+                parse_ascii_grid(text)
 
     def test_nodata_cells_masked(self):
         text = MINIMAL_GRID.replace("1 2", "-9999 2")
@@ -169,6 +175,13 @@ class TestParcels:
         with pytest.raises(ParseError, match="current_assessment"):
             parse_parcels(fc(bad))
 
+    @pytest.mark.parametrize("name", ["current_assessment", "land_area"])
+    @pytest.mark.parametrize("raw", [float("nan"), float("inf"), float("-inf"), "nan"])
+    def test_non_finite_property_rejected(self, name, raw):
+        bad = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], **{name: raw}))
+        with pytest.raises(ParseError, match=f"feature 1: non-finite value .* {name!r}"):
+            parse_parcels(fc(SQUARE_FEATURE, bad))
+
     def test_short_ring_rejected(self):
         bad = dict(SQUARE_FEATURE, geometry={
             "type": "Polygon", "coordinates": [[[0, 0], [1, 0], [0, 0]]]})
@@ -258,6 +271,17 @@ class TestDamageCurveParsing:
     def test_fraction_out_of_range(self):
         with pytest.raises(ParseError, match="outside"):
             parse_damage_curve("[[0, 0], [5, 1.5]]")
+
+    @pytest.mark.parametrize("text", [
+        "[[0, 0], [NaN, 1]]",
+        "[[0, 0], [Infinity, 1]]",
+        "[[-Infinity, 0], [5, 1]]",
+        "[[0, 0], [5, NaN]]",
+        "[[0, NaN], [5, 1]]",
+    ])
+    def test_non_finite_breakpoint_rejected(self, text):
+        with pytest.raises(ParseError, match="must be finite"):
+            parse_damage_curve(text)
 
     def test_constructor_validates_too(self):
         with pytest.raises(ValueError):

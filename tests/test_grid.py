@@ -71,11 +71,6 @@ def test_index_helpers_match_point_to_cell():
             assert (i, j) == expected
 
 
-def test_json_round_trip():
-    g = GridSpec(1.5, -2.25, 98.0, 12, 7)
-    assert GridSpec.from_json(g.to_json()) == g
-
-
 def test_invalid_spec_rejected():
     with pytest.raises(ValueError):
         GridSpec(0, 0, -1, 3, 3)

@@ -6,15 +6,14 @@ import logging
 import numpy as np
 import pytest
 
-from floodgrid.geodata import DamageCurve
+from floodgrid.geodata import DamageCurve, Raster
 from floodgrid.grid import GridSpec
 from floodgrid.scenario import (
     flooded_cells_geojson,
     incremental_deltas,
-    run_scenario,
     sweep,
 )
-from floodgrid.terrain import CellState
+from floodgrid.terrain import CellArrays, build_cell_states, zonal_mean_elevation
 
 LINEAR = DamageCurve([(0.0, 0.0), (10.0, 1.0)])
 
@@ -22,62 +21,97 @@ TABLE1_COSTS = [106302284.38, 120128690.11, 134354291.56, 148673644.61]
 TABLE1_AREAS = [49073440.0, 51916752.0, 54985504.0, 58003842.0]
 
 
+def cell_arrays(elev, bfe, value, area):
+    """CellArrays from per-cell lists; None marks a missing elevation or BFE."""
+    def column(xs):
+        return np.array([np.nan if x is None else x for x in xs], dtype=float)
+    return CellArrays(column(elev), column(bfe), column(value), column(area))
+
+
 def one_cell_states(bfe=10.0, elev=7.0, value=100_000.0, area=9_604.0):
-    return {(0, 0): CellState(cell=(0, 0), mean_elevation=elev, bfe=bfe,
-                              exposed_value=value, exposed_area=area)}
+    return cell_arrays([elev], [bfe], [value], [area])
+
+
+def run_one(states, slr, **kwargs):
+    """The result for a single rise ``slr`` (the base flood when 0)."""
+    return sweep(states, LINEAR, [0.0, slr] if slr else [0.0], **kwargs)[-1]
 
 
 class TestRunScenario:
     def test_single_cell_base(self):
-        res = run_scenario(one_cell_states(), LINEAR, 0.0)
+        res = run_one(one_cell_states(), 0.0)
         assert res.total_damage == pytest.approx(30_000, rel=1e-12)
         assert res.total_flooded_area == 9_604.0
-        assert res.per_cell == [((0, 0), 3.0, res.per_cell[0][2])]
+        assert res.cells.tolist() == [0]
+        assert res.depths.tolist() == [3.0]
 
     def test_single_cell_slr1(self):
-        res = run_scenario(one_cell_states(), LINEAR, 1.0)
+        res = run_one(one_cell_states(), 1.0)
         assert res.total_damage == pytest.approx(40_000, rel=1e-12)
         assert res.total_flooded_area == 9_604.0
 
     def test_no_bfe_means_no_flooding(self):
-        states = one_cell_states()
-        states[(0, 0)].bfe = None
-        res = run_scenario(states, LINEAR, 3.0)
+        res = run_one(one_cell_states(bfe=None), 3.0)
         assert (res.total_damage, res.total_flooded_area) == (0.0, 0.0)
-        assert res.per_cell == []
+        assert res.cells.size == 0
 
     def test_no_elevation_means_no_flooding(self):
-        states = one_cell_states()
-        states[(0, 0)].mean_elevation = None
-        res = run_scenario(states, LINEAR, 3.0)
+        res = run_one(one_cell_states(elev=None), 3.0)
         assert (res.total_damage, res.total_flooded_area) == (0.0, 0.0)
 
     def test_dry_cell_not_counted(self):
-        res = run_scenario(one_cell_states(bfe=5.0, elev=7.0), LINEAR, 0.0)
+        res = run_one(one_cell_states(bfe=5.0, elev=7.0), 0.0)
         assert (res.total_damage, res.total_flooded_area) == (0.0, 0.0)
 
     def test_cell_area_basis(self):
-        res = run_scenario(one_cell_states(area=100.0), LINEAR, 0.0,
-                           area_basis="cell", cell_area=9_604.0)
+        res = run_one(one_cell_states(area=100.0), 0.0, area_basis="cell", cell_area=9_604.0)
         assert res.total_flooded_area == 9_604.0
 
     def test_cell_basis_requires_cell_area(self):
         with pytest.raises(ValueError, match="cell_area"):
-            run_scenario(one_cell_states(), LINEAR, 0.0, area_basis="cell")
+            run_one(one_cell_states(), 0.0, area_basis="cell")
 
     def test_unknown_basis(self):
         with pytest.raises(ValueError, match="area_basis"):
-            run_scenario(one_cell_states(), LINEAR, 0.0, area_basis="acre")
+            run_one(one_cell_states(), 0.0, area_basis="acre")
 
     def test_per_cell_sorted(self):
-        states = {}
-        for i in range(3):
-            for j in range(3):
-                states[(i, j)] = CellState(cell=(i, j), mean_elevation=1.0, bfe=5.0,
-                                           exposed_value=10.0, exposed_area=1.0)
-        res = run_scenario(states, LINEAR, 0.0)
-        cells = [c for c, _, _ in res.per_cell]
+        states = cell_arrays([1.0] * 9, [5.0] * 9, [10.0] * 9, [1.0] * 9)
+        res = run_one(states, 0.0)
+        cells = res.cells.tolist()
         assert cells == sorted(cells)
+
+    def test_nan_dem_sample_never_floods(self):
+        # 25 samples 8.0 ft above a 5-ft BFE; one NaN among them must not
+        # turn the cell's mean into NaN and charge it full damage
+        g = GridSpec(0, 0, 50, 1, 1)
+        values = np.full(25, 8.0)
+        values[12] = np.nan
+        dem = Raster(5, 5, 0, 0, 10, -9999, values)
+        states = build_cell_states(g, [], zonal_mean_elevation(dem, g), np.array([5.0]))
+        states.exposed_value[:] = 12_500.0
+        states.exposed_area[:] = 2_500.0
+        res = run_one(states, 0.0)
+        assert (res.total_damage, res.total_flooded_area) == (0.0, 0.0)
+
+    def test_totals_are_sequential_row_major_sums(self):
+        # np.sum adds pairwise and differs in the last bit on these 16 cells;
+        # the sweep must reproduce a plain left-to-right loop
+        rng = np.random.default_rng(0)
+        n = 16
+        states = cell_arrays([0.0] * n, [5.0] * n, rng.uniform(0, 1e6, n).tolist(),
+                             rng.uniform(0, 1e4, n).tolist())
+        res = run_one(states, 2.0)
+        damages = (states.exposed_value * 0.7).tolist()
+        assert res.damages.tolist() == damages
+        total_damage = total_area = 0.0
+        for dmg, area in zip(damages, states.exposed_area.tolist()):
+            total_damage += dmg
+            total_area += area
+        assert res.total_damage == total_damage
+        assert res.total_flooded_area == total_area
+        assert float(np.sum(damages)) != total_damage
+        assert float(np.sum(states.exposed_area)) != total_area
 
 
 class TestIncrementalDeltas:
@@ -133,40 +167,51 @@ class TestSweep:
     def test_totals_monotone_on_random_states(self):
         rng = np.random.default_rng(61)
         for _ in range(20):
-            states = {}
-            for i in range(5):
-                for j in range(5):
-                    has_elev = rng.random() > 0.2
-                    has_bfe = rng.random() > 0.2
-                    states[(i, j)] = CellState(
-                        cell=(i, j),
-                        mean_elevation=float(rng.uniform(0, 15)) if has_elev else None,
-                        bfe=float(rng.uniform(0, 12)) if has_bfe else None,
-                        exposed_value=float(rng.uniform(0, 1e6)),
-                        exposed_area=float(rng.uniform(0, 9604)),
-                    )
+            elev, bfe, value, area = [], [], [], []
+            for _ in range(25):
+                has_elev = rng.random() > 0.2
+                has_bfe = rng.random() > 0.2
+                elev.append(float(rng.uniform(0, 15)) if has_elev else None)
+                bfe.append(float(rng.uniform(0, 12)) if has_bfe else None)
+                value.append(float(rng.uniform(0, 1e6)))
+                area.append(float(rng.uniform(0, 9604)))
+            states = cell_arrays(elev, bfe, value, area)
             results = sweep(states, LINEAR, [0.0, 1.0, 2.0, 3.0])
             damages = [r.total_damage for r in results]
             areas = [r.total_flooded_area for r in results]
             assert damages == sorted(damages)
             assert areas == sorted(areas)
-            flooded_sets = [{c for c, _, _ in r.per_cell} for r in results]
+            flooded_sets = [set(r.cells.tolist()) for r in results]
             for small, big in zip(flooded_sets, flooded_sets[1:]):
                 assert small <= big
 
     def test_workers_do_not_change_results(self):
+        # one pass, no workers: a repeated sweep must give the same totals
+        # and must leave its input arrays untouched
         states = one_cell_states()
-        serial = sweep(states, LINEAR, [0.0, 1.0, 2.0, 3.0], workers=1)
-        threaded = sweep(states, LINEAR, [0.0, 1.0, 2.0, 3.0], workers=4)
-        assert [(r.slr, r.total_damage, r.total_flooded_area) for r in serial] == \
-               [(r.slr, r.total_damage, r.total_flooded_area) for r in threaded]
+        before = [c.copy() for c in (states.mean_elevation, states.bfe,
+                                     states.exposed_value, states.exposed_area)]
+        first = sweep(states, LINEAR, [0.0, 1.0, 2.0, 3.0])
+        again = sweep(states, LINEAR, [0.0, 1.0, 2.0, 3.0])
+        assert [(r.slr, r.total_damage, r.total_flooded_area) for r in first] == \
+               [(r.slr, r.total_damage, r.total_flooded_area) for r in again]
+        after = (states.mean_elevation, states.bfe, states.exposed_value, states.exposed_area)
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+    def test_decreasing_totals_raise(self):
+        # validation forbids a falling curve; force one past it so the
+        # monotonicity check fires (it must survive python -O)
+        curve = DamageCurve([(0.0, 0.0), (10.0, 1.0)])
+        curve.breakpoints = [(0.0, 1.0), (10.0, 0.0)]
+        with pytest.raises(RuntimeError, match="damage decreased"):
+            sweep(one_cell_states(), curve, [0.0, 1.0])
 
 
 class TestFloodedCellsGeojson:
     def test_structure_and_properties(self):
         g = GridSpec(0, 0, 98, 2, 2)
         states = one_cell_states()
-        res = run_scenario(states, LINEAR, 1.0)
+        res = run_one(states, 1.0)
         doc = json.loads(flooded_cells_geojson(g, res))
         assert doc["type"] == "FeatureCollection"
         assert len(doc["features"]) == 1
@@ -180,14 +225,14 @@ class TestFloodedCellsGeojson:
 
     def test_empty_scenario(self):
         g = GridSpec(0, 0, 98, 2, 2)
-        res = run_scenario({}, LINEAR, 0.0)
+        res = run_one(one_cell_states(bfe=5.0, elev=7.0), 0.0)
         doc = json.loads(flooded_cells_geojson(g, res))
         assert doc["features"] == []
 
     def test_zero_exposure_flooded_cell_included(self):
         g = GridSpec(0, 0, 98, 1, 1)
         states = one_cell_states(value=0.0, area=0.0)
-        res = run_scenario(states, LINEAR, 0.0)
+        res = run_one(states, 0.0)
         assert res.total_flooded_area == 0.0
         doc = json.loads(flooded_cells_geojson(g, res))
         assert len(doc["features"]) == 1

@@ -1,13 +1,13 @@
 """Zonal elevation statistics, BFE assignment, and flood depth."""
 
 import numpy as np
+import pytest
 
-from conftest import brute_force_zonal_means, random_raster
+from conftest import brute_force_zonal_means, cell_map, random_raster
 from floodgrid.geodata import BfeZone, Raster
 from floodgrid.grid import GridSpec
 from floodgrid.overlay import CellAttribution
 from floodgrid.terrain import (
-    CellState,
     assign_bfe,
     build_cell_states,
     cell_states_csv,
@@ -20,29 +20,38 @@ class TestZonalMean:
     def test_constant_field(self):
         dem = Raster(10, 10, 0, 0, 2, -9999, np.full(100, 7.0))
         g = GridSpec(0, 0, 10, 2, 2)
-        means = zonal_mean_elevation(dem, g)
+        means = cell_map(zonal_mean_elevation(dem, g), g)
         assert set(means) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert all(v == 7.0 for v in means.values())
 
     def test_four_values_one_cell(self):
         dem = Raster(2, 2, 0, 0, 1, -9999, np.array([2.0, 4.0, 6.0, 8.0]))
         g = GridSpec(0, 0, 10, 1, 1)
-        assert zonal_mean_elevation(dem, g) == {(0, 0): 5.0}
+        assert cell_map(zonal_mean_elevation(dem, g), g) == {(0, 0): 5.0}
 
     def test_nodata_excluded(self):
         dem = Raster(2, 1, 0, 0, 1, -9999, np.array([-9999.0, 4.0]))
         g = GridSpec(0, 0, 10, 1, 1)
-        assert zonal_mean_elevation(dem, g) == {(0, 0): 4.0}
+        assert cell_map(zonal_mean_elevation(dem, g), g) == {(0, 0): 4.0}
 
     def test_all_nodata_cell_absent(self):
         dem = Raster(2, 1, 0, 0, 1, -9999, np.array([-9999.0, -9999.0]))
         g = GridSpec(0, 0, 10, 1, 1)
-        assert zonal_mean_elevation(dem, g) == {}
+        assert cell_map(zonal_mean_elevation(dem, g), g) == {}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_treated_as_nodata(self, bad):
+        values = np.arange(25.0)
+        values[7] = bad
+        dem = Raster(5, 5, 0, 0, 1, -9999, values)
+        g = GridSpec(0, 0, 10, 1, 1)
+        # the mean of the 24 finite samples 0..24 without 7
+        assert cell_map(zonal_mean_elevation(dem, g), g) == {(0, 0): 293 / 24}
 
     def test_disjoint_extents(self):
         dem = Raster(2, 2, 1000, 1000, 1, -9999, np.arange(4.0))
         g = GridSpec(0, 0, 10, 2, 2)
-        assert zonal_mean_elevation(dem, g) == {}
+        assert cell_map(zonal_mean_elevation(dem, g), g) == {}
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(31)
@@ -53,13 +62,13 @@ class TestZonalMean:
             oy = dem.yllcorner + rng.uniform(-2, 1) * dem.nrows * dem.cellsize
             g = GridSpec(ox, oy, float(rng.uniform(0.5, 4) * dem.cellsize),
                          int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-            assert zonal_mean_elevation(dem, g) == brute_force_zonal_means(dem, g)
+            assert cell_map(zonal_mean_elevation(dem, g), g) == brute_force_zonal_means(dem, g)
 
     def test_mean_within_sample_range(self):
         rng = np.random.default_rng(37)
         dem = Raster(20, 20, 0, 0, 2, -9999, rng.uniform(0, 50, 400))
         g = GridSpec(0, 0, 8, 5, 5)
-        means = zonal_mean_elevation(dem, g)
+        means = cell_map(zonal_mean_elevation(dem, g), g)
         assert means
         for v in means.values():
             assert dem.values.min() <= v <= dem.values.max()
@@ -70,7 +79,7 @@ class TestAssignBfe:
 
     def test_whole_grid_zone(self):
         g = GridSpec(0, 0, 10, 3, 3)
-        bfes = assign_bfe(g, [self.FULL])
+        bfes = cell_map(assign_bfe(g, [self.FULL]), g)
         assert len(bfes) == 9
         assert all(v == 9.0 for v in bfes.values())
 
@@ -78,21 +87,21 @@ class TestAssignBfe:
         g = GridSpec(0, 0, 10, 3, 3)
         west = BfeZone(rings=[[(0.0, 0.0), (15.0, 0.0), (15.0, 30.0), (0.0, 30.0)]],
                        static_bfe=4.0)
-        bfes = assign_bfe(g, [west])
+        bfes = cell_map(assign_bfe(g, [west]), g)
         # only the first column of centroids (x = 5) falls inside
         assert set(bfes) == {(0, 0), (1, 0), (2, 0)}
 
     def test_first_zone_wins_overlap(self):
         g = GridSpec(0, 0, 10, 3, 3)
         other = BfeZone(rings=self.FULL.rings, static_bfe=2.0)
-        bfes = assign_bfe(g, [self.FULL, other])
+        bfes = cell_map(assign_bfe(g, [self.FULL, other]), g)
         assert all(v == 9.0 for v in bfes.values())
-        bfes = assign_bfe(g, [other, self.FULL])
+        bfes = cell_map(assign_bfe(g, [other, self.FULL]), g)
         assert all(v == 2.0 for v in bfes.values())
 
     def test_no_zones(self):
         g = GridSpec(0, 0, 10, 2, 2)
-        assert assign_bfe(g, []) == {}
+        assert cell_map(assign_bfe(g, []), g) == {}
 
 
 class TestFloodDepth:
@@ -126,14 +135,17 @@ class TestCellStates:
             CellAttribution(cell=(1, 1), parcel_id="a", clipped_area=10.0,
                             apportioned_value=90.0),
         ]
-        states = build_cell_states(g, attrs, {(0, 0): 3.5}, {(1, 1): 8.0})
-        assert len(states) == 4
-        assert states[(0, 0)].exposed_value == 600.0
-        assert states[(0, 0)].exposed_area == 75.0
-        assert states[(0, 0)].mean_elevation == 3.5
-        assert states[(0, 0)].bfe is None
-        assert states[(1, 1)].bfe == 8.0
-        assert states[(1, 0)].exposed_value == 0.0
+        nan = np.nan
+        states = build_cell_states(g, attrs, np.array([3.5, nan, nan, nan]),
+                                   np.array([nan, nan, nan, 8.0]))
+        for column in (states.mean_elevation, states.bfe,
+                       states.exposed_value, states.exposed_area):
+            assert column.shape == (4,)
+        assert cell_map(states.exposed_value, g)[(0, 0)] == 600.0
+        assert cell_map(states.exposed_area, g)[(0, 0)] == 75.0
+        assert cell_map(states.mean_elevation, g) == {(0, 0): 3.5}
+        assert cell_map(states.bfe, g) == {(1, 1): 8.0}
+        assert cell_map(states.exposed_value, g)[(1, 0)] == 0.0
 
     def test_csv_dump(self):
         g = GridSpec(0, 0, 10, 2, 1)
@@ -141,10 +153,10 @@ class TestCellStates:
             g,
             [CellAttribution(cell=(0, 1), parcel_id="a", clipped_area=12.5,
                              apportioned_value=1000.0)],
-            {(0, 0): 2.5},
-            {(0, 1): 6.0},
+            np.array([2.5, np.nan]),
+            np.array([np.nan, 6.0]),
         )
-        out = cell_states_csv(states)
+        out = cell_states_csv(g, states)
         assert out == (
             "row,col,mean_elevation,bfe,exposed_value,exposed_area\n"
             "0,0,2.5,,0.00,0\n"
