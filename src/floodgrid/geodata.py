@@ -57,6 +57,8 @@ class Raster:
             raise ValueError(f"raster dimensions must be >= 1, got {self.ncols}x{self.nrows}")
         if self.cellsize <= 0:
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")
+        if not all(math.isfinite(v) for v in self.bbox()):
+            raise ValueError(f"raster extent {self.bbox()!r} is not finite")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.size != self.ncols * self.nrows:
             raise ValueError(
@@ -95,6 +97,37 @@ class Raster:
         return (self.values != self.nodata_value) & np.isfinite(self.values)
 
 
+def _parse_values_per_line(body: list[str], expected: int, text_len: int) -> np.ndarray:
+    """Parse the value lines of an ASCII grid one line at a time.
+
+    Any row wrapping is accepted. A bad token raises ParseError with its
+    line and token position; a total other than ``expected`` raises a count
+    mismatch.
+    """
+    # Filled line by line. A text holds at most one value per two characters,
+    # so a header promising more is a count mismatch, not an allocation.
+    values = np.empty(max(0, min(expected, text_len // 2 + 1)))
+    n = 0
+    for lineno, line in enumerate(body, start=len(_HEADER_KEYS) + 1):
+        tokens = line.split()
+        try:
+            row = [float(t) for t in tokens]
+        except ValueError:
+            for pos, token in enumerate(tokens, start=1):
+                try:
+                    float(token)
+                except ValueError:
+                    raise ParseError(
+                        f"line {lineno}, token {pos}: non-numeric token {token!r}"
+                    ) from None
+        if n + len(row) <= values.size:
+            values[n:n + len(row)] = row
+        n += len(row)
+    if n != expected:
+        raise ParseError(f"value count mismatch: expected {expected}, got {n}")
+    return values
+
+
 def parse_ascii_grid(text: str) -> Raster:
     """Parse an ESRI ASCII grid: 6 header lines, then whitespace-separated values.
 
@@ -131,34 +164,29 @@ def parse_ascii_grid(text: str) -> Raster:
                 raise ParseError(
                     f"line {lineno}: non-numeric token {token!r} for {key!r}"
                 ) from None
+            # nodata_value may be nan: non-finite samples are NODATA anyway
+            if key != "nodata_value" and not math.isfinite(header[key]):
+                raise ParseError(f"line {lineno}: non-finite value {token!r} for {key!r}")
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ParseError(f"missing header key(s): {', '.join(missing)}")
 
     expected = int(header["ncols"]) * int(header["nrows"])
-    # Filled line by line. A text holds at most one value per two characters,
-    # so a header promising more is a count mismatch, not an allocation.
-    values = np.empty(max(0, min(expected, len(text) // 2 + 1)))
-    n = 0
-    for lineno, line in enumerate(lines[len(_HEADER_KEYS):], start=len(_HEADER_KEYS) + 1):
-        tokens = line.split()
+    body = lines[len(_HEADER_KEYS):]
+    values = np.empty(0)
+    # numpy's C reader converts with PyOS_string_to_double, so every value
+    # is bit-identical to float(token). It refuses wrapped rows of unequal
+    # length and tokens only float() accepts ("1_0", non-ASCII digits); the
+    # per-line loop takes those and names the position of a bad token.
+    # An empty body never reaches loadtxt, which would warn about it.
+    if any(map(str.strip, body)):
         try:
-            row = [float(t) for t in tokens]
+            values = np.loadtxt(body, dtype=float, comments=None, ndmin=2).ravel()
         except ValueError:
-            for pos, token in enumerate(tokens, start=1):
-                try:
-                    float(token)
-                except ValueError:
-                    raise ParseError(
-                        f"line {lineno}, token {pos}: non-numeric token {token!r}"
-                    ) from None
-        if n + len(row) <= values.size:
-            values[n:n + len(row)] = row
-        n += len(row)
-
-    if n != expected:
-        raise ParseError(f"value count mismatch: expected {expected}, got {n}")
+            values = _parse_values_per_line(body, expected, len(text))
+    if values.size != expected:
+        raise ParseError(f"value count mismatch: expected {expected}, got {values.size}")
 
     try:
         return Raster(
@@ -342,7 +370,8 @@ def parse_parcels(text: str) -> list[Parcel]:
         pid = str(props["parcel_id"])
         assessment = _require_property(props, "current_assessment", where)
         land_area = _require_property(props, "land_area", where)
-        base_flood = float(props.get("base_flood", 0.0))
+        base_flood = (_require_property(props, "base_flood", where)
+                      if "base_flood" in props else 0.0)
 
         polys = _feature_polygons(feature.get("geometry"), where)
         try:

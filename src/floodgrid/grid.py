@@ -54,22 +54,33 @@ class GridSpec:
         })
 
 
+_MAX_CELLS = np.iinfo(np.int64).max
+
+
 def make_fishnet(bbox: tuple[float, float, float, float], cell_size: float) -> GridSpec:
     """Build the fishnet covering ``bbox``, anchored at its southwest corner.
 
     Column and row counts are rounded up so the grid fully covers the box.
+    The cell count must fit the int64 row-major cell index.
     """
     xmin, ymin, xmax, ymax = bbox
+    if not all(math.isfinite(v) for v in bbox):
+        raise ValueError(f"bbox must be finite, got {bbox!r}")
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"degenerate bbox {bbox!r}")
-    if cell_size <= 0:
-        raise ValueError(f"cell_size must be positive, got {cell_size}")
+    if not (math.isfinite(cell_size) and cell_size > 0):
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+    width, height = (xmax - xmin) / cell_size, (ymax - ymin) / cell_size
+    if not (math.isfinite(width) and math.isfinite(height)
+            and math.ceil(width) * math.ceil(height) <= _MAX_CELLS):
+        raise ValueError(f"bbox {bbox!r} at cell_size {cell_size} needs too many cells "
+                         f"(at most {_MAX_CELLS})")
     return GridSpec(
         origin_x=xmin,
         origin_y=ymin,
         cell_size=cell_size,
-        n_cols=math.ceil((xmax - xmin) / cell_size),
-        n_rows=math.ceil((ymax - ymin) / cell_size),
+        n_cols=math.ceil(width),
+        n_rows=math.ceil(height),
     )
 
 

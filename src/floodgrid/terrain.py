@@ -33,12 +33,21 @@ class CellArrays:
     exposed_area: np.ndarray
 
 
+# Target number of DEM samples summed per band by zonal_mean_elevation.
+_BAND_SAMPLES = 1 << 18
+
+
 def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     """Mean DEM elevation per fishnet cell, row-major.
 
     A DEM sample belongs to the fishnet cell containing its center point;
     NODATA and non-finite samples are excluded. Cells with no samples are
     NaN.
+
+    The sums run over bands of DEM rows of about ``_BAND_SAMPLES`` samples.
+    A band is cut only where the fishnet row changes (one fishnet row may
+    exceed the target), so each cell is summed within one band, in
+    row-major order, exactly as one bincount over the whole raster would.
     """
     cs = dem.cellsize
     centers_x = dem.xllcorner + (np.arange(dem.ncols) + 0.5) * cs
@@ -48,10 +57,31 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     jj = col_of(g, centers_x)
     ii = row_of(g, centers_y)
 
-    valid = (ii[:, None] >= 0) & (jj[None, :] >= 0) & dem.data_mask()
-    flat = (ii[:, None] * g.n_cols + jj[None, :])[valid]
-    sums = np.bincount(flat, weights=dem.values[valid], minlength=g.n_cells)
-    counts = np.bincount(flat, minlength=g.n_cells)
+    sums = np.zeros(g.n_cells)
+    counts = np.zeros(g.n_cells, dtype=np.int64)
+    rows = np.flatnonzero(ii >= 0)
+    cols = np.flatnonzero(jj >= 0)
+    if rows.size and cols.size:
+        # Centers are monotone, so the DEM rows and columns inside the grid
+        # are contiguous, and fishnet rows never increase down the DEM.
+        r0, r1 = int(rows[0]), int(rows[-1]) + 1
+        c0, c1 = int(cols[0]), int(cols[-1]) + 1
+        jj = jj[c0:c1]
+        edges = np.concatenate(([r0], r0 + 1 + np.flatnonzero(np.diff(ii[r0:r1])), [r1]))
+        band_rows = max(1, _BAND_SAMPLES // (c1 - c0))
+        start = r0
+        for k in range(1, len(edges)):
+            if k + 1 < len(edges) and edges[k + 1] - start <= band_rows:
+                continue
+            end = int(edges[k])
+            # this band holds fishnet rows ii[end - 1] .. ii[start]
+            lo, hi = ii[end - 1] * g.n_cols, (ii[start] + 1) * g.n_cols
+            block = dem.values[start:end, c0:c1]
+            ok = (block != dem.nodata_value) & np.isfinite(block)  # Raster.data_mask
+            flat = ((ii[start:end, None] * g.n_cols - lo) + jj[None, :])[ok]
+            sums[lo:hi] = np.bincount(flat, weights=block[ok], minlength=hi - lo)
+            counts[lo:hi] = np.bincount(flat, minlength=hi - lo)
+            start = end
     return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 
 

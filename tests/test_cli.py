@@ -103,6 +103,20 @@ class TestFishnetCommand:
     def test_malformed_bbox(self, capsys):
         assert main(["fishnet", "--bbox", "1,2,3"]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("args, message", [
+        (["--bbox", "0,0,inf,100", "--cell-size", "10"], "bbox must be finite"),
+        (["--bbox", "0,0,100,nan", "--cell-size", "10"], "bbox must be finite"),
+        (["--bbox", "0,0,100,100", "--cell-size", "1e-320"], "too many cells"),
+        (["--bbox", "0,0,100,100", "--cell-size", "inf"], "positive and finite"),
+        (["--bbox", "0,0,100,100", "--cell-size", "nan"], "positive and finite"),
+        (["--bbox", "0,0,1e300,1e300", "--cell-size", "1"], "too many cells"),
+        (["--bbox=-1e308,0,1e308,1", "--cell-size", "1"], "too many cells"),
+    ])
+    def test_unrepresentable_grid_is_config_error(self, capsys, args, message):
+        assert main(["fishnet", *args]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestAssessCommand:
     def run(self, fixture, *extra):
@@ -160,6 +174,17 @@ class TestAssessCommand:
         assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
         err = capsys.readouterr().err
         assert "line" in err
+
+    @pytest.mark.parametrize("field, value", [("cellsize", "inf"), ("xllcorner", "nan")])
+    def test_non_finite_dem_header_is_parse_error(self, coastal_fixture, capsys,
+                                                  field, value):
+        dem = coastal_fixture / "dem.asc"
+        lines = dem.read_text().splitlines(keepends=True)
+        k = next(n for n, line in enumerate(lines) if line.startswith(field + " "))
+        lines[k] = f"{field} {value}\n"
+        dem.write_text("".join(lines))
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert f"line {k + 1}: non-finite value '{value}' for '{field}'" in capsys.readouterr().err
 
     def test_bad_slr_flag_order(self, coastal_fixture, capsys):
         assert self.run(coastal_fixture, "--slr", "1,0") == EXIT_CONFIG_ERROR

@@ -1,6 +1,7 @@
 """IO formats: ASCII grid, parcel/BFE GeoJSON, damage curves, report CSV."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_raster
+from floodgrid import geodata
 from floodgrid.geodata import (
     DamageCurve,
     ParseError,
@@ -71,6 +73,26 @@ class TestAsciiGrid:
         with pytest.raises(ParseError, match="line 5.*non-numeric"):
             parse_ascii_grid(text)
 
+    @pytest.mark.parametrize("line, key, token", [
+        (5, "cellsize", "inf"), (5, "cellsize", "nan"), (3, "xllcorner", "nan"),
+        (4, "yllcorner", "inf"), (3, "xllcorner", "-inf"),
+    ])
+    def test_non_finite_header_field_rejected(self, line, key, token):
+        lines = MINIMAL_GRID.splitlines()
+        lines[line - 1] = f"{key} {token}"
+        with pytest.raises(ParseError, match=f"line {line}: non-finite value '{token}' for '{key}'"):
+            parse_ascii_grid("\n".join(lines))
+
+    def test_overflowing_extent_rejected(self):
+        text = MINIMAL_GRID.replace("cellsize 98", "cellsize 1e308")
+        with pytest.raises(ParseError, match=r"raster extent \(0\.0, 0\.0, inf, inf\) is not finite"):
+            parse_ascii_grid(text)
+
+    def test_nan_nodata_value_accepted(self):
+        r = parse_ascii_grid(MINIMAL_GRID.replace("nodata_value -9999", "nodata_value nan"))
+        assert np.isnan(r.nodata_value)
+        assert r.data_mask().all()
+
     def test_non_numeric_value_token_reports_position(self):
         text = MINIMAL_GRID.replace("3 4", "3 oops")
         with pytest.raises(ParseError, match="line 8, token 2"):
@@ -119,6 +141,113 @@ class TestAsciiGrid:
         ))
         r = Raster(ncols, nrows, xll, yll, cellsize, -9999.0, np.array(values, dtype=float))
         assert parse_ascii_grid(write_ascii_grid(r)) == r
+
+
+def split_oracle(text):
+    """An ASCII grid body's values by plain ``float()`` over ``str.split()``."""
+    return [float(t) for line in text.splitlines()[6:] for t in line.split()]
+
+
+def as_bits(values):
+    """Float64 bit patterns, so NaN payloads, signs and -0.0 compare exactly."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+NON_FINITE = ("nan", "-nan", "NaN", "inf", "-inf", "+Infinity")
+# underscores and non-ASCII digits: float() reads them, numpy's C reader does not
+FLOAT_ONLY = ("1_0", "1_000.5", "\uff11\uff12", "\u0663.5")
+
+
+def random_token(rng, extra=()):
+    """A numeric token in one of several spellings float() accepts."""
+    v = float(rng.uniform(-1e4, 1e4)) * 10.0 ** int(rng.integers(-8, 9))
+    spellings = [repr(v), f"{v:.6g}", f"{v:e}", f"{v:.3E}", str(int(v)), f"+{abs(v)!r}",
+                 "-0", "0.", ".5", "5.", *extra]
+    return spellings[int(rng.integers(len(spellings)))]
+
+
+def grid_body(rng, tokens, ncols, rewrap, messy):
+    """Lay ``tokens`` out as value lines of ``ncols`` or, with ``rewrap``, of
+    random lengths; ``messy`` mixes whitespace and line endings and adds
+    blank lines."""
+    widths = [ncols] * (len(tokens) // ncols)
+    if rewrap:
+        widths = []
+        while sum(widths) < len(tokens):
+            widths.append(int(rng.integers(1, 2 * ncols + 2)))
+    seps = [" ", "  ", "\t", " \t "] if messy else [" "]
+    # \x0b and \x0c end a line for str.splitlines
+    ends = ["\n", "\r\n", "\r", "\x0b", "\x0c"] if messy else ["\n"]
+    out, k = [], 0
+    for w in widths:
+        row = tokens[k:k + w]
+        k += w
+        line = "".join(t + str(rng.choice(seps)) for t in row[:-1]) + row[-1]
+        if messy:
+            line = str(rng.choice(["", " ", "\t"])) + line + str(rng.choice(["", " "]))
+            if rng.random() < 0.2:
+                line += str(rng.choice(ends)) + str(rng.choice(["", "   ", "\t"]))
+        out.append(line + str(rng.choice(ends)))
+    return "".join(out)
+
+
+class TestBodyParseDifferential:
+    """parse_ascii_grid agrees bit for bit with float() over str.split()."""
+
+    @pytest.mark.parametrize("rewrap", [False, True])
+    @pytest.mark.parametrize("messy", [False, True])
+    @pytest.mark.parametrize("seed, extra", enumerate([(), NON_FINITE, FLOAT_ONLY]))
+    def test_matches_split_oracle(self, rewrap, messy, seed, extra):
+        rng = np.random.default_rng([rewrap, messy, seed])
+        for _ in range(40):
+            ncols, nrows = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            tokens = [random_token(rng, extra) for _ in range(ncols * nrows)]
+            text = (f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
+                    f"cellsize 1\nnodata_value -9999\n"
+                    + grid_body(rng, tokens, ncols, rewrap, messy))
+            expected = split_oracle(text)
+            assert len(expected) == ncols * nrows
+            assert as_bits(parse_ascii_grid(text).values.ravel()) == as_bits(expected)
+
+    @pytest.mark.parametrize("messy", [False, True])
+    def test_both_parse_paths_compared(self, monkeypatch, messy):
+        calls = []
+        per_line = geodata._parse_values_per_line
+        monkeypatch.setattr(geodata, "_parse_values_per_line",
+                            lambda *a: calls.append(1) or per_line(*a))
+        rng = np.random.default_rng(5)
+        tokens = [random_token(rng) for _ in range(12)]
+        header = "ncols 4\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 1\nnodata_value -9\n"
+        for body, per_line_calls in [
+            # rows of equal length go through loadtxt, whatever the whitespace
+            (grid_body(rng, tokens, 4, False, messy), 0),
+            # wrapped rows of unequal length, and a token only float() reads
+            (" ".join(tokens[:5]) + "\n" + " ".join(tokens[5:]) + "\n", 1),
+            (grid_body(rng, tokens[:8], 4, False, messy) + " ".join(tokens[8:11]) + " 1_0\n", 1),
+        ]:
+            calls.clear()
+            text = header + body
+            assert as_bits(parse_ascii_grid(text).values.ravel()) == as_bits(split_oracle(text))
+            assert len(calls) == per_line_calls
+
+    @pytest.mark.parametrize("body, where", [
+        ("# comment\n1 2\n3 4\n", "line 7, token 1"),
+        ("1 2\n# 3 4\n", "line 8, token 1"),
+        ("1 2\n3 4 # note\n", "line 8, token 3"),
+        ("1 2 #\n3 4\n", "line 7, token 3"),
+    ])
+    def test_comment_lines_rejected(self, body, where):
+        text = MINIMAL_GRID.replace("1 2\n3 4\n", body)
+        with pytest.raises(ParseError, match=f"{where}: non-numeric token '#'"):
+            parse_ascii_grid(text)
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "  \n\t\n"])
+    def test_empty_body_is_count_mismatch_without_warning(self, body):
+        text = MINIMAL_GRID.replace("1 2\n3 4\n", body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="value count mismatch: expected 4, got 0"):
+                parse_ascii_grid(text)
 
 
 SQUARE_FEATURE = {
@@ -175,12 +304,23 @@ class TestParcels:
         with pytest.raises(ParseError, match="current_assessment"):
             parse_parcels(fc(bad))
 
-    @pytest.mark.parametrize("name", ["current_assessment", "land_area"])
+    @pytest.mark.parametrize("name", ["current_assessment", "land_area", "base_flood"])
     @pytest.mark.parametrize("raw", [float("nan"), float("inf"), float("-inf"), "nan"])
     def test_non_finite_property_rejected(self, name, raw):
         bad = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], **{name: raw}))
         with pytest.raises(ParseError, match=f"feature 1: non-finite value .* {name!r}"):
             parse_parcels(fc(SQUARE_FEATURE, bad))
+
+    @pytest.mark.parametrize("raw", ["abc", None, [1]])
+    def test_non_numeric_base_flood_rejected(self, raw):
+        bad = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], base_flood=raw))
+        with pytest.raises(ParseError,
+                           match="feature 1: non-numeric value .* for property 'base_flood'"):
+            parse_parcels(fc(SQUARE_FEATURE, bad))
+
+    def test_base_flood_parsed_when_present(self):
+        good = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], base_flood="7.5"))
+        assert parse_parcels(fc(good))[0].base_flood == 7.5
 
     def test_short_ring_rejected(self):
         bad = dict(SQUARE_FEATURE, geometry={

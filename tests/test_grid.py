@@ -27,6 +27,25 @@ def test_fishnet_bad_cell_size():
         make_fishnet((0, 0, 10, 10), 0)
 
 
+@pytest.mark.parametrize("bbox, cell_size, message", [
+    ((0, 0, float("inf"), 10), 1, "bbox must be finite"),
+    ((float("nan"), 0, 10, 10), 1, "bbox must be finite"),
+    ((0, 0, 10, 10), float("inf"), "positive and finite"),
+    ((0, 0, 10, 10), float("nan"), "positive and finite"),
+    ((0, 0, 10, 10), 1e-320, "too many cells"),
+    ((-1e308, 0, 1e308, 1), 1, "too many cells"),
+    ((0, 0, 2**32, 2**31), 1, "too many cells"),
+])
+def test_fishnet_unrepresentable_grid(bbox, cell_size, message):
+    with pytest.raises(ValueError, match=message):
+        make_fishnet(bbox, cell_size)
+
+
+def test_fishnet_largest_cell_count_accepted():
+    g = make_fishnet((0, 0, 2**32, 2**31 - 1), 1)
+    assert g.n_cells == 2**63 - 2**32
+
+
 def test_cell_rect_corners():
     g = GridSpec(0, 0, 98, 3, 3)
     assert cell_rect(g, 0, 0) == (0, 0, 98, 98)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_zonal_means, cell_map, random_raster
+from floodgrid import terrain
 from floodgrid.geodata import BfeZone, Raster
 from floodgrid.grid import GridSpec
 from floodgrid.overlay import CellAttribution
@@ -72,6 +73,43 @@ class TestZonalMean:
         assert means
         for v in means.values():
             assert dem.values.min() <= v <= dem.values.max()
+
+
+class TestZonalMeanBands:
+    """The banded sums equal the whole-raster oracle bit for bit."""
+
+    def test_dem_spanning_several_bands(self):
+        rng = np.random.default_rng(53)
+        nrows, ncols = 700, 800
+        assert nrows * ncols > 2 * terrain._BAND_SAMPLES
+        values = rng.uniform(-50, 50, nrows * ncols)
+        values[rng.random(values.shape) < 0.05] = -9999.0
+        dem = Raster(ncols, nrows, 0, 0, 1.5, -9999, values)
+        # Both grids overlap all 800 DEM columns and 660-700 DEM rows, about
+        # three bands, and stick out past the raster's edges.
+        for g in [  # ~23 samples per cell, so a changed summation order would show
+                  GridSpec(-40.0, 60.0, 7.3, 170, 150),
+                  # cells narrower than a DEM cell: some fishnet rows get no samples
+                  GridSpec(-3.0, -3.0, 1.2, 1000, 900)]:
+            means = zonal_mean_elevation(dem, g)
+            assert cell_map(means, g) == brute_force_zonal_means(dem, g)
+
+    @pytest.mark.parametrize("band_samples", [1, 7, 64])
+    def test_small_bands_match_brute_force(self, monkeypatch, band_samples):
+        monkeypatch.setattr(terrain, "_BAND_SAMPLES", band_samples)
+        rng = np.random.default_rng(59 + band_samples)
+        for _ in range(30):
+            nrows, ncols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            values = rng.uniform(-1e4, 1e4, nrows * ncols)
+            values[rng.random(values.shape) < 0.1] = -9999.0
+            cs = float(rng.uniform(0.5, 20))
+            dem = Raster(ncols, nrows, float(rng.uniform(-1e3, 1e3)),
+                         float(rng.uniform(-1e3, 1e3)), cs, -9999, values)
+            ox = dem.xllcorner + rng.uniform(-1, 1) * ncols * cs
+            oy = dem.yllcorner + rng.uniform(-1, 1) * nrows * cs
+            g = GridSpec(ox, oy, float(rng.uniform(0.3, 6) * cs),
+                         int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+            assert cell_map(zonal_mean_elevation(dem, g), g) == brute_force_zonal_means(dem, g)
 
 
 class TestAssignBfe:
