@@ -94,7 +94,12 @@ class Raster:
 
     def data_mask(self) -> np.ndarray:
         """Boolean array, True where the cell holds a real elevation."""
-        return (self.values != self.nodata_value) & np.isfinite(self.values)
+        return data_mask(self.values, self.nodata_value)
+
+
+def data_mask(values: np.ndarray, nodata_value: float) -> np.ndarray:
+    """True where a raster sample is neither NODATA nor non-finite."""
+    return (values != nodata_value) & np.isfinite(values)
 
 
 def _parse_values_per_line(body: list[str], expected: int, text_len: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodata import BfeZone, Raster, format_number
+from .geodata import BfeZone, Raster, data_mask, format_number
 from .grid import GridSpec, col_of, row_of
 from .overlay import CellAttribution, points_in_polygon
 
@@ -33,10 +33,6 @@ class CellArrays:
     exposed_area: np.ndarray
 
 
-# Target number of DEM samples summed per band by zonal_mean_elevation.
-_BAND_SAMPLES = 1 << 18
-
-
 def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     """Mean DEM elevation per fishnet cell, row-major.
 
@@ -44,10 +40,9 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     NODATA and non-finite samples are excluded. Cells with no samples are
     NaN.
 
-    The sums run over bands of DEM rows of about ``_BAND_SAMPLES`` samples.
-    A band is cut only where the fishnet row changes (one fishnet row may
-    exceed the target), so each cell is summed within one band, in
-    row-major order, exactly as one bincount over the whole raster would.
+    The sums run over bands of the DEM rows that fall in one fishnet row,
+    so each cell is summed within one band, in row-major order, exactly as
+    one bincount over the whole raster would.
     """
     cs = dem.cellsize
     centers_x = dem.xllcorner + (np.arange(dem.ncols) + 0.5) * cs
@@ -68,20 +63,13 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
         c0, c1 = int(cols[0]), int(cols[-1]) + 1
         jj = jj[c0:c1]
         edges = np.concatenate(([r0], r0 + 1 + np.flatnonzero(np.diff(ii[r0:r1])), [r1]))
-        band_rows = max(1, _BAND_SAMPLES // (c1 - c0))
-        start = r0
-        for k in range(1, len(edges)):
-            if k + 1 < len(edges) and edges[k + 1] - start <= band_rows:
-                continue
-            end = int(edges[k])
-            # this band holds fishnet rows ii[end - 1] .. ii[start]
-            lo, hi = ii[end - 1] * g.n_cols, (ii[start] + 1) * g.n_cols
+        for start, end in zip(edges[:-1], edges[1:]):
+            lo = ii[start] * g.n_cols
             block = dem.values[start:end, c0:c1]
-            ok = (block != dem.nodata_value) & np.isfinite(block)  # Raster.data_mask
-            flat = ((ii[start:end, None] * g.n_cols - lo) + jj[None, :])[ok]
-            sums[lo:hi] = np.bincount(flat, weights=block[ok], minlength=hi - lo)
-            counts[lo:hi] = np.bincount(flat, minlength=hi - lo)
-            start = end
+            ok = data_mask(block, dem.nodata_value)
+            flat = np.broadcast_to(jj, block.shape)[ok]
+            sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
+            counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
     return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 
 
