@@ -21,10 +21,10 @@ from .geodata import (
 )
 from .grid import GridSpec, cell_rect, make_fishnet
 from .overlay import (
-    CellAttribution,
+    ATTRIBUTION_DTYPE,
     apportion,
     apportion_many,
-    clip_ring_to_rect,
+    clip_to_slab,
     point_in_polygon,
     shoelace_area,
 )

@@ -126,11 +126,16 @@ def _resolve(base: Path, p: str) -> str:
     return str(Path(p) if Path(p).is_absolute() else base / p)
 
 
-def _read_input(path: str, what: str) -> str:
+def _parse_input(path: str, what: str, parse):
+    """Read one input file and parse it; a ParseError names the file."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{what} file {path}: {exc}") from None
 
 
 def run_assessment(config: RunConfig) -> dict[str, str]:
@@ -140,11 +145,12 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
     files behind.
     """
     config.validate()
-    dem = parse_ascii_grid(_read_input(config.dem_path, "DEM"))
-    parcels = parse_parcels(_read_input(config.parcels_path, "parcels"))
-    zones = parse_bfe_zones(_read_input(config.bfe_path, "BFE zones"))
+    dem = _parse_input(config.dem_path, "DEM", parse_ascii_grid)
+    parcels = _parse_input(config.parcels_path, "parcels", parse_parcels)
+    zones = _parse_input(config.bfe_path, "BFE zones", parse_bfe_zones)
     if config.damage_curve_path:
-        curve = parse_damage_curve(_read_input(config.damage_curve_path, "damage curve"))
+        curve = _parse_input(config.damage_curve_path, "damage curve",
+                             parse_damage_curve)
     else:
         logger.info("no damage curve configured; using the uncalibrated packaged default")
         curve = load_default_curve()
@@ -210,7 +216,7 @@ def cmd_assess(config: RunConfig) -> int:
 
 def cmd_eda(table_path: str, output_dir: str) -> int:
     try:
-        records = read_attribute_table(_read_input(table_path, "attribute table"))
+        records = _parse_input(table_path, "attribute table", read_attribute_table)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

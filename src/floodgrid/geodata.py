@@ -92,10 +92,6 @@ class Raster:
         """(xmin, ymin, xmax, ymax) extent of the raster."""
         return (self.xllcorner, self.yllcorner, self.xmax, self.ymax)
 
-    def data_mask(self) -> np.ndarray:
-        """Boolean array, True where the cell holds a real elevation."""
-        return data_mask(self.values, self.nodata_value)
-
 
 def data_mask(values: np.ndarray, nodata_value: float) -> np.ndarray:
     """True where a raster sample is neither NODATA nor non-finite."""
@@ -185,9 +181,15 @@ def parse_ascii_grid(text: str) -> Raster:
     # length and tokens only float() accepts ("1_0", non-ASCII digits); the
     # per-line loop takes those and names the position of a bad token.
     # An empty body never reaches loadtxt, which would warn about it.
-    if any(map(str.strip, body)):
+    # Given max_rows, loadtxt allocates its result once instead of growing
+    # it by realloc, which can copy the whole buffer (when malloc put it on
+    # the heap) and add it to the peak RSS. Blank lines are left out:
+    # loadtxt skips them anyway, and warns about them under max_rows.
+    rows = [line for line in body if line.strip()]
+    if rows:
         try:
-            values = np.loadtxt(body, dtype=float, comments=None, ndmin=2).ravel()
+            values = np.loadtxt(rows, dtype=float, comments=None, ndmin=2,
+                                max_rows=len(rows)).ravel()
         except ValueError:
             values = _parse_values_per_line(body, expected, len(text))
     if values.size != expected:
@@ -240,8 +242,8 @@ class Parcel:
 
     Rings are stored open: closure between the last and first vertex is
     implied. Members split out of a MultiPolygon feature share the feature's
-    assessment pool; ``group_id``/``group_area`` let the overlay stage
-    apportion against the whole feature's geometric area.
+    assessment pool; ``group_area`` lets the overlay stage apportion against
+    the whole feature's geometric area.
     """
 
     parcel_id: str
@@ -250,7 +252,6 @@ class Parcel:
     current_assessment: float = 0.0
     land_area: float = 0.0
     base_flood: float = 0.0
-    group_id: str = ""
     group_area: float | None = None
 
     def __post_init__(self):
@@ -267,8 +268,6 @@ class Parcel:
             raise ValueError(f"parcel {self.parcel_id!r}: negative assessment")
         if self.land_area < 0:
             raise ValueError(f"parcel {self.parcel_id!r}: negative land area")
-        if not self.group_id:
-            self.group_id = self.parcel_id
 
     @property
     def rings(self) -> list[Ring]:
@@ -360,7 +359,7 @@ def parse_parcels(text: str) -> list[Parcel]:
     ``parcel_id``, ``current_assessment``, ``land_area`` (``base_flood``
     optional, defaulting to 0). A MultiPolygon feature yields one Parcel per
     member polygon with ids suffixed ``#k``; members share the feature's
-    assessment pool via a common group id and group geometric area.
+    assessment pool via a common group geometric area.
     """
     from .overlay import polygon_area
 
@@ -399,7 +398,6 @@ def parse_parcels(text: str) -> list[Parcel]:
                         current_assessment=assessment,
                         land_area=land_area,
                         base_flood=base_flood,
-                        group_id=pid,
                         group_area=group_area,
                     ))
         except ValueError as exc:

@@ -96,19 +96,6 @@ def cell_rect(g: GridSpec, i: int, j: int) -> tuple[float, float, float, float]:
     )
 
 
-def point_to_cell(g: GridSpec, x: float, y: float) -> tuple[int, int] | None:
-    """Cell (i, j) containing the point under the half-open convention.
-
-    Points on the grid's outer top/right edge map to the last row/column;
-    points outside the grid return None.
-    """
-    j = col_of(g, x)
-    i = row_of(g, y)
-    if i < 0 or j < 0:
-        return None
-    return (i, j)
-
-
 def col_of(g: GridSpec, x) -> "int | np.ndarray":
     """Column index for x coordinate(s); -1 where outside the grid.
 

@@ -9,11 +9,10 @@ land_area field, which guarantees exact value conservation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, cell_rect
+from .grid import GridSpec
 
 # Clipped slivers below this area (sq ft) are dropped; below float noise for
 # county-scale coordinates.
@@ -21,15 +20,9 @@ SLIVER_MIN_AREA = 1e-6
 
 Point = tuple[float, float]
 
-
-@dataclass
-class CellAttribution:
-    """One parcel's slice of area and assessed value inside one cell."""
-
-    cell: tuple[int, int]
-    parcel_id: str
-    clipped_area: float
-    apportioned_value: float
+# One row per (parcel, cell) attribution: the row-major cell index, the
+# parcel's clipped area in that cell and the assessed value apportioned to it.
+ATTRIBUTION_DTYPE = np.dtype([("cell", np.int64), ("area", float), ("value", float)])
 
 
 def shoelace_area(ring: list[Point]) -> float:
@@ -87,25 +80,13 @@ def _clip_half_plane(ring: list[Point], axis: int, bound: float, keep_ge: bool) 
     return out
 
 
-def clip_ring_to_rect(ring: list[Point], rect: tuple[float, float, float, float]) -> list[Point]:
-    """Clip a ring to an axis-aligned rectangle.
+def clip_to_slab(ring: list[Point], axis: int, lo: float, hi: float) -> list[Point]:
+    """Clip a ring to the slab lo <= coordinate <= hi along one axis.
 
     Returns the clipped vertex sequence, empty when disjoint. Degenerate
     (zero-area) outputs are possible and harmless downstream.
     """
-    xmin, ymin, xmax, ymax = rect
-    out = _clip_half_plane(ring, 0, xmin, True)
-    out = _clip_half_plane(out, 0, xmax, False)
-    out = _clip_half_plane(out, 1, ymin, True)
-    out = _clip_half_plane(out, 1, ymax, False)
-    return out
-
-
-def _clipped_area(ring: list[Point], rect) -> float:
-    clipped = clip_ring_to_rect(ring, rect)
-    if len(clipped) < 3:
-        return 0.0
-    return abs(shoelace_area(clipped))
+    return _clip_half_plane(_clip_half_plane(ring, axis, lo, True), axis, hi, False)
 
 
 def point_in_polygon(p: Point, rings: list[list[Point]]) -> bool:
@@ -140,15 +121,23 @@ def points_in_polygon(xs, ys, rings: list[list[Point]]) -> np.ndarray:
     return inside
 
 
-def apportion(parcel, g: GridSpec) -> list[CellAttribution]:
+def _ring_area(ring: list[Point]) -> float:
+    return abs(shoelace_area(ring)) if len(ring) >= 3 else 0.0
+
+
+def apportion(parcel, g: GridSpec) -> np.ndarray:
     """Split one parcel's area and assessed value over the fishnet cells.
 
-    For each cell overlapping the parcel's bounding box the clipped area is
-    |clip(outer)| minus the clipped hole areas, floored at 0. Value follows
-    area: assessment * clipped_area / denominator, where the denominator is
-    the parcel's geometric area (or the shared group area for MultiPolygon
-    members). Slivers under SLIVER_MIN_AREA are dropped; parcel area outside
-    the grid is dropped, not renormalized.
+    Returns an ATTRIBUTION_DTYPE array, one row per cell the parcel covers,
+    in ascending row-major cell order. Each cell's clipped area is
+    |clip(outer)| minus the clipped hole areas, subtracted one at a time.
+    Each ring is clipped once per column strip, and each strip once per
+    row: the same half-plane steps, in the same order, as clipping the
+    ring to the cell rectangle. Value follows area:
+    assessment * area / denominator, where the denominator is the parcel's
+    geometric area (or the shared group area for MultiPolygon members).
+    Slivers under SLIVER_MIN_AREA are dropped; parcel area outside the grid
+    is dropped, not renormalized.
     """
     outer = parcel.outer_ring
     geom_area = abs(shoelace_area(outer)) - sum(abs(shoelace_area(h)) for h in parcel.holes)
@@ -164,30 +153,39 @@ def apportion(parcel, g: GridSpec) -> list[CellAttribution]:
     i_lo = max(0, int(math.floor((min(ys) - g.origin_y) / s)))
     i_hi = min(g.n_rows - 1, int(math.floor((max(ys) - g.origin_y) / s)))
 
-    out: list[CellAttribution] = []
+    # strips[j] holds the outer ring and then each hole clipped to column j
+    strips = [
+        [clip_to_slab(ring, 0, g.origin_x + j * s, g.origin_x + (j + 1) * s)
+         for ring in parcel.rings]
+        for j in range(j_lo, j_hi + 1)
+    ]
+    cells: list[int] = []
+    areas: list[float] = []
     for i in range(i_lo, i_hi + 1):
-        for j in range(j_lo, j_hi + 1):
-            rect = cell_rect(g, i, j)
-            area = _clipped_area(outer, rect)
-            for hole in parcel.holes:
-                area -= _clipped_area(hole, rect)
+        y_lo, y_hi = g.origin_y + i * s, g.origin_y + (i + 1) * s
+        for j, (outer_strip, *hole_strips) in enumerate(strips, j_lo):
+            area = _ring_area(clip_to_slab(outer_strip, 1, y_lo, y_hi))
+            for hole in hole_strips:
+                area -= _ring_area(clip_to_slab(hole, 1, y_lo, y_hi))
             if area < SLIVER_MIN_AREA:
                 continue
-            out.append(CellAttribution(
-                cell=(i, j),
-                parcel_id=parcel.parcel_id,
-                clipped_area=area,
-                apportioned_value=parcel.current_assessment * area / denom,
-            ))
+            cells.append(i * g.n_cols + j)
+            areas.append(area)
+
+    out = np.empty(len(cells), dtype=ATTRIBUTION_DTYPE)
+    out["cell"] = cells
+    out["area"] = areas
+    out["value"] = parcel.current_assessment * out["area"] / denom
     return out
 
 
-def apportion_many(parcels, g: GridSpec) -> list[CellAttribution]:
-    """Apportion a batch of parcels, deterministically ordered.
+def apportion_many(parcels, g: GridSpec) -> np.ndarray:
+    """Apportion a batch of parcels into one ATTRIBUTION_DTYPE array.
 
-    Output is sorted by (parcel_id, cell), the fixed order in which
-    downstream exposure sums are added up.
+    Parcels are taken in stable parcel_id order, each with its cells in
+    row-major order, so within every cell the entries come in
+    (parcel_id, input order) order: the fixed order in which downstream
+    exposure sums are added up.
     """
-    flat = [a for p in parcels for a in apportion(p, g)]
-    flat.sort(key=lambda a: (a.parcel_id, a.cell))
-    return flat
+    parts = [apportion(p, g) for p in sorted(parcels, key=lambda p: p.parcel_id)]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=ATTRIBUTION_DTYPE)

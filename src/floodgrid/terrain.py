@@ -15,7 +15,7 @@ import numpy as np
 
 from .geodata import BfeZone, Raster, data_mask, format_number
 from .grid import GridSpec, col_of, row_of
-from .overlay import CellAttribution, points_in_polygon
+from .overlay import points_in_polygon
 
 
 @dataclass
@@ -108,25 +108,22 @@ def flood_depth(bfe, slr, elevation):
 
 def build_cell_states(
     g: GridSpec,
-    attributions: list[CellAttribution],
+    attributions: np.ndarray,
     elevations: np.ndarray,
     bfes: np.ndarray,
 ) -> CellArrays:
     """Assemble the cell arrays for the whole grid.
 
     Exposure is summed per cell in attribution order, so ``attributions``
-    must already be in deterministic order (see overlay.apportion_many).
+    (an overlay.ATTRIBUTION_DTYPE array) must already be in deterministic
+    order (see overlay.apportion_many).
     """
-    n = len(attributions)
-    idx = np.fromiter((a.cell[0] * g.n_cols + a.cell[1] for a in attributions),
-                      dtype=np.int64, count=n)
-    value = np.fromiter((a.apportioned_value for a in attributions), dtype=float, count=n)
-    area = np.fromiter((a.clipped_area for a in attributions), dtype=float, count=n)
+    cells = attributions["cell"]
     return CellArrays(
         mean_elevation=elevations,
         bfe=bfes,
-        exposed_value=np.bincount(idx, weights=value, minlength=g.n_cells),
-        exposed_area=np.bincount(idx, weights=area, minlength=g.n_cells),
+        exposed_value=np.bincount(cells, weights=attributions["value"], minlength=g.n_cells),
+        exposed_area=np.bincount(cells, weights=attributions["area"], minlength=g.n_cells),
     )
 
 

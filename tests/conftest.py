@@ -95,6 +95,12 @@ def cell_map(values, g: GridSpec) -> dict[tuple[int, int], float]:
             if not math.isnan(v)}
 
 
+def attributed_areas(attrs, g: GridSpec) -> dict[tuple[int, int], float]:
+    """One parcel's apportioned areas as a {(i, j): area} map."""
+    return {divmod(k, g.n_cols): a
+            for k, a in zip(attrs["cell"].tolist(), attrs["area"].tolist())}
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

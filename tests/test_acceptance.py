@@ -15,12 +15,16 @@ geometry permits it (0.01 slope).
 """
 
 import json
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    attributed_areas,
     brute_force_zonal_means,
     cell_map,
     mc_cell_areas,
@@ -203,8 +207,8 @@ def test_c3_conservation():
         p = random_simple_parcel(rng, f"c{trial}", bbox)
         geom_area = polygon_area(p.rings)
         attrs = apportion(p, g)
-        total_area = sum(a.clipped_area for a in attrs)
-        total_value = sum(a.apportioned_value for a in attrs)
+        total_area = sum(attrs["area"].tolist())
+        total_value = sum(attrs["value"].tolist())
         worst_area = max(worst_area, abs(total_area - geom_area) / geom_area)
         worst_value = max(worst_value, abs(total_value - p.current_assessment)
                           / p.current_assessment)
@@ -249,7 +253,7 @@ def test_c4_clipping_oracle():
         xs = [v[0] for v in ring]
         ys = [v[1] for v in ring]
         bbox_area = (max(xs) - min(xs)) * (max(ys) - min(ys))
-        engine = {a.cell: a.clipped_area for a in apportion(p, g)}
+        engine = attributed_areas(apportion(p, g), g)
         mc = mc_cell_areas(p, g, 100_000, rng)
         for cell in set(engine) | set(mc):
             diff = abs(engine.get(cell, 0.0) - mc.get(cell, 0.0)) / bbox_area
@@ -301,6 +305,53 @@ def test_c6_damage_properties():
         if d2 <= 0:
             assert c2 == 0.0
     report("C6", True, "(10,000 random (state, depth, curve) triples)")
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_c6_finite_inputs_give_finite_monotone_totals(data):
+    """Finite DEM, parcel, BFE and curve inputs give finite totals that never
+    decrease along an ascending rise list, on both area bases. Magnitudes
+    stay plausible: elevations and BFEs within 1e4 ft, assessments up to 1e9,
+    parcels and zones that may cross the grid edge."""
+    ncols, nrows = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    cs = data.draw(finite(1.0, 20.0))
+    samples = st.one_of(finite(-1e4, 1e4), st.just(-9999.0))
+    values = data.draw(st.lists(samples, min_size=ncols * nrows, max_size=ncols * nrows))
+    dem = Raster(ncols, nrows, data.draw(finite(-1e5, 1e5)), data.draw(finite(-1e5, 1e5)),
+                 cs, -9999.0, np.array(values))
+    g = make_fishnet(dem.bbox(), data.draw(finite(0.5, 3.0)) * cs)
+    xmin, ymin, xmax, ymax = dem.bbox()
+
+    def rect():
+        x, y = data.draw(finite(xmin - cs, xmax)), data.draw(finite(ymin - cs, ymax))
+        w, h = data.draw(finite(0.05 * cs, 3 * cs)), data.draw(finite(0.05 * cs, 3 * cs))
+        return [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+
+    parcels = [Parcel(f"p{k}", rect(), current_assessment=data.draw(finite(0.0, 1e9)))
+               for k in range(data.draw(st.integers(1, 5)))]
+    zones = [BfeZone([rect()], data.draw(finite(-1e4, 1e4)))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    depths = sorted(data.draw(st.lists(finite(-10.0, 50.0), min_size=2, max_size=5,
+                                       unique=True)))
+    fractions = sorted(data.draw(st.lists(finite(0.0, 1.0), min_size=len(depths),
+                                          max_size=len(depths))))
+    curve = DamageCurve(list(zip(depths, fractions)))
+    slr = [0.0] + sorted(data.draw(st.lists(finite(0.01, 30.0), max_size=4, unique=True)))
+
+    states = build_cell_states(g, apportion_many(parcels, g), zonal_mean_elevation(dem, g),
+                               assign_bfe(g, zones))
+    for basis in ("parcel", "cell"):
+        results = sweep(states, curve, slr, area_basis=basis, cell_area=g.cell_size ** 2)
+        damage = [r.total_damage for r in results]
+        area = [r.total_flooded_area for r in results]
+        assert all(math.isfinite(v) for v in damage + area)
+        assert damage == sorted(damage)
+        assert area == sorted(area)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,33 @@ class TestAssessCommand:
         assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
         assert f"line {k + 1}: non-finite value '{value}' for '{field}'" in capsys.readouterr().err
 
+    def test_bad_dem_token_names_file_and_position(self, coastal_fixture, capsys):
+        dem = coastal_fixture / "dem.asc"
+        lines = dem.read_text().splitlines(keepends=True)
+        tokens = lines[7].split()
+        tokens[1] = "oops"
+        lines[7] = " ".join(tokens) + "\n"
+        dem.write_text("".join(lines))
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert (f"error: DEM file {dem}: line 8, token 2: "
+                in capsys.readouterr().err)
+
+    def test_overflowing_dem_extent_names_file(self, coastal_fixture, capsys):
+        dem = coastal_fixture / "dem.asc"
+        dem.write_text(dem.read_text().replace("cellsize 7\n", "cellsize 1e308\n"))
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert (f"error: DEM file {dem}: raster extent (0.0, 0.0, inf, inf) is not finite"
+                in capsys.readouterr().err)
+
+    def test_non_finite_parcel_property_names_file(self, coastal_fixture, capsys):
+        path = coastal_fixture / "parcels.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][1]["properties"]["land_area"] = float("inf")
+        path.write_text(json.dumps(doc))
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert (f"error: parcels file {path}: feature 1: non-finite value inf "
+                f"for property 'land_area'" in capsys.readouterr().err)
+
     def test_bad_slr_flag_order(self, coastal_fixture, capsys):
         assert self.run(coastal_fixture, "--slr", "1,0") == EXIT_CONFIG_ERROR
 
@@ -303,3 +330,11 @@ class TestEdaCommand:
         assert main(["eda", "--table", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == EXIT_PARSE_ERROR
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(EDA_TABLE.replace("cheap,5000,", "cheap,five,"))
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert (f"error: attribute table file {table}: line 17: non-numeric field"
+                in capsys.readouterr().err)

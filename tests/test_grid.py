@@ -2,7 +2,7 @@
 
 import pytest
 
-from floodgrid.grid import GridSpec, cell_rect, col_of, make_fishnet, point_to_cell, row_of
+from floodgrid.grid import GridSpec, cell_rect, col_of, make_fishnet, row_of
 
 
 def test_fishnet_exact_fit():
@@ -70,24 +70,20 @@ def test_cells_tile_grid_area():
 
 def test_point_membership_half_open():
     g = GridSpec(0, 0, 98, 3, 3)
-    assert point_to_cell(g, 0, 0) == (0, 0)
+    assert (row_of(g, 0), col_of(g, 0)) == (0, 0)
     # interior boundary belongs to the cell on its upper side
-    assert point_to_cell(g, 98, 98) == (1, 1)
+    assert (row_of(g, 98), col_of(g, 98)) == (1, 1)
     # grid's outer top/right edge is closed
-    assert point_to_cell(g, 294, 294) == (2, 2)
-    assert point_to_cell(g, 294.0001, 10) is None
-    assert point_to_cell(g, -0.0001, 10) is None
+    assert (row_of(g, 294), col_of(g, 294)) == (2, 2)
+    assert col_of(g, 294.0001) == -1
+    assert col_of(g, -0.0001) == -1
 
 
-def test_index_helpers_match_point_to_cell():
+def test_index_helpers_off_origin_grid():
     g = GridSpec(10, 20, 7, 5, 4)
-    for x, y in [(10, 20), (44.99, 47.99), (45, 48), (9, 19), (46, 49)]:
-        expected = point_to_cell(g, x, y)
-        i, j = row_of(g, y), col_of(g, x)
-        if expected is None:
-            assert i < 0 or j < 0
-        else:
-            assert (i, j) == expected
+    for x, y, expected in [(10, 20, (0, 0)), (44.99, 47.99, (3, 4)), (45, 48, (3, 4)),
+                           (9, 19, (-1, -1)), (46, 49, (-1, -1))]:
+        assert (row_of(g, y), col_of(g, x)) == expected
 
 
 def test_invalid_spec_rejected():

@@ -8,6 +8,7 @@ import pytest
 
 from floodgrid.geodata import DamageCurve, Raster
 from floodgrid.grid import GridSpec
+from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.scenario import (
     flooded_cells_geojson,
     incremental_deltas,
@@ -88,7 +89,9 @@ class TestRunScenario:
         values = np.full(25, 8.0)
         values[12] = np.nan
         dem = Raster(5, 5, 0, 0, 10, -9999, values)
-        states = build_cell_states(g, [], zonal_mean_elevation(dem, g), np.array([5.0]))
+        no_attributions = np.empty(0, dtype=ATTRIBUTION_DTYPE)
+        states = build_cell_states(g, no_attributions, zonal_mean_elevation(dem, g),
+                                   np.array([5.0]))
         states.exposed_value[:] = 12_500.0
         states.exposed_area[:] = 2_500.0
         res = run_one(states, 0.0)

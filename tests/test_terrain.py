@@ -6,7 +6,7 @@ import pytest
 from conftest import brute_force_zonal_means, cell_map, random_raster
 from floodgrid.geodata import BfeZone, Raster
 from floodgrid.grid import GridSpec
-from floodgrid.overlay import CellAttribution
+from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.terrain import (
     assign_bfe,
     build_cell_states,
@@ -161,14 +161,9 @@ class TestFloodDepth:
 class TestCellStates:
     def test_build_and_sum(self):
         g = GridSpec(0, 0, 10, 2, 2)
-        attrs = [
-            CellAttribution(cell=(0, 0), parcel_id="a", clipped_area=50.0,
-                            apportioned_value=500.0),
-            CellAttribution(cell=(0, 0), parcel_id="b", clipped_area=25.0,
-                            apportioned_value=100.0),
-            CellAttribution(cell=(1, 1), parcel_id="a", clipped_area=10.0,
-                            apportioned_value=90.0),
-        ]
+        # (cell, area, value): parcels a and b in cell (0, 0), a in cell (1, 1)
+        attrs = np.array([(0, 50.0, 500.0), (0, 25.0, 100.0), (3, 10.0, 90.0)],
+                         dtype=ATTRIBUTION_DTYPE)
         nan = np.nan
         states = build_cell_states(g, attrs, np.array([3.5, nan, nan, nan]),
                                    np.array([nan, nan, nan, 8.0]))
@@ -185,8 +180,7 @@ class TestCellStates:
         g = GridSpec(0, 0, 10, 2, 1)
         states = build_cell_states(
             g,
-            [CellAttribution(cell=(0, 1), parcel_id="a", clipped_area=12.5,
-                             apportioned_value=1000.0)],
+            np.array([(1, 12.5, 1000.0)], dtype=ATTRIBUTION_DTYPE),
             np.array([2.5, np.nan]),
             np.array([np.nan, 6.0]),
         )
