@@ -25,7 +25,6 @@ from .overlay import (
     apportion,
     apportion_many,
     clip_to_slab,
-    point_in_polygon,
     shoelace_area,
 )
 from .scenario import ScenarioResult, flooded_cells_geojson, sweep

@@ -216,12 +216,12 @@ def cmd_assess(config: RunConfig) -> int:
 
 def cmd_eda(table_path: str, output_dir: str) -> int:
     try:
-        records = _parse_input(table_path, "attribute table", read_attribute_table)
-    except ParseError as exc:
+        table = _parse_input(table_path, "attribute table", read_attribute_table)
+        report, kept = run_eda(table)
+    except (ParseError, OverflowError) as exc:
+        # unreadable input, or finite fields whose area cost overflows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    try:
-        report, kept = run_eda(records)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_INPUT

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,14 +26,8 @@ CHI2_1DF_5PCT = 3.8415
 
 TABLE_HEADER = ["parcel_id", "current_assessment", "land_area", "shape_area", "base_flood"]
 
-
-@dataclass
-class EdaRecord:
-    parcel_id: str
-    current_assessment: float
-    land_area: float
-    shape_area: float
-    base_flood: float
+# The attribute table as one structured array: a row per record, in file order.
+TABLE_DTYPE = np.dtype([("parcel_id", object)] + [(name, float) for name in TABLE_HEADER[1:]])
 
 
 @dataclass
@@ -46,20 +42,14 @@ class EdaReport:
     heteroskedastic: bool
 
     def to_json(self) -> str:
-        import json
-
-        return json.dumps({
-            "counts": self.counts,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "bp_statistic": self.bp_statistic,
-            "heteroskedastic": self.heteroskedastic,
-        }, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def read_attribute_table(text: str) -> list[EdaRecord]:
-    """Parse the attribute CSV (fixed 5-column header)."""
+def read_attribute_table(text: str) -> np.ndarray:
+    """Parse the attribute CSV (fixed 5-column header) into a TABLE_DTYPE array.
+
+    A non-numeric or non-finite field is a ParseError naming its line.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -69,53 +59,69 @@ def read_attribute_table(text: str) -> list[EdaRecord]:
         raise ParseError(
             f"line 1: expected header {','.join(TABLE_HEADER)!r}, got {','.join(header)!r}"
         )
-    records = []
+    ids = []
+    numbers = array("d")
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(TABLE_HEADER):
             raise ParseError(f"line {lineno}: expected {len(TABLE_HEADER)} fields, got {len(row)}")
         try:
-            records.append(EdaRecord(
-                parcel_id=row[0],
-                current_assessment=float(row[1]),
-                land_area=float(row[2]),
-                shape_area=float(row[3]),
-                base_flood=float(row[4]),
-            ))
+            numbers.extend(map(float, row[1:]))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric field in {row!r}") from None
-    return records
+        ids.append(row[0])
+    values = np.frombuffer(numbers, dtype=float).reshape(-1, len(TABLE_HEADER) - 1)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        # the header, then one non-blank row per parsed record
+        rows = [x for x in enumerate(csv.reader(io.StringIO(text)), start=1) if x[1]]
+        lineno, row = rows[int(bad[0]) + 1]
+        raise ParseError(f"line {lineno}: non-finite field in {row!r}")
+    table = np.empty(len(ids), dtype=TABLE_DTYPE)
+    table["parcel_id"] = ids
+    for k, name in enumerate(TABLE_HEADER[1:]):
+        table[name] = values[:, k]
+    return table
 
 
-def area_cost(r: EdaRecord) -> float:
-    """shape_area / land_area, scaled by the current assessment."""
-    if r.land_area <= 0:
-        raise ValueError(f"undefined area cost for parcel {r.parcel_id!r} (land_area <= 0)")
-    return r.shape_area / r.land_area * r.current_assessment
+def area_cost(t: np.ndarray) -> np.ndarray:
+    """Per-row shape_area / land_area * current_assessment; it must be defined and finite."""
+    bad = t["land_area"] <= 0
+    if bad.any():
+        raise ValueError(f"undefined area cost for parcel {t['parcel_id'][bad][0]!r} "
+                         "(land_area <= 0)")
+    with np.errstate(over="ignore"):
+        cost = t["shape_area"] / t["land_area"] * t["current_assessment"]
+    bad = ~np.isfinite(cost)
+    if bad.any():
+        raise OverflowError(f"area cost of parcel {t['parcel_id'][bad][0]!r} is not finite")
+    return cost
 
 
-def filter_records(rs: list[EdaRecord]) -> tuple[list[EdaRecord], dict[str, int]]:
+def filter_records(t: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
     """Apply the four record filters in order, tracking survivors per stage.
 
     All comparisons are strict: assessment > $10,000, price per square foot
     (assessment / land area) > $1, base flood > 0, area cost > 0.
     """
-    counts = {"input": len(rs)}
+    counts = {"input": len(t)}
 
-    kept = [r for r in rs if r.current_assessment > 10_000]
-    counts["min_assessment"] = len(kept)
+    t = t[t["current_assessment"] > 10_000]
+    counts["min_assessment"] = len(t)
 
-    kept = [r for r in kept if r.land_area > 0 and r.current_assessment / r.land_area > 1]
-    counts["min_price_per_sqft"] = len(kept)
+    t = t[t["land_area"] > 0]
+    with np.errstate(over="ignore"):
+        t = t[t["current_assessment"] / t["land_area"] > 1]
+    counts["min_price_per_sqft"] = len(t)
 
-    kept = [r for r in kept if r.base_flood > 0]
-    counts["positive_base_flood"] = len(kept)
+    t = t[t["base_flood"] > 0]
+    counts["positive_base_flood"] = len(t)
 
-    kept = [r for r in kept if area_cost(r) > 0]
-    counts["positive_area_cost"] = len(kept)
+    t = t[area_cost(t) > 0]
+    counts["positive_area_cost"] = len(t)
 
-    return kept, counts
+    return t, counts
 
 
 def tukey_outlier_mask(values) -> np.ndarray:
@@ -145,8 +151,8 @@ def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, float(ym - slope * xm)
 
 
-def ols_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line through (x, y): returns (slope, intercept, r_squared)."""
+def _fit(x, y) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
+    """Check the observations and fit y on x: (x, y, slope, intercept, residuals)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
@@ -154,7 +160,12 @@ def ols_fit(x, y) -> tuple[float, float, float]:
     if x.size < 3:
         raise ValueError(f"need at least 3 observations, got {x.size}")
     slope, intercept = _least_squares_line(x, y)
-    resid = y - (intercept + slope * x)
+    return x, y, slope, intercept, y - (intercept + slope * x)
+
+
+def ols_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): returns (slope, intercept, r_squared)."""
+    x, y, slope, intercept, resid = _fit(x, y)
     ss_res = float(np.dot(resid, resid))
     dy = y - y.mean()
     ss_tot = float(np.dot(dy, dy))
@@ -174,14 +185,7 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
     the squared residuals carry no variance at all there is nothing to
     explain and the statistic is 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 3:
-        raise ValueError(f"need at least 3 observations, got {x.size}")
-    slope, intercept = _least_squares_line(x, y)
-    resid = y - (intercept + slope * x)
+    x, _, _, _, resid = _fit(x, y)
     e2 = resid * resid
 
     de = e2 - e2.mean()
@@ -195,17 +199,17 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
     return lm, lm > CHI2_1DF_5PCT
 
 
-def scatter_export(rs: list[EdaRecord]) -> str:
+def scatter_export(t: np.ndarray) -> str:
     """Plot-ready CSV of the filtered records: parcel_id, shape_area, area_cost."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["parcel_id", "shape_area", "area_cost"])
-    for r in rs:
-        writer.writerow([r.parcel_id, format_number(r.shape_area), format_number(area_cost(r))])
+    writer.writerows(zip(t["parcel_id"], map(format_number, t["shape_area"].tolist()),
+                         map(format_number, area_cost(t).tolist())))
     return buf.getvalue()
 
 
-def run_eda(records: list[EdaRecord]) -> tuple[EdaReport, list[EdaRecord]]:
+def run_eda(table: np.ndarray) -> tuple[EdaReport, np.ndarray]:
     """Full EDA pipeline: filters, outlier removal, OLS, Breusch-Pagan.
 
     A record is dropped as an outlier if it trips the Tukey fences on either
@@ -213,13 +217,12 @@ def run_eda(records: list[EdaRecord]) -> tuple[EdaReport, list[EdaRecord]]:
     records survive the filters (fences need 4 values). Raises ValueError
     when fewer than 3 records remain for the regression.
     """
-    kept, counts = filter_records(records)
+    kept, counts = filter_records(table)
+    cost = area_cost(kept)
 
     if len(kept) >= 4:
-        costs = np.array([area_cost(r) for r in kept])
-        shapes = np.array([r.shape_area for r in kept])
-        bad = tukey_outlier_mask(costs) | tukey_outlier_mask(shapes)
-        kept = [r for r, flagged in zip(kept, bad) if not flagged]
+        inlier = ~(tukey_outlier_mask(cost) | tukey_outlier_mask(kept["shape_area"]))
+        kept, cost = kept[inlier], cost[inlier]
     counts["outlier_removal"] = len(kept)
     logger.info("filter funnel: %s", " -> ".join(f"{k}={v}" for k, v in counts.items()))
 
@@ -228,10 +231,8 @@ def run_eda(records: list[EdaRecord]) -> tuple[EdaReport, list[EdaRecord]]:
             f"only {len(kept)} records survive filtering; regression impossible"
         )
 
-    x = np.array([r.shape_area for r in kept])
-    y = np.array([area_cost(r) for r in kept])
-    slope, intercept, r2 = ols_fit(x, y)
-    lm, het = breusch_pagan(x, y)
+    slope, intercept, r2 = ols_fit(kept["shape_area"], cost)
+    lm, het = breusch_pagan(kept["shape_area"], cost)
 
     report = EdaReport(
         counts=counts,

@@ -89,22 +89,11 @@ def clip_to_slab(ring: list[Point], axis: int, lo: float, hi: float) -> list[Poi
     return _clip_half_plane(_clip_half_plane(ring, axis, lo, True), axis, hi, False)
 
 
-def point_in_polygon(p: Point, rings: list[list[Point]]) -> bool:
-    """Even-odd containment test over all rings (holes excluded automatically)."""
-    x, y = p
-    inside = False
-    for ring in rings:
-        n = len(ring)
-        for k in range(n):
-            x1, y1 = ring[k]
-            x2, y2 = ring[(k + 1) % n]
-            if (y1 > y) != (y2 > y) and x < (x2 - x1) * (y - y1) / (y2 - y1) + x1:
-                inside = not inside
-    return inside
-
-
 def points_in_polygon(xs, ys, rings: list[list[Point]]) -> np.ndarray:
-    """Vectorized even-odd test; same crossing rule as point_in_polygon."""
+    """Even-odd containment of points (xs, ys) in all rings (holes excluded).
+
+    A point toggles on each edge that straddles its y and crosses right of it.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     inside = np.zeros(xs.shape, dtype=bool)
@@ -137,7 +126,7 @@ def apportion(parcel, g: GridSpec) -> np.ndarray:
     assessment * area / denominator, where the denominator is the parcel's
     geometric area (or the shared group area for MultiPolygon members).
     Slivers under SLIVER_MIN_AREA are dropped; parcel area outside the grid
-    is dropped, not renormalized.
+    is dropped, not renormalized. A value that overflows raises ValueError.
     """
     outer = parcel.outer_ring
     geom_area = abs(shoelace_area(outer)) - sum(abs(shoelace_area(h)) for h in parcel.holes)
@@ -175,7 +164,10 @@ def apportion(parcel, g: GridSpec) -> np.ndarray:
     out = np.empty(len(cells), dtype=ATTRIBUTION_DTYPE)
     out["cell"] = cells
     out["area"] = areas
-    out["value"] = parcel.current_assessment * out["area"] / denom
+    with np.errstate(over="ignore"):
+        out["value"] = parcel.current_assessment * out["area"] / denom
+    if not np.isfinite(out["value"]).all():
+        raise ValueError(f"apportioned value of parcel {parcel.parcel_id!r} is not finite")
     return out
 
 

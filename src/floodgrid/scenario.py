@@ -89,6 +89,7 @@ def sweep(
 
     ``slr_list`` must be strictly ascending and start at 0. Totals are
     checked for monotonicity in the rise: more water can never flood less.
+    A total that overflows raises ValueError.
     """
     if not slr_list:
         raise ValueError("empty slr list")
@@ -106,8 +107,12 @@ def sweep(
     flooded = depth > 0
     damage = cell_damage(states.exposed_value, depth, curve)
     area = np.where(flooded, states.exposed_area if area_basis == "parcel" else cell_area, 0.0)
-    total_damage = _sequential_totals(damage)
-    total_area = _sequential_totals(area)
+    with np.errstate(over="ignore"):
+        total_damage = _sequential_totals(damage)
+        total_area = _sequential_totals(area)
+    bad = ~(np.isfinite(total_damage) & np.isfinite(total_area))
+    if bad.any():
+        raise ValueError(f"totals of scenario slr {slr_list[np.argmax(bad)]} are not finite")
 
     if not np.all(total_damage[1:] >= total_damage[:-1]):
         raise RuntimeError("damage decreased with rising sea level")

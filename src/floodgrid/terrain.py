@@ -116,15 +116,17 @@ def build_cell_states(
 
     Exposure is summed per cell in attribution order, so ``attributions``
     (an overlay.ATTRIBUTION_DTYPE array) must already be in deterministic
-    order (see overlay.apportion_many).
+    order (see overlay.apportion_many). An exposure sum that overflows
+    raises ValueError.
     """
     cells = attributions["cell"]
-    return CellArrays(
-        mean_elevation=elevations,
-        bfe=bfes,
-        exposed_value=np.bincount(cells, weights=attributions["value"], minlength=g.n_cells),
-        exposed_area=np.bincount(cells, weights=attributions["area"], minlength=g.n_cells),
-    )
+    value = np.bincount(cells, weights=attributions["value"], minlength=g.n_cells)
+    area = np.bincount(cells, weights=attributions["area"], minlength=g.n_cells)
+    bad = ~(np.isfinite(value) & np.isfinite(area))
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), g.n_cols)
+        raise ValueError(f"exposure of cell ({i}, {j}) is not finite")
+    return CellArrays(mean_elevation=elevations, bfe=bfes, exposed_value=value, exposed_area=area)
 
 
 def cell_states_csv(g: GridSpec, states: CellArrays) -> str:

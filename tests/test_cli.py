@@ -11,12 +11,14 @@ parcels placed so per-cell damages are hand-computable:
   base totals: $89,750 damage, 28,812 sqft flooded; +$25,000 per ft of rise
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from floodgrid import cli
 from floodgrid.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_EMPTY_INPUT,
@@ -226,6 +228,16 @@ class TestAssessCommand:
         assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
         assert "feature 2: non-finite value" in capsys.readouterr().err
 
+    def test_overflowing_assessment_names_parcel(self, coastal_fixture, capsys):
+        doc = json.loads((coastal_fixture / "parcels.geojson").read_text())
+        for feature in doc["features"][:2]:
+            feature["properties"]["current_assessment"] = 1e308
+        (coastal_fixture / "parcels.geojson").write_text(json.dumps(doc))
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert ("error: apportioned value of parcel 'A' is not finite"
+                in capsys.readouterr().err)
+        assert not (coastal_fixture / "out").exists()
+
     def test_unknown_config_key(self, coastal_fixture):
         doc = json.loads((coastal_fixture / "run.json").read_text())
         doc["cellsize"] = 98
@@ -338,3 +350,31 @@ class TestEdaCommand:
             == EXIT_PARSE_ERROR
         assert (f"error: attribute table file {table}: line 17: non-numeric field"
                 in capsys.readouterr().err)
+
+    def test_non_finite_field_names_file_and_line(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(EDA_TABLE.replace("dry,100000,", "\ndry,inf,"))
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert (f"error: attribute table file {table}: line 20: non-finite field in "
+                f"['dry', 'inf', '4000', '4000', '0']" in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_area_cost_names_parcel(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(EDA_TABLE + "huge,100000,1e-10,1e308,6\n")
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert "error: area cost of parcel 'huge' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_traced_layer_names_are_bound_in_cli():
+    """perfbench/child.py times the layers by name in floodgrid.cli; a renamed
+    layer would silently read 0 there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert child.LAYER_CALLS
+    assert [name for name in child.LAYER_CALLS if not hasattr(cli, name)] == []

@@ -1,12 +1,18 @@
 """EDA pipeline: filters, outlier fences, OLS, Breusch-Pagan, scatter export."""
 
+import csv
+import io
+import json
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from conftest import ols_normal_equations
 from floodgrid.eda import (
     CHI2_1DF_5PCT,
-    EdaRecord,
+    TABLE_DTYPE,
+    TABLE_HEADER,
     ParseError,
     area_cost,
     breusch_pagan,
@@ -17,61 +23,86 @@ from floodgrid.eda import (
     scatter_export,
     tukey_outlier_mask,
 )
+from floodgrid.geodata import format_number
 
 
 def record(pid="r", assessment=100_000.0, land=5_000.0, shape=5_000.0, bfe=8.0):
-    return EdaRecord(parcel_id=pid, current_assessment=assessment, land_area=land,
-                     shape_area=shape, base_flood=bfe)
+    """A one-row attribute table."""
+    return np.array([(pid, assessment, land, shape, bfe)], dtype=TABLE_DTYPE)
+
+
+def table(*rows):
+    """The one-row tables ``rows`` stacked in order."""
+    return np.concatenate(rows) if rows else np.empty(0, dtype=TABLE_DTYPE)
 
 
 class TestAreaCost:
     def test_equal_areas(self):
-        assert area_cost(record()) == 100_000.0
+        assert area_cost(record()).tolist() == [100_000.0]
 
     def test_half_ratio(self):
-        assert area_cost(record(shape=2_500.0)) == 50_000.0
+        assert area_cost(record(shape=2_500.0)).tolist() == [50_000.0]
 
     def test_zero_land_area(self):
         with pytest.raises(ValueError, match="undefined area cost"):
             area_cost(record(land=0.0))
+        with pytest.raises(ValueError, match="undefined area cost for parcel 'b'"):
+            area_cost(table(record("a"), record("b", land=-1.0), record("c", land=0.0)))
+
+    def test_column_in_row_order(self):
+        t = table(record("a"), record("b", shape=2_500.0), record("c", assessment=3.0))
+        assert area_cost(t).tolist() == [100_000.0, 50_000.0, 3.0]
+
+    def test_overflow_names_parcel(self):
+        t = table(record("a"), record("huge", shape=1e308, land=1e-10))
+        with pytest.raises(OverflowError, match="area cost of parcel 'huge' is not finite"):
+            area_cost(t)
 
 
 class TestFilterRecords:
     def test_threshold_is_strict(self):
-        kept, _ = filter_records([record(assessment=10_000.0)])
-        assert kept == []
-        kept, _ = filter_records([record(assessment=10_000.01)])
+        kept, _ = filter_records(record(assessment=10_000.0))
+        assert len(kept) == 0
+        kept, _ = filter_records(record(assessment=10_000.01))
         assert len(kept) == 1
 
     def test_price_per_sqft_strict(self):
         # $50,000 over 100,000 sqft = $0.50/sqft
-        kept, _ = filter_records([record(assessment=50_000.0, land=100_000.0)])
-        assert kept == []
+        kept, _ = filter_records(record(assessment=50_000.0, land=100_000.0))
+        assert len(kept) == 0
+        kept, _ = filter_records(record(assessment=50_000.0, land=50_000.0))
+        assert len(kept) == 0
 
     def test_zero_base_flood_excluded(self):
-        kept, _ = filter_records([record(bfe=0.0)])
-        assert kept == []
+        kept, _ = filter_records(record(bfe=0.0))
+        assert len(kept) == 0
 
     def test_zero_area_cost_excluded(self):
-        kept, _ = filter_records([record(shape=0.0)])
-        assert kept == []
+        kept, _ = filter_records(record(shape=0.0))
+        assert len(kept) == 0
 
     def test_nonpositive_land_area_fails_price_filter(self):
-        kept, counts = filter_records([record(land=0.0)])
-        assert kept == []
-        assert counts["min_assessment"] == 1
+        kept, counts = filter_records(table(record(land=0.0), record(land=-5.0)))
+        assert len(kept) == 0
+        assert counts["min_assessment"] == 2
         assert counts["min_price_per_sqft"] == 0
 
+    def test_price_overflowing_to_inf_passes_without_warning(self):
+        # 1e300 / 1e-10 overflows; the area cost 1e-20 / 1e-10 * 1e300 does not
+        kept, _ = filter_records(record(assessment=1e300, land=1e-10, shape=1e-20))
+        assert len(kept) == 1
+
     def test_stage_counts(self):
-        records = [
+        records = table(
             record("ok"),
             record("cheap", assessment=9_000.0),
             record("low_price", assessment=20_000.0, land=100_000.0),
             record("no_bfe", bfe=0.0),
             record("no_shape", shape=0.0),
-        ]
+        )
         kept, counts = filter_records(records)
-        assert [r.parcel_id for r in kept] == ["ok"]
+        assert kept["parcel_id"].tolist() == ["ok"]
+        assert all(type(v) is int for v in counts.values())
         assert counts == {
             "input": 5,
             "min_assessment": 4,
@@ -82,11 +113,12 @@ class TestFilterRecords:
 
     def test_order_invariant(self):
         rng = np.random.default_rng(67)
-        records = [record(f"r{k}", assessment=float(rng.uniform(0, 50_000)))
-                   for k in range(30)]
+        records = table(*(record(f"r{k}", assessment=float(rng.uniform(0, 50_000)))
+                          for k in range(30)))
         kept_a, _ = filter_records(records)
         kept_b, _ = filter_records(records[::-1])
-        assert {r.parcel_id for r in kept_a} == {r.parcel_id for r in kept_b}
+        assert set(kept_a["parcel_id"]) == set(kept_b["parcel_id"])
+        assert kept_b.tolist() == kept_a[::-1].tolist()
 
 
 class TestTukeyMask:
@@ -212,10 +244,10 @@ class TestBreuschPagan:
 
 class TestScatterExport:
     def test_empty_input(self):
-        assert scatter_export([]) == "parcel_id,shape_area,area_cost\n"
+        assert scatter_export(table()) == "parcel_id,shape_area,area_cost\n"
 
     def test_rows_in_input_order(self):
-        rs = [record("a"), record("b", shape=2_500.0), record("c", shape=7_500.0)]
+        rs = table(record("a"), record("b", shape=2_500.0), record("c", shape=7_500.0))
         out = scatter_export(rs).strip().split("\n")
         assert len(out) == 4
         assert out[1].startswith("a,")
@@ -223,10 +255,14 @@ class TestScatterExport:
 
     def test_full_precision_round_trip(self):
         r = record("p", assessment=123_456.789, land=3_333.31, shape=1_234.567)
-        line = scatter_export([r]).strip().split("\n")[1]
+        line = scatter_export(r).strip().split("\n")[1]
         _, shape_s, cost_s = line.split(",")
-        assert float(shape_s) == r.shape_area
-        assert float(cost_s) == area_cost(r)
+        assert float(shape_s) == r["shape_area"][0]
+        assert float(cost_s) == area_cost(r)[0]
+
+    def test_ids_are_quoted_as_csv(self):
+        out = scatter_export(table(record("x,1"), record('say "hi"')))
+        assert out.split("\n")[1:3] == ['"x,1",5000,100000', '"say ""hi""",5000,100000']
 
 
 class TestReadAttributeTable:
@@ -238,9 +274,51 @@ class TestReadAttributeTable:
 
     def test_parse(self):
         records = read_attribute_table(self.GOOD)
+        assert records.dtype == TABLE_DTYPE
         assert len(records) == 2
-        assert records[0].parcel_id == "a"
-        assert records[1].base_flood == 0.0
+        assert records["parcel_id"][0] == "a"
+        assert records["base_flood"][1] == 0.0
+        assert records.tolist() == [("a", 100000.0, 5000.0, 5000.0, 8.0),
+                                    ("b", 50000.0, 2000.0, 1800.0, 0.0)]
+
+    def test_header_only_gives_empty_table(self):
+        records = read_attribute_table(self.GOOD.split("\n")[0] + "\n")
+        assert records.dtype == TABLE_DTYPE and len(records) == 0
+
+    def test_values_are_float_of_each_field(self):
+        fields = ["0.1", "1e-320", "-0", "1_000", "  7.5 ", "123456789.123456789"]
+        text = self.GOOD.split("\n")[0] + "\n" + "".join(
+            f"p{k},{f},{f},{f},{f}\n" for k, f in enumerate(fields))
+        records = read_attribute_table(text)
+        for name in TABLE_HEADER[1:]:
+            assert [v.hex() for v in records[name].tolist()] == \
+                [float(f).hex() for f in fields]
+
+    def test_quoted_ids_and_blank_lines(self):
+        text = self.GOOD + '\n"c,d",1,2,3,4\n\n'
+        assert read_attribute_table(text)["parcel_id"].tolist() == ["a", "b", "c,d"]
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "-NaN", "1e999"])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    def test_non_finite_field_reports_line(self, token, column):
+        fields = ["d", "100000", "5000", "5000", "8"]
+        fields[column] = token
+        # blank lines before the bad row still count
+        bad = self.GOOD + "\nc,1,2,3,4\n\n\n" + ",".join(fields) + "\ne,1,2,3,4\n"
+        with pytest.raises(ParseError) as exc:
+            read_attribute_table(bad)
+        assert str(exc.value) == f"line 8: non-finite field in {fields!r}"
+
+    def test_first_non_finite_row_is_reported(self):
+        bad = self.GOOD + '"x,y",nan,1,1,1\n' + "z,1,inf,1,1\n"
+        with pytest.raises(ParseError, match=r"line 4: non-finite field in \['x,y', 'nan'"):
+            read_attribute_table(bad)
+
+    def test_infinite_assessment_rejected(self):
+        text = (self.GOOD.split("\n")[0] + "\n"
+                "a,100000,5000,5000,8\nb,200000,5000,4000,8\nc,inf,5000,3000,8\n")
+        with pytest.raises(ParseError, match="line 4: non-finite field"):
+            read_attribute_table(text)
 
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
@@ -271,7 +349,7 @@ class TestRunEda:
         records.append(record("dry", bfe=0.0))
         records.append(record("noshape", shape=0.0))
         records.append(record("cheap2", assessment=10_000.0))
-        return records
+        return table(*records)
 
     def test_funnel_counts(self):
         report, kept = run_eda(self.make_records())
@@ -286,13 +364,111 @@ class TestRunEda:
 
     def test_too_few_survivors(self):
         with pytest.raises(ValueError, match="regression impossible"):
-            run_eda([record("cheap", assessment=1.0)] * 10)
+            run_eda(np.repeat(record("cheap", assessment=1.0), 10))
+
+    def test_overflowing_area_cost_names_parcel(self):
+        records = table(self.make_records(), record("huge", shape=1e308, land=1e-10))
+        with pytest.raises(OverflowError, match="parcel 'huge'"):
+            run_eda(records)
 
     def test_report_json_shape(self):
-        import json
-
         report, _ = run_eda(self.make_records())
         doc = json.loads(report.to_json())
         assert set(doc) == {"counts", "slope", "intercept", "r_squared",
                             "bp_statistic", "heteroskedastic"}
         assert isinstance(doc["heteroskedastic"], bool)
+
+
+Record = namedtuple("Record", TABLE_HEADER)
+
+
+def per_record_eda(text):
+    """The per-record pipeline the columnar one replaced, kept as the oracle.
+
+    Plain float fields, one list comprehension per funnel stage, the area
+    cost computed record by record, and the report and scatter rendered row
+    by row. Returns (counts, report JSON, scatter CSV).
+    """
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    rs = [Record(row[0], *map(float, row[1:])) for row in rows if row]
+
+    def cost(r):
+        return r.shape_area / r.land_area * r.current_assessment
+
+    counts = {"input": len(rs)}
+    rs = [r for r in rs if r.current_assessment > 10_000]
+    counts["min_assessment"] = len(rs)
+    rs = [r for r in rs if r.land_area > 0 and r.current_assessment / r.land_area > 1]
+    counts["min_price_per_sqft"] = len(rs)
+    rs = [r for r in rs if r.base_flood > 0]
+    counts["positive_base_flood"] = len(rs)
+    rs = [r for r in rs if cost(r) > 0]
+    counts["positive_area_cost"] = len(rs)
+    if len(rs) >= 4:
+        bad = (tukey_outlier_mask(np.array([cost(r) for r in rs]))
+               | tukey_outlier_mask(np.array([r.shape_area for r in rs])))
+        rs = [r for r, flagged in zip(rs, bad) if not flagged]
+    counts["outlier_removal"] = len(rs)
+
+    x = np.array([r.shape_area for r in rs])
+    y = np.array([cost(r) for r in rs])
+    slope, intercept, r2 = ols_fit(x, y)
+    lm, het = breusch_pagan(x, y)
+    report = json.dumps({
+        "counts": counts,
+        "slope": slope,
+        "intercept": intercept,
+        "r_squared": r2,
+        "bp_statistic": lm,
+        "heteroskedastic": het,
+    }, indent=2) + "\n"
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["parcel_id", "shape_area", "area_cost"])
+    for r in rs:
+        writer.writerow([r.parcel_id, format_number(r.shape_area), format_number(cost(r))])
+    return counts, report, buf.getvalue()
+
+
+def random_attribute_csv(rng, n):
+    """Attribute CSV with exact filter ties, awkward ids and blank lines."""
+    assessment = np.round(np.exp(rng.normal(11.5, 1.2, n)), 2)
+    land = np.round(np.exp(rng.normal(9.0, 0.8, n)), 1)  # heavy tail: shape-area outliers
+    shape = np.round(land * rng.uniform(0.7, 1.3, n), 1)
+    flood = np.where(rng.random(n) < 0.8, np.round(rng.uniform(1, 12, n), 1), 0.0)
+    pick = rng.random((6, n)) < 0.04
+    assessment[pick[0]] = 10_000.0
+    land[pick[1]] = assessment[pick[1]]  # exactly $1 per sqft
+    land[pick[2]] = 0.0
+    shape[pick[3]] = 0.0
+    flood[pick[4]] = 0.0
+    land[pick[5]] = -land[pick[5]]
+    ids = [f"p{k}" if k % 7 else f"p{k}, lot {k % 3}" for k in range(n)]
+    ids[2::11] = [f" p{k} " for k in range(2, n, 11)]
+    ids[1] = 'say "a,b"'
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TABLE_HEADER)
+    for k, row in enumerate(zip(ids, assessment.tolist(), land.tolist(),
+                                shape.tolist(), flood.tolist())):
+        if rng.random() < 0.03:
+            buf.write("\n")
+        writer.writerow([row[0], *map(repr, row[1:])])
+    return buf.getvalue()
+
+
+class TestPerRecordReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_match_per_record_pipeline(self, seed):
+        text = random_attribute_csv(np.random.default_rng(9000 + seed), 400)
+        assert '"p7, lot 1"' in text and "\n\n" in text
+
+        ref_counts, ref_report, ref_scatter = per_record_eda(text)
+        report, kept = run_eda(read_attribute_table(text))
+        assert report.counts == ref_counts
+        assert report.to_json() == ref_report
+        assert scatter_export(kept) == ref_scatter
+        # the ties sit on the failing side of every strict filter
+        assert ref_counts["min_assessment"] < ref_counts["input"]
+        assert ref_counts["outlier_removal"] >= 3

@@ -20,7 +20,6 @@ from floodgrid.overlay import (
     apportion,
     apportion_many,
     clip_to_slab,
-    point_in_polygon,
     points_in_polygon,
     polygon_area,
     shoelace_area,
@@ -79,6 +78,25 @@ class TestClip:
         assert area <= min(ring_area, rect_area) * (1 + 1e-9) + 1e-12
 
 
+def point_in_polygon(p, rings) -> bool:
+    """Scalar even-odd test, one edge at a time: the oracle for points_in_polygon."""
+    x, y = p
+    inside = False
+    for ring in rings:
+        n = len(ring)
+        for k in range(n):
+            x1, y1 = ring[k]
+            x2, y2 = ring[(k + 1) % n]
+            if (y1 > y) != (y2 > y) and x < (x2 - x1) * (y - y1) / (y2 - y1) + x1:
+                inside = not inside
+    return inside
+
+
+def contains(p, rings) -> bool:
+    """points_in_polygon on a one-point array."""
+    return bool(points_in_polygon([p[0]], [p[1]], rings)[0])
+
+
 class TestPointInPolygon:
     RINGS_WITH_HOLE = [
         [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)],
@@ -86,19 +104,21 @@ class TestPointInPolygon:
     ]
 
     def test_centroid_inside(self):
-        assert point_in_polygon((0.5, 0.5), [UNIT_SQUARE])
+        assert contains((0.5, 0.5), [UNIT_SQUARE])
 
     def test_point_in_hole_is_outside(self):
-        assert not point_in_polygon((5.0, 5.0), self.RINGS_WITH_HOLE)
-        assert point_in_polygon((2.0, 2.0), self.RINGS_WITH_HOLE)
+        assert not contains((5.0, 5.0), self.RINGS_WITH_HOLE)
+        assert contains((2.0, 2.0), self.RINGS_WITH_HOLE)
 
     def test_far_outside(self):
-        assert not point_in_polygon((1e6, 1e6), [UNIT_SQUARE])
+        assert not contains((1e6, 1e6), [UNIT_SQUARE])
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
-        xs = rng.uniform(-2, 12, 2000)
-        ys = rng.uniform(-2, 12, 2000)
+        # random points plus a half-unit lattice: points on edges and vertices
+        lattice = np.arange(-2.0, 12.5, 0.5)
+        xs = np.concatenate([rng.uniform(-2, 12, 2000), np.repeat(lattice, lattice.size)])
+        ys = np.concatenate([rng.uniform(-2, 12, 2000), np.tile(lattice, lattice.size)])
         vec = points_in_polygon(xs, ys, self.RINGS_WITH_HOLE)
         scalar = np.array([point_in_polygon((x, y), self.RINGS_WITH_HOLE)
                            for x, y in zip(xs, ys)])

@@ -210,6 +210,14 @@ class TestSweep:
             sweep(one_cell_states(), curve, [0.0, 1.0])
 
 
+    def test_overflowing_total_names_scenario(self):
+        # each cell's damage is finite; their sum overflows once both are total losses
+        states = cell_arrays([7.0, 7.0], [10.0, 10.0], [1e308, 1e308], [1.0, 1.0])
+        assert np.isfinite(sweep(states, LINEAR, [0.0, 1.0])[-1].total_damage)
+        with pytest.raises(ValueError, match="totals of scenario slr 7.0 are not finite"):
+            sweep(states, LINEAR, [0.0, 1.0, 7.0])
+
+
 class TestFloodedCellsGeojson:
     def test_structure_and_properties(self):
         g = GridSpec(0, 0, 98, 2, 2)

@@ -176,6 +176,14 @@ class TestCellStates:
         assert cell_map(states.bfe, g) == {(1, 1): 8.0}
         assert cell_map(states.exposed_value, g)[(1, 0)] == 0.0
 
+    @pytest.mark.parametrize("field", ["value", "area"])
+    def test_overflowing_exposure_names_cell(self, field):
+        g = GridSpec(0, 0, 10, 2, 2)
+        attrs = np.array([(2, 1.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 1.0)], dtype=ATTRIBUTION_DTYPE)
+        attrs[field][:2] = 1e308
+        with pytest.raises(ValueError, match=r"exposure of cell \(1, 0\) is not finite"):
+            build_cell_states(g, attrs, np.zeros(4), np.zeros(4))
+
     def test_csv_dump(self):
         g = GridSpec(0, 0, 10, 2, 1)
         states = build_cell_states(
