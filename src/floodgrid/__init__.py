@@ -9,7 +9,7 @@ from .damage import cell_damage, evaluate_curve, load_default_curve
 from .geodata import (
     BfeZone,
     DamageCurve,
-    Parcel,
+    ParcelTable,
     ParseError,
     Raster,
     parse_ascii_grid,
@@ -20,13 +20,7 @@ from .geodata import (
     write_report,
 )
 from .grid import GridSpec, cell_rect, make_fishnet
-from .overlay import (
-    ATTRIBUTION_DTYPE,
-    apportion,
-    apportion_many,
-    clip_to_slab,
-    shoelace_area,
-)
+from .overlay import ATTRIBUTION_DTYPE, apportion_many
 from .scenario import ScenarioResult, flooded_cells_geojson, sweep
 from .terrain import (
     CellArrays,

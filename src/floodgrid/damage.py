@@ -27,7 +27,10 @@ def evaluate_curve(curve: DamageCurve, depth):
     x = np.asarray(depth, dtype=float)
     k = np.clip(np.searchsorted(d, x), 1, len(d) - 1)
     d0, d1, f0, f1 = d[k - 1], d[k], f[k - 1], f[k]
-    out = f0 + ((x - d0) / (d1 - d0)) * (f1 - f0)
+    # depths off the curve's ends are replaced below; on a segment narrower
+    # than they are far away (say 1e-308 wide), their ratio would overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f0 + ((x - d0) / (d1 - d0)) * (f1 - f0)
     return np.where(x <= d[0], f[0], np.where(x >= d[-1], f[-1], out))[()]
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import logging
+import math
 from array import array
 from dataclasses import asdict, dataclass
 
@@ -140,14 +141,23 @@ def tukey_outlier_mask(values) -> np.ndarray:
     return (v < lo) | (v > hi)
 
 
+def _dot(a: np.ndarray, b: np.ndarray, statistic: str) -> float:
+    """np.dot(a, b) as a float; a sum that overflows is an OverflowError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.dot(a, b))
+    if not math.isfinite(value):
+        raise OverflowError(f"{statistic} is not finite")
+    return value
+
+
 def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     xm = x.mean()
     ym = y.mean()
     dx = x - xm
-    sxx = float(np.dot(dx, dx))
+    sxx = _dot(dx, dx, "sum of squared x deviations")
     if sxx == 0:
         raise ValueError("degenerate regressor (constant x)")
-    slope = float(np.dot(dx, y - ym)) / sxx
+    slope = _dot(dx, y - ym, "sum of x-y cross deviations") / sxx
     return slope, float(ym - slope * xm)
 
 
@@ -164,11 +174,14 @@ def _fit(x, y) -> tuple[np.ndarray, np.ndarray, float, float, np.ndarray]:
 
 
 def ols_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line through (x, y): returns (slope, intercept, r_squared)."""
+    """Least-squares line through (x, y): returns (slope, intercept, r_squared).
+
+    A sum of squares that overflows raises OverflowError naming it.
+    """
     x, y, slope, intercept, resid = _fit(x, y)
-    ss_res = float(np.dot(resid, resid))
+    ss_res = _dot(resid, resid, "residual sum of squares")
     dy = y - y.mean()
-    ss_tot = float(np.dot(dy, dy))
+    ss_tot = _dot(dy, dy, "total sum of squares")
     if ss_tot == 0:
         if ss_res == 0:
             return slope, intercept, 1.0
@@ -183,18 +196,19 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
     the statistic is n times the R-squared of that auxiliary regression.
     The boolean compares against the 5% chi-square(1) critical value. When
     the squared residuals carry no variance at all there is nothing to
-    explain and the statistic is 0.
+    explain and the statistic is 0. A sum of squares that overflows raises
+    OverflowError naming it.
     """
     x, _, _, _, resid = _fit(x, y)
-    e2 = resid * resid
-
-    de = e2 - e2.mean()
-    ss_tot = float(np.dot(de, de))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2 = resid * resid
+        de = e2 - e2.mean()
+    ss_tot = _dot(de, de, "Breusch-Pagan total sum of squares")
     if ss_tot == 0:
         return 0.0, False
     aux_slope, aux_intercept = _least_squares_line(x, e2)
     aux_resid = e2 - (aux_intercept + aux_slope * x)
-    r2 = 1.0 - float(np.dot(aux_resid, aux_resid)) / ss_tot
+    r2 = 1.0 - _dot(aux_resid, aux_resid, "Breusch-Pagan residual sum of squares") / ss_tot
     lm = x.size * r2
     return lm, lm > CHI2_1DF_5PCT
 

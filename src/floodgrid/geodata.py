@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .overlay import _ragged, ring_areas
 
 
 class ParseError(ValueError):
@@ -236,43 +240,169 @@ def write_ascii_grid(r: Raster) -> str:
 Ring = list[tuple[float, float]]
 
 
-@dataclass
-class Parcel:
-    """Polygon with assessed value and recorded land area.
+def _ring(coords, where: str) -> np.ndarray:
+    """A GeoJSON ring as an open (n, 2) float array of finite (x, y) vertices."""
+    try:
+        ring = np.array(coords, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        ring = None
+    if ring is not None and ring.size == 0:
+        ring = ring.reshape(0, 2)  # no positions: a short ring, not a malformed one
+    if ring is None or ring.ndim != 2 or ring.shape[1] < 2:
+        raise ParseError(f"{where}: malformed ring coordinates")
+    ring = ring[:, :2]
+    if not np.isfinite(ring).all():
+        raise ParseError(f"{where}: non-finite ring coordinates")
+    if len(ring) >= 2 and ring[0, 0] == ring[-1, 0] and ring[0, 1] == ring[-1, 1]:
+        ring = ring[:-1]
+    if len(ring) < 3:
+        raise ParseError(f"{where}: ring with < 3 vertices")
+    return ring
 
-    Rings are stored open: closure between the last and first vertex is
-    implied. Members split out of a MultiPolygon feature share the feature's
-    assessment pool; ``group_area`` lets the overlay stage apportion against
-    the whole feature's geometric area.
+
+def _member_vertices(members, n_members, ids):
+    """Vertices, rings per member and vertices per ring of GeoJSON members.
+
+    ``members[m]`` lists member m's rings of (x, y) positions and is named
+    ``ids[m]`` in errors; feature k has the next ``n_members[k]`` members.
+    The result is that of ``_ring`` on every ring, concatenated, and a bad
+    ring raises the ParseError of the first one. Rings whose positions all
+    have the same number of coordinates, the usual case, are converted in
+    one numpy call.
+    """
+    ring_counts = np.array([len(rings) for rings in members], dtype=np.int64)
+    rings = [ring for rings in members for ring in rings]
+    try:
+        lengths = np.array([len(ring) for ring in rings], dtype=np.int64)
+        (dim,) = set(map(len, chain.from_iterable(rings)))  # one size for all positions
+        xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=float,
+                         count=lengths.sum() * dim).reshape(-1, dim)
+    except (TypeError, ValueError, OverflowError):
+        xy = None
+    if (xy is not None and xy.shape[1] >= 2 and (lengths >= 3).all()
+            and np.isfinite(xy[:, :2]).all()):
+        last = np.cumsum(lengths) - 1
+        closed = (xy[last - lengths + 1, :2] == xy[last, :2]).all(axis=1)
+        if (lengths - closed >= 3).all():
+            keep = np.ones(len(xy), dtype=bool)
+            keep[last[closed]] = False
+            return xy[keep, :2], ring_counts, lengths - closed
+    feature_of = np.repeat(np.arange(len(n_members)), n_members).tolist()
+    rings = [_ring(ring, f"feature {idx}: parcel {pid!r}, ring {r}")
+             for rings, idx, pid in zip(members, feature_of, ids)
+             for r, ring in enumerate(rings)]
+    lengths = np.array([len(ring) for ring in rings], dtype=np.int64)
+    return (np.concatenate(rings) if rings else np.empty((0, 2))), ring_counts, lengths
+
+
+def _property_error(idx: int, pid: str, raw) -> ParseError:
+    """The ParseError of the first bad parcel property, checked in order."""
+    where = f"feature {idx}"
+    values = [_number(v, f"property {name!r} of parcel {pid!r}", where)
+              for v, name in zip(raw, ("current_assessment", "land_area", "base_flood"))]
+    return ParseError(f"{where}: parcel {pid!r}: negative "
+                      + ("assessment" if values[0] < 0 else "land area"))
+
+
+def _number(value, what: str, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: non-numeric value {value!r} for {what}") from None
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: non-finite value {value!r} for {what}")
+    return number
+
+
+class ParcelTable:
+    """Parcels as columns: one row per polygon member, in stable parcel_id order.
+
+    Row columns, numpy arrays of length ``len(table)``:
+
+    - ``parcel_id`` (object): the feature's id, suffixed ``#k`` for member
+      k of a MultiPolygon;
+    - ``current_assessment``, ``land_area``, ``base_flood``: the feature's
+      properties, shared by its members;
+    - ``area``: the member's geometric area, ``|outer| - (0 + h1 + h2 ...)``;
+    - ``denominator``: what apportionment divides by: ``area``, or for
+      MultiPolygon members the feature's group area, ``0 + sum(|outer| -
+      h1 - h2 ...)`` over its members in input order;
+    - ``bbox``: ``(n, 4)`` xmin, ymin, xmax, ymax of the outer ring.
+
+    Geometry is ragged: row k's rings are ``ring_offsets[k]`` up to
+    ``ring_offsets[k + 1]``, outer ring first, then the holes in order, and
+    ring r's vertices are ``x``/``y`` from ``vertex_offsets[r]`` up to
+    ``vertex_offsets[r + 1]``. Rings are open: the closing edge is implied.
+
+    ``features`` yields one ``(parcel_id, polygons, current_assessment,
+    land_area, base_flood)`` record per GeoJSON feature. ``polygons`` lists
+    each member as its rings of (x, y) positions, outer ring first; a
+    repeated closing vertex is dropped. A bad record is a ParseError naming
+    ``feature N`` (its position) and the parcel: a non-numeric or non-finite
+    property, a negative assessment or land area, or a malformed,
+    non-finite or short (< 3 vertices) ring.
     """
 
-    parcel_id: str
-    outer_ring: Ring
-    holes: list[Ring] = field(default_factory=list)
-    current_assessment: float = 0.0
-    land_area: float = 0.0
-    base_flood: float = 0.0
-    group_area: float | None = None
+    def __init__(self, features):
+        ids, member_rings, n_members = [], [], []
+        props = array("d")
+        try:
+            for idx, (pid, polygons, assessment, land_area, base_flood) in enumerate(features):
+                pid = str(pid)
+                try:
+                    values = [float(assessment), float(land_area), float(base_flood)]
+                    ok = values[0] >= 0 and values[1] >= 0 and all(map(math.isfinite, values))
+                except (TypeError, ValueError):
+                    ok = False
+                if not ok:
+                    raise _property_error(idx, pid if len(polygons) == 1 else f"{pid}#0",
+                                          (assessment, land_area, base_flood))
+                if len(polygons) == 1:
+                    ids.append(pid)
+                else:
+                    ids += [f"{pid}#{k}" for k in range(len(polygons))]
+                member_rings += polygons
+                n_members.append(len(polygons))
+                props.extend(values)
+        except ParseError:
+            _member_vertices(member_rings, n_members, ids)  # an earlier bad ring comes first
+            raise
+        xy, ring_counts, lengths = _member_vertices(member_rings, n_members, ids)
 
-    def __post_init__(self):
-        if len(self.outer_ring) < 3:
-            raise ValueError(
-                f"parcel {self.parcel_id!r}: outer ring has fewer than 3 vertices"
-            )
-        for h in self.holes:
-            if len(h) < 3:
-                raise ValueError(
-                    f"parcel {self.parcel_id!r}: hole ring has fewer than 3 vertices"
-                )
-        if self.current_assessment < 0:
-            raise ValueError(f"parcel {self.parcel_id!r}: negative assessment")
-        if self.land_area < 0:
-            raise ValueError(f"parcel {self.parcel_id!r}: negative land area")
+        area = ring_areas(xy[:, 0], xy[:, 1], lengths)
+        outer = np.cumsum(ring_counts) - ring_counts
+        holes = np.zeros(len(ids))  # 0 + h1 + h2 ...
+        poly = area[outer]          # |outer| - h1 - h2 ...
+        for q in range(1, ring_counts.max(initial=0)):
+            has = ring_counts > q
+            holes[has] += area[outer[has] + q]
+            poly[has] -= area[outer[has] + q]
+        n_members = np.array(n_members, dtype=np.int64)
+        first_member = np.cumsum(n_members) - n_members
+        group = np.zeros(n_members.size)
+        for k in range(n_members.max(initial=0)):
+            has = n_members > k
+            group[has] += poly[first_member[has] + k]
+        feature = np.repeat(np.arange(n_members.size), n_members)
+        area = area[outer] - holes
+        denominator = np.where(n_members[feature] > 1, group[feature], area)
+        starts = np.cumsum(lengths) - lengths
+        bbox = np.column_stack([reduce.reduceat(xy[:, axis], starts)[outer]
+                                for reduce in (np.minimum, np.maximum) for axis in (0, 1)])
 
-    @property
-    def rings(self) -> list[Ring]:
-        """Outer ring followed by holes, the even-odd evaluation set."""
-        return [self.outer_ring] + list(self.holes)
+        # rows, rings and vertices in stable parcel_id order
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        rings = _ragged(outer[order], ring_counts[order])
+        self.x, self.y = xy[_ragged(starts[rings], lengths[rings])].T.copy()
+        self.ring_offsets = np.concatenate(([0], np.cumsum(ring_counts[order])))
+        self.vertex_offsets = np.concatenate(([0], np.cumsum(lengths[rings])))
+        self.parcel_id = np.array(ids, dtype=object)[order]
+        self.area, self.denominator, self.bbox = area[order], denominator[order], bbox[order]
+        values = np.frombuffer(props, dtype=float).reshape(-1, 3)[feature[order]]
+        self.current_assessment, self.land_area, self.base_flood = values.T.copy()
+
+    def __len__(self) -> int:
+        return len(self.parcel_id)
 
 
 @dataclass
@@ -289,21 +419,8 @@ class BfeZone:
             raise ValueError(f"static_bfe must be finite, got {self.static_bfe}")
 
 
-def _normalize_ring(coords, where: str) -> Ring:
-    """Convert GeoJSON ring coordinates to open (x, y) tuples."""
-    try:
-        ring = [(float(p[0]), float(p[1])) for p in coords]
-    except (TypeError, ValueError, IndexError):
-        raise ParseError(f"{where}: malformed ring coordinates") from None
-    if len(ring) >= 2 and ring[0] == ring[-1]:
-        ring = ring[:-1]
-    if len(ring) < 3:
-        raise ParseError(f"{where}: ring with < 3 vertices")
-    return ring
-
-
-def _feature_polygons(geometry, where: str) -> list[list[Ring]]:
-    """Ring lists (outer first) for a Polygon or MultiPolygon geometry."""
+def _feature_polygons(geometry, where: str) -> list[list]:
+    """Raw ring coordinate lists (outer first) per member of a Polygon or MultiPolygon."""
     if not isinstance(geometry, dict) or "type" not in geometry:
         raise ParseError(f"{where}: missing or malformed geometry")
     gtype = geometry["type"]
@@ -316,13 +433,10 @@ def _feature_polygons(geometry, where: str) -> list[list[Ring]]:
         raise ParseError(f"{where}: non-polygon geometry {gtype!r}")
     if not isinstance(polys, list) or not polys:
         raise ParseError(f"{where}: empty geometry coordinates")
-    out = []
     for p, rings in enumerate(polys):
         if not isinstance(rings, list) or not rings:
             raise ParseError(f"{where}: polygon {p} has no rings")
-        out.append([_normalize_ring(rg, f"{where}, polygon {p}, ring {k}")
-                    for k, rg in enumerate(rings)])
-    return out
+    return polys
 
 
 def _load_feature_collection(text: str):
@@ -338,71 +452,36 @@ def _load_feature_collection(text: str):
     return features
 
 
-def _require_property(props, name, where: str) -> float:
-    if name not in props:
-        raise ParseError(f"{where}: missing required property {name!r}")
-    try:
-        value = float(props[name])
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"{where}: non-numeric value {props[name]!r} for property {name!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{where}: non-finite value {props[name]!r} for property {name!r}")
-    return value
+def _feature_properties(feature, where: str, required) -> dict:
+    if not isinstance(feature, dict):
+        raise ParseError(f"{where}: not an object")
+    props = feature.get("properties") or {}
+    for name in required:
+        if name not in props:
+            raise ParseError(f"{where}: missing required property {name!r}")
+    return props
 
 
-def parse_parcels(text: str) -> list[Parcel]:
-    """Parse a GeoJSON FeatureCollection of parcels.
+def _parcel_records(features):
+    """ParcelTable records, checking each feature's layout as it is reached."""
+    for idx, feature in enumerate(features):
+        where = f"feature {idx}"
+        props = _feature_properties(feature, where,
+                                    ("parcel_id", "current_assessment", "land_area"))
+        yield (props["parcel_id"], _feature_polygons(feature.get("geometry"), where),
+               props["current_assessment"], props["land_area"], props.get("base_flood", 0.0))
+
+
+def parse_parcels(text: str) -> ParcelTable:
+    """Parse a GeoJSON FeatureCollection of parcels into a ParcelTable.
 
     Each feature needs Polygon or MultiPolygon geometry and properties
     ``parcel_id``, ``current_assessment``, ``land_area`` (``base_flood``
-    optional, defaulting to 0). A MultiPolygon feature yields one Parcel per
+    optional, defaulting to 0). A MultiPolygon feature yields one row per
     member polygon with ids suffixed ``#k``; members share the feature's
     assessment pool via a common group geometric area.
     """
-    from .overlay import polygon_area
-
-    parcels: list[Parcel] = []
-    for idx, feature in enumerate(_load_feature_collection(text)):
-        where = f"feature {idx}"
-        if not isinstance(feature, dict):
-            raise ParseError(f"{where}: not an object")
-        props = feature.get("properties") or {}
-        if "parcel_id" not in props:
-            raise ParseError(f"{where}: missing required property 'parcel_id'")
-        pid = str(props["parcel_id"])
-        assessment = _require_property(props, "current_assessment", where)
-        land_area = _require_property(props, "land_area", where)
-        base_flood = (_require_property(props, "base_flood", where)
-                      if "base_flood" in props else 0.0)
-
-        polys = _feature_polygons(feature.get("geometry"), where)
-        try:
-            if len(polys) == 1:
-                parcels.append(Parcel(
-                    parcel_id=pid,
-                    outer_ring=polys[0][0],
-                    holes=polys[0][1:],
-                    current_assessment=assessment,
-                    land_area=land_area,
-                    base_flood=base_flood,
-                ))
-            else:
-                group_area = sum(polygon_area(rings) for rings in polys)
-                for k, rings in enumerate(polys):
-                    parcels.append(Parcel(
-                        parcel_id=f"{pid}#{k}",
-                        outer_ring=rings[0],
-                        holes=rings[1:],
-                        current_assessment=assessment,
-                        land_area=land_area,
-                        base_flood=base_flood,
-                        group_area=group_area,
-                    ))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    return parcels
+    return ParcelTable(_parcel_records(_load_feature_collection(text)))
 
 
 def parse_bfe_zones(text: str) -> list[BfeZone]:
@@ -415,11 +494,11 @@ def parse_bfe_zones(text: str) -> list[BfeZone]:
     zones: list[BfeZone] = []
     for idx, feature in enumerate(_load_feature_collection(text)):
         where = f"feature {idx}"
-        if not isinstance(feature, dict):
-            raise ParseError(f"{where}: not an object")
-        props = feature.get("properties") or {}
-        bfe = _require_property(props, "static_bfe", where)
-        for rings in _feature_polygons(feature.get("geometry"), where):
+        props = _feature_properties(feature, where, ("static_bfe",))
+        bfe = _number(props["static_bfe"], "property 'static_bfe'", where)
+        for p, rings in enumerate(_feature_polygons(feature.get("geometry"), where)):
+            rings = [list(map(tuple, _ring(c, f"{where}, polygon {p}, ring {k}").tolist()))
+                     for k, c in enumerate(rings)]
             try:
                 zones.append(BfeZone(rings=rings, static_bfe=bfe))
             except ValueError as exc:

@@ -1,14 +1,16 @@
 """Parcel-to-cell overlay: polygon clipping and area-weighted apportionment.
 
-Each parcel is clipped to every fishnet cell it can touch; the assessed
-value is split across cells in proportion to clipped area. The apportionment
-denominator is the parcel's geometric (shoelace) area, not the recorded
-land_area field, which guarantees exact value conservation.
+Each parcel is clipped to every fishnet cell its bounding box touches; the
+assessed value is split across cells in proportion to clipped area. The
+apportionment denominator is the parcel's geometric (shoelace) area, not the
+recorded land_area field, which guarantees exact value conservation.
+
+Clipping is Sutherland-Hodgman (Sutherland & Hodgman, "Reentrant polygon
+clipping", CACM 1974) run on ragged arrays: each half-plane step processes
+every ring of a batch at once, with the same arithmetic as the scalar step.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,6 +20,10 @@ from .grid import GridSpec
 # county-scale coordinates.
 SLIVER_MIN_AREA = 1e-6
 
+# Ring vertices times bbox cells clipped at once: bounds the transient arrays
+# (a traced peak of about 6 MB) whatever the batch size.
+CHUNK_COPIES = 1 << 16
+
 Point = tuple[float, float]
 
 # One row per (parcel, cell) attribution: the row-major cell index, the
@@ -25,68 +31,37 @@ Point = tuple[float, float]
 ATTRIBUTION_DTYPE = np.dtype([("cell", np.int64), ("area", float), ("value", float)])
 
 
-def shoelace_area(ring: list[Point]) -> float:
-    """Signed planar area of a ring; positive for counter-clockwise order.
+def ring_areas(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Unsigned shoelace area of every ring in flat ``x``/``y``; 0 below 3 vertices.
 
-    Vertices are shifted to a local origin first: the cross products of raw
-    county-scale coordinates cancel catastrophically for small parcels.
+    Ring r is the next ``lengths[r]`` vertices, open: the edge back to its
+    vertex 0 is implied. Vertices are shifted to the ring's vertex 0 first,
+    because the cross products of raw county-scale coordinates cancel
+    catastrophically for small parcels. The cross products are added
+    strictly in vertex order, one vertex position at a time over all rings,
+    so every sum is bit-equal to a scalar ``total += term`` loop.
     """
-    if len(ring) < 3:
-        raise ValueError(f"ring needs at least 3 vertices, got {len(ring)}")
-    ox, oy = ring[0]
-    total = 0.0
-    n = len(ring)
-    for k in range(n):
-        x0, y0 = ring[k]
-        x1, y1 = ring[(k + 1) % n]
-        total += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
-    return 0.5 * total
-
-
-def polygon_area(rings: list[list[Point]]) -> float:
-    """Geometric area of a polygon given as outer ring plus holes."""
-    area = abs(shoelace_area(rings[0]))
-    for hole in rings[1:]:
-        area -= abs(shoelace_area(hole))
+    starts = np.cumsum(lengths) - lengths
+    first = np.repeat(starts, lengths)
+    nxt = np.arange(1, x.size + 1)
+    live = lengths > 0
+    nxt[(starts + lengths - 1)[live]] = starts[live]
+    # longest rings first, so the rings still running at position k are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    starts = starts[order]
+    running = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    total = np.zeros(lengths.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x[first]
+        dy = y - y[first]
+        term = dx * dy[nxt] - dx[nxt] * dy
+        for k, m in enumerate(running.tolist()):
+            total[:m] += term[starts[:m] + k]
+    area = np.empty(lengths.size)
+    area[order] = np.abs(0.5 * total)
+    area[lengths < 3] = 0.0
     return area
 
-
-def _clip_half_plane(ring: list[Point], axis: int, bound: float, keep_ge: bool) -> list[Point]:
-    """Clip a ring against one axis-aligned half-plane (Sutherland-Hodgman step)."""
-    if not ring:
-        return []
-
-    def inside(p: Point) -> bool:
-        return p[axis] >= bound if keep_ge else p[axis] <= bound
-
-    def crossing(s: Point, e: Point) -> Point:
-        t = (bound - s[axis]) / (e[axis] - s[axis])
-        if axis == 0:
-            return (bound, s[1] + t * (e[1] - s[1]))
-        return (s[0] + t * (e[0] - s[0]), bound)
-
-    out: list[Point] = []
-    s = ring[-1]
-    s_in = inside(s)
-    for e in ring:
-        e_in = inside(e)
-        if e_in:
-            if not s_in:
-                out.append(crossing(s, e))
-            out.append(e)
-        elif s_in:
-            out.append(crossing(s, e))
-        s, s_in = e, e_in
-    return out
-
-
-def clip_to_slab(ring: list[Point], axis: int, lo: float, hi: float) -> list[Point]:
-    """Clip a ring to the slab lo <= coordinate <= hi along one axis.
-
-    Returns the clipped vertex sequence, empty when disjoint. Degenerate
-    (zero-area) outputs are possible and harmless downstream.
-    """
-    return _clip_half_plane(_clip_half_plane(ring, axis, lo, True), axis, hi, False)
 
 
 def points_in_polygon(xs, ys, rings: list[list[Point]]) -> np.ndarray:
@@ -110,74 +85,143 @@ def points_in_polygon(xs, ys, rings: list[list[Point]]) -> np.ndarray:
     return inside
 
 
-def _ring_area(ring: list[Point]) -> float:
-    return abs(shoelace_area(ring)) if len(ring) >= 3 else 0.0
+def _runs(counts: np.ndarray):
+    """(run, position in run) of every item when run m holds counts[m] items."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
 
 
-def apportion(parcel, g: GridSpec) -> np.ndarray:
-    """Split one parcel's area and assessed value over the fishnet cells.
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[m]`` up to ``starts[m] + lengths[m]``, in order."""
+    run, k = _runs(lengths)
+    return starts[run] + k
 
-    Returns an ATTRIBUTION_DTYPE array, one row per cell the parcel covers,
-    in ascending row-major cell order. Each cell's clipped area is
-    |clip(outer)| minus the clipped hole areas, subtracted one at a time.
-    Each ring is clipped once per column strip, and each strip once per
-    row: the same half-plane steps, in the same order, as clipping the
-    ring to the cell rectangle. Value follows area:
-    assessment * area / denominator, where the denominator is the parcel's
-    geometric area (or the shared group area for MultiPolygon members).
-    Slivers under SLIVER_MIN_AREA are dropped; parcel area outside the grid
-    is dropped, not renormalized. A value that overflows raises ValueError.
+
+def _clip(a, o, lengths, bound, keep_ge: bool):
+    """One Sutherland-Hodgman half-plane step on every ring at once.
+
+    ``a`` holds each vertex's coordinate on the clip axis and ``o`` the
+    other one; ring m is the next ``lengths[m]`` vertices and keeps the side
+    ``a >= bound[m]`` (``keep_ge``) or ``a <= bound[m]``. For each edge
+    s -> e, s being the vertex before e (wrapping round), the crossing is
+    emitted when s and e lie on different sides, then e when it is inside.
+    Output slots come from a cumsum. Returns the clipped ``(a, o, lengths)``.
     """
-    outer = parcel.outer_ring
-    geom_area = abs(shoelace_area(outer)) - sum(abs(shoelace_area(h)) for h in parcel.holes)
-    if geom_area <= 0:
-        raise ValueError(f"degenerate parcel {parcel.parcel_id!r} (zero geometric area)")
-    denom = parcel.group_area if parcel.group_area is not None else geom_area
+    b = np.repeat(bound, lengths)
+    inside = a >= b if keep_ge else a <= b
+    starts = np.cumsum(lengths) - lengths
+    live = lengths > 0
+    prev = np.arange(-1, a.size - 1)
+    prev[starts[live]] = (starts + lengths - 1)[live]
+    cross = inside[prev] != inside
+    emit = cross.astype(np.int64) + inside
+    slot = np.cumsum(emit)  # one past the last slot of each e
+    out_a = np.empty(slot[-1] if slot.size else 0)
+    out_o = np.empty_like(out_a)
+    out_a[slot[inside] - 1] = a[inside]
+    out_o[slot[inside] - 1] = o[inside]
+    s = prev[cross]
+    at = slot[cross] - emit[cross]
+    out_a[at] = b[cross]
+    t = (b[cross] - a[s]) / (a[cross] - a[s])
+    out_o[at] = o[s] + t * (o[cross] - o[s])
+    ends = np.concatenate(([0], slot))
+    return out_a, out_o, ends[starts + lengths] - ends[starts]
 
-    xs = [p[0] for p in outer]
-    ys = [p[1] for p in outer]
+
+def _span(lo, hi, origin: float, s: float, n: int):
+    """First bbox cell and cell count along one axis, clamped to the n grid cells."""
+    first = np.clip(np.floor((lo - origin) / s), 0, n)
+    last = np.clip(np.floor((hi - origin) / s), -1, n - 1)
+    return first.astype(np.int64), np.maximum(last - first + 1, 0).astype(np.int64)
+
+
+def _apportion_chunk(t, g: GridSpec, lo: int, hi: int, j0, nj, i0, ni) -> np.ndarray:
+    """Attribution rows of parcels lo..hi-1, whose bbox cells start at column
+    j0 and row i0 and span nj columns and ni rows (see apportion_many)."""
     s = g.cell_size
-    j_lo = max(0, int(math.floor((min(xs) - g.origin_x) / s)))
-    j_hi = min(g.n_cols - 1, int(math.floor((max(xs) - g.origin_x) / s)))
-    i_lo = max(0, int(math.floor((min(ys) - g.origin_y) / s)))
-    i_hi = min(g.n_rows - 1, int(math.floor((max(ys) - g.origin_y) / s)))
+    n_rings = np.diff(t.ring_offsets[lo:hi + 1])
 
-    # strips[j] holds the outer ring and then each hole clipped to column j
-    strips = [
-        [clip_to_slab(ring, 0, g.origin_x + j * s, g.origin_x + (j + 1) * s)
-         for ring in parcel.rings]
-        for j in range(j_lo, j_hi + 1)
-    ]
-    cells: list[int] = []
-    areas: list[float] = []
-    for i in range(i_lo, i_hi + 1):
-        y_lo, y_hi = g.origin_y + i * s, g.origin_y + (i + 1) * s
-        for j, (outer_strip, *hole_strips) in enumerate(strips, j_lo):
-            area = _ring_area(clip_to_slab(outer_strip, 1, y_lo, y_hi))
-            for hole in hole_strips:
-                area -= _ring_area(clip_to_slab(hole, 1, y_lo, y_hi))
-            if area < SLIVER_MIN_AREA:
-                continue
-            cells.append(i * g.n_cols + j)
-            areas.append(area)
+    # every ring once per column of its bbox, in (parcel, column, ring) order
+    strips = nj * n_rings
+    p, k = _runs(strips)
+    col = j0[p] + k // n_rings[p]
+    ring = t.ring_offsets[lo:hi][p] + k % n_rings[p]
+    starts = t.vertex_offsets[ring]
+    lengths = t.vertex_offsets[ring + 1] - starts
+    idx = _ragged(starts, lengths)
+    x, y, lengths = _clip(t.x[idx], t.y[idx], lengths, g.origin_x + col * s, True)
+    x, y, lengths = _clip(x, y, lengths, g.origin_x + (col + 1) * s, False)
 
-    out = np.empty(len(cells), dtype=ATTRIBUTION_DTYPE)
-    out["cell"] = cells
-    out["area"] = areas
-    with np.errstate(over="ignore"):
-        out["value"] = parcel.current_assessment * out["area"] / denom
-    if not np.isfinite(out["value"]).all():
-        raise ValueError(f"apportioned value of parcel {parcel.parcel_id!r} is not finite")
+    # every strip once per row, in (parcel, row, column, ring) order
+    pieces = ni * strips
+    p, k = _runs(pieces)
+    row = i0[p] + k // strips[p]
+    strip = (np.cumsum(strips) - strips)[p] + k % strips[p]
+    idx = _ragged((np.cumsum(lengths) - lengths)[strip], lengths[strip])
+    y, x, lengths = _clip(y[idx], x[idx], lengths[strip], g.origin_y + row * s, True)
+    y, x, lengths = _clip(y, x, lengths, g.origin_y + (row + 1) * s, False)
+    piece_area = ring_areas(x, y, lengths)
+
+    # per cell: |clip(outer)|, minus each clipped hole in ring order
+    p, c = _runs(ni * nj)
+    first = (np.cumsum(pieces) - pieces)[p] + c * n_rings[p]
+    area = piece_area[first]
+    for q in range(1, n_rings.max(initial=0)):
+        has = n_rings[p] > q
+        area[has] -= piece_area[first[has] + q]
+    keep = ~(area < SLIVER_MIN_AREA)
+    p, c, area = p[keep], c[keep], area[keep]
+
+    out = np.empty(area.size, dtype=ATTRIBUTION_DTYPE)
+    out["cell"] = (i0[p] + c // nj[p]) * g.n_cols + j0[p] + c % nj[p]
+    out["area"] = area
+    out["value"] = t.current_assessment[lo:hi][p] * area / t.denominator[lo:hi][p]
+    bad = ~np.isfinite(out["value"])
+    if bad.any():
+        pid = t.parcel_id[lo + p[np.argmax(bad)]]
+        raise ValueError(f"apportioned value of parcel {pid!r} is not finite")
     return out
 
 
-def apportion_many(parcels, g: GridSpec) -> np.ndarray:
-    """Apportion a batch of parcels into one ATTRIBUTION_DTYPE array.
+def apportion_many(table, g: GridSpec) -> np.ndarray:
+    """Split a ParcelTable's area and assessed value over the fishnet cells.
 
-    Parcels are taken in stable parcel_id order, each with its cells in
-    row-major order, so within every cell the entries come in
-    (parcel_id, input order) order: the fixed order in which downstream
-    exposure sums are added up.
+    Returns an ATTRIBUTION_DTYPE array with the parcels in table (stable
+    parcel_id) order and each parcel's cells in row-major order, so within
+    every cell the entries come in (parcel_id, input order) order: the
+    fixed order in which downstream exposure sums are added up.
+
+    Each ring is copied once per column of its parcel's bbox and clipped to
+    that column's x slab; each strip is then copied once per row and
+    clipped to the row's y slab. Every cell so runs the four half-plane
+    steps of clipping the ring to the cell rectangle, in the same order and
+    with the same arithmetic. A cell's area is |clip(outer)| minus the
+    clipped hole areas, subtracted one at a time. Value follows area:
+    assessment * area / denominator (the parcel's geometric area, or the
+    shared group area of MultiPolygon members). Slivers under
+    SLIVER_MIN_AREA are dropped; parcel area outside the grid is dropped,
+    not renormalized. Parcels are clipped in consecutive chunks of about
+    CHUNK_COPIES ring-vertex x bbox-cell copies.
+
+    A parcel with zero geometric area, or whose apportioned value is not
+    finite, raises ValueError; the first such parcel in table order wins.
     """
-    parts = [apportion(p, g) for p in sorted(parcels, key=lambda p: p.parcel_id)]
+    degenerate = np.flatnonzero(table.area <= 0)
+    n = int(degenerate[0]) if degenerate.size else len(table)
+    # huge coordinates or values overflow to inf or nan, as Python floats
+    # do; _apportion_chunk rejects an apportioned value that is not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xmin, ymin, xmax, ymax = table.bbox[:n].T
+        j0, nj = _span(xmin, xmax, g.origin_x, g.cell_size, g.n_cols)
+        i0, ni = _span(ymin, ymax, g.origin_y, g.cell_size, g.n_rows)
+        vertices = np.diff(table.vertex_offsets[table.ring_offsets[:n + 1]])
+        copies = np.cumsum(vertices * nj.astype(float) * ni)  # float: no int64 wrap
+        cuts = np.searchsorted(copies, np.arange(CHUNK_COPIES, copies[-1] if n else 0,
+                                                 CHUNK_COPIES), "right")
+        bounds = [0, *cuts.tolist(), n]
+        parts = [_apportion_chunk(table, g, lo, hi, j0[lo:hi], nj[lo:hi], i0[lo:hi], ni[lo:hi])
+                 for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if degenerate.size:
+        raise ValueError(f"degenerate parcel {table.parcel_id[n]!r} (zero geometric area)")
     return np.concatenate(parts) if parts else np.empty(0, dtype=ATTRIBUTION_DTYPE)

@@ -3,12 +3,35 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from floodgrid.geodata import Parcel, Raster
-from floodgrid.grid import GridSpec
-from floodgrid.overlay import points_in_polygon, shoelace_area
+from floodgrid.geodata import Raster
+from floodgrid.grid import GridSpec, cell_rect
+from floodgrid.overlay import SLIVER_MIN_AREA, points_in_polygon
+
+
+class Feature(NamedTuple):
+    """One ParcelTable record: a parcel feature with its member polygons."""
+
+    parcel_id: str
+    polygons: list  # per member: outer ring, then holes; rings of (x, y), open
+    current_assessment: float = 1.0
+    land_area: float = 0.0
+    base_flood: float = 0.0
+
+
+def polygon(pid, ring, value=1.0, land_area=0.0, holes=()) -> Feature:
+    """A single-polygon feature."""
+    return Feature(pid, [[ring, *holes]], value, land_area)
+
+
+def parcel_rings(table, k: int) -> list[list[tuple[float, float]]]:
+    """Row k of a ParcelTable as rings of (x, y) tuples, outer ring first."""
+    v = table.vertex_offsets.tolist()
+    return [list(zip(table.x[v[r]:v[r + 1]].tolist(), table.y[v[r]:v[r + 1]].tolist()))
+            for r in range(table.ring_offsets[k], table.ring_offsets[k + 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +68,7 @@ def random_star_ring(rng: np.random.Generator, center, r_min, r_max, n=10):
     return [(cx + r * math.cos(a), cy + r * math.sin(a)) for r, a in zip(radii, angles)]
 
 
-def random_simple_parcel(rng: np.random.Generator, pid: str, bbox) -> Parcel:
+def random_simple_parcel(rng: np.random.Generator, pid: str, bbox) -> Feature:
     """A random simple parcel (convex, L-shaped, or star) inside ``bbox``."""
     xmin, ymin, xmax, ymax = bbox
     w = xmax - xmin
@@ -62,12 +85,8 @@ def random_simple_parcel(rng: np.random.Generator, pid: str, bbox) -> Parcel:
         ring = [(min(x, xmax), min(y, ymax)) for x, y in ring]
     else:
         ring = random_star_ring(rng, (cx, cy), 0.03 * min(w, h), 0.18 * min(w, h))
-    return Parcel(
-        parcel_id=pid,
-        outer_ring=ring,
-        current_assessment=float(rng.uniform(10_000, 1_000_000)),
-        land_area=float(abs(shoelace_area(ring))),
-    )
+    return polygon(pid, ring, float(rng.uniform(10_000, 1_000_000)),
+                   float(abs(shoelace_area(ring))))
 
 
 def random_raster(rng: np.random.Generator) -> Raster:
@@ -105,22 +124,22 @@ def attributed_areas(attrs, g: GridSpec) -> dict[tuple[int, int], float]:
 # Independent oracles
 # ---------------------------------------------------------------------------
 
-def mc_cell_areas(parcel: Parcel, g: GridSpec, n_samples: int, rng: np.random.Generator):
-    """Monte Carlo per-cell clipped-area estimate.
+def mc_cell_areas(rings, g: GridSpec, n_samples: int, rng: np.random.Generator):
+    """Monte Carlo per-cell clipped-area estimate of a polygon (outer ring first).
 
-    Uniform samples in the parcel bbox are classified by the even-odd test;
+    Uniform samples in the polygon bbox are classified by the even-odd test;
     the hits are binned to fishnet cells by plain floor arithmetic
     (independently of the engine's clipping path).
     """
-    xs_ring = [p[0] for p in parcel.outer_ring]
-    ys_ring = [p[1] for p in parcel.outer_ring]
+    xs_ring = [p[0] for p in rings[0]]
+    ys_ring = [p[1] for p in rings[0]]
     xmin, xmax = min(xs_ring), max(xs_ring)
     ymin, ymax = min(ys_ring), max(ys_ring)
     bbox_area = (xmax - xmin) * (ymax - ymin)
 
     px = rng.uniform(xmin, xmax, n_samples)
     py = rng.uniform(ymin, ymax, n_samples)
-    inside = points_in_polygon(px, py, parcel.rings)
+    inside = points_in_polygon(px, py, rings)
 
     jj = np.floor((px[inside] - g.origin_x) / g.cell_size).astype(np.int64)
     ii = np.floor((py[inside] - g.origin_y) / g.cell_size).astype(np.int64)
@@ -129,6 +148,92 @@ def mc_cell_areas(parcel: Parcel, g: GridSpec, n_samples: int, rng: np.random.Ge
     for i, j in zip(ii[ok], jj[ok]):
         areas[(int(i), int(j))] = areas.get((int(i), int(j)), 0.0) + 1
     return {cell: count / n_samples * bbox_area for cell, count in areas.items()}
+
+
+def shoelace_area(ring) -> float:
+    """Signed area of a ring, positive counter-clockwise, summed one vertex at a
+    time about vertex 0: the scalar oracle for overlay.ring_areas."""
+    if len(ring) < 3:
+        raise ValueError(f"ring needs at least 3 vertices, got {len(ring)}")
+    ox, oy = ring[0]
+    total = 0.0
+    n = len(ring)
+    for k in range(n):
+        x0, y0 = ring[k]
+        x1, y1 = ring[(k + 1) % n]
+        total += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
+    return 0.5 * total
+
+
+def polygon_area(rings) -> float:
+    """|outer| minus each hole in turn."""
+    area = abs(shoelace_area(rings[0]))
+    for hole in rings[1:]:
+        area -= abs(shoelace_area(hole))
+    return area
+
+
+def clip_half_plane(ring, axis: int, bound: float, keep_ge: bool):
+    """One scalar Sutherland-Hodgman step against an axis-aligned half-plane."""
+    if not ring:
+        return []
+
+    def inside(p):
+        return p[axis] >= bound if keep_ge else p[axis] <= bound
+
+    def crossing(s, e):
+        t = (bound - s[axis]) / (e[axis] - s[axis])
+        if axis == 0:
+            return (bound, s[1] + t * (e[1] - s[1]))
+        return (s[0] + t * (e[0] - s[0]), bound)
+
+    out = []
+    s = ring[-1]
+    s_in = inside(s)
+    for e in ring:
+        e_in = inside(e)
+        if e_in:
+            if not s_in:
+                out.append(crossing(s, e))
+            out.append(e)
+        elif s_in:
+            out.append(crossing(s, e))
+        s, s_in = e, e_in
+    return out
+
+
+def reference_apportion(feature, g: GridSpec):
+    """(parcel_id, cell, area, value) rows of one feature's members, in input
+    order, each with its cells in row-major order.
+
+    Every grid cell's rectangle is clipped on its own, x bounds then y
+    bounds, and the holes are subtracted in order; members of a MultiPolygon
+    divide by the feature's summed polygon areas.
+    """
+    def clipped_area(ring, rect):
+        xmin, ymin, xmax, ymax = rect
+        out = clip_half_plane(ring, 0, xmin, True)
+        out = clip_half_plane(out, 0, xmax, False)
+        out = clip_half_plane(out, 1, ymin, True)
+        out = clip_half_plane(out, 1, ymax, False)
+        return abs(shoelace_area(out)) if len(out) >= 3 else 0.0
+
+    pid, polys, value = feature[:3]
+    group = sum(polygon_area(rings) for rings in polys)
+    rows = []
+    for k, (outer, *holes) in enumerate(polys):
+        geom_area = abs(shoelace_area(outer)) - sum(abs(shoelace_area(h)) for h in holes)
+        denom = geom_area if len(polys) == 1 else group
+        for i in range(g.n_rows):
+            for j in range(g.n_cols):
+                rect = cell_rect(g, i, j)
+                area = clipped_area(outer, rect)
+                for hole in holes:
+                    area -= clipped_area(hole, rect)
+                if area >= SLIVER_MIN_AREA:
+                    rows.append((pid if len(polys) == 1 else f"{pid}#{k}",
+                                 i * g.n_cols + j, area, value * area / denom))
+    return rows
 
 
 def brute_force_zonal_means(dem: Raster, g: GridSpec):

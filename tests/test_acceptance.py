@@ -29,6 +29,8 @@ from conftest import (
     cell_map,
     mc_cell_areas,
     ols_normal_equations,
+    polygon,
+    polygon_area,
     random_l_ring,
     random_raster,
     random_simple_parcel,
@@ -38,14 +40,14 @@ from floodgrid.damage import cell_damage
 from floodgrid.eda import CHI2_1DF_5PCT, breusch_pagan, ols_fit
 from floodgrid.geodata import (
     DamageCurve,
-    Parcel,
+    ParcelTable,
     Raster,
     parse_ascii_grid,
     write_ascii_grid,
     write_report,
 )
 from floodgrid.grid import GridSpec, make_fishnet
-from floodgrid.overlay import apportion, apportion_many, polygon_area, shoelace_area
+from floodgrid.overlay import apportion_many
 from floodgrid.scenario import ScenarioResult, incremental_deltas, sweep
 from floodgrid.terrain import assign_bfe, build_cell_states, zonal_mean_elevation
 from floodgrid.geodata import BfeZone
@@ -102,18 +104,17 @@ def coast_pipeline(slope: float):
     for i in range(g.n_rows):
         for j in range(g.n_cols):
             x0, y0 = j * 98.0, i * 98.0
-            parcels.append(Parcel(
-                parcel_id=f"t{i:02d}_{j:02d}",
-                outer_ring=[(x0, y0), (x0 + 98, y0), (x0 + 98, y0 + 98), (x0, y0 + 98)],
-                current_assessment=100_000.0,
-                land_area=9_604.0,
+            parcels.append(polygon(
+                f"t{i:02d}_{j:02d}",
+                [(x0, y0), (x0 + 98, y0), (x0 + 98, y0 + 98), (x0, y0 + 98)],
+                100_000.0, 9_604.0,
             ))
     zone = BfeZone(rings=[[(0.0, 0.0), (4900.0, 0.0), (4900.0, 980.0), (0.0, 980.0)]],
                    static_bfe=5.0)
 
     states = build_cell_states(
         g,
-        apportion_many(parcels, g),
+        apportion_many(ParcelTable(parcels), g),
         zonal_mean_elevation(dem, g),
         assign_bfe(g, [zone]),
     )
@@ -205,8 +206,8 @@ def test_c3_conservation():
         g = GridSpec(ox, oy, cell, int(rng.integers(2, 10)), int(rng.integers(2, 10)))
         bbox = (ox, oy, ox + g.n_cols * cell, oy + g.n_rows * cell)
         p = random_simple_parcel(rng, f"c{trial}", bbox)
-        geom_area = polygon_area(p.rings)
-        attrs = apportion(p, g)
+        geom_area = polygon_area(p.polygons[0])
+        attrs = apportion_many(ParcelTable([p]), g)
         total_area = sum(attrs["area"].tolist())
         total_value = sum(attrs["value"].tolist())
         worst_area = max(worst_area, abs(total_area - geom_area) / geom_area)
@@ -248,13 +249,12 @@ def test_c4_clipping_oracle():
             cy = rng.uniform(100, 290)
             ring = random_convex_ring(rng, (cx, cy), rng.uniform(30, 90),
                                       rng.uniform(30, 90))
-        p = Parcel(parcel_id=f"o{trial}", outer_ring=ring, current_assessment=1.0,
-                   land_area=abs(shoelace_area(ring)))
         xs = [v[0] for v in ring]
         ys = [v[1] for v in ring]
         bbox_area = (max(xs) - min(xs)) * (max(ys) - min(ys))
-        engine = attributed_areas(apportion(p, g), g)
-        mc = mc_cell_areas(p, g, 100_000, rng)
+        attrs = apportion_many(ParcelTable([polygon(f"o{trial}", ring)]), g)
+        engine = attributed_areas(attrs, g)
+        mc = mc_cell_areas([ring], g, 100_000, rng)
         for cell in set(engine) | set(mc):
             diff = abs(engine.get(cell, 0.0) - mc.get(cell, 0.0)) / bbox_area
             worst = max(worst, diff)
@@ -332,8 +332,8 @@ def test_c6_finite_inputs_give_finite_monotone_totals(data):
         w, h = data.draw(finite(0.05 * cs, 3 * cs)), data.draw(finite(0.05 * cs, 3 * cs))
         return [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
 
-    parcels = [Parcel(f"p{k}", rect(), current_assessment=data.draw(finite(0.0, 1e9)))
-               for k in range(data.draw(st.integers(1, 5)))]
+    parcels = ParcelTable([polygon(f"p{k}", rect(), data.draw(finite(0.0, 1e9)))
+                           for k in range(data.draw(st.integers(1, 5)))])
     zones = [BfeZone([rect()], data.draw(finite(-1e4, 1e4)))
              for _ in range(data.draw(st.integers(0, 3)))]
     depths = sorted(data.draw(st.lists(finite(-10.0, 50.0), min_size=2, max_size=5,

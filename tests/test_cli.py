@@ -369,6 +369,17 @@ class TestEdaCommand:
         assert not (tmp_path / "o").exists()
 
 
+    def test_overflowing_regression_sums_exit_1(self, tmp_path, capsys):
+        # every area cost is finite, but the squared shape-area deviations are not
+        table = tmp_path / "table.csv"
+        table.write_text("parcel_id,current_assessment,land_area,shape_area,base_flood\n"
+                         + "".join(f"r{k},{50_000 + 1000 * k},4000,{4e203 * (1 + 0.01 * k)!r},6\n"
+                                   for k in range(15)))
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert "error: sum of squared x deviations is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 def test_traced_layer_names_are_bound_in_cli():
     """perfbench/child.py times the layers by name in floodgrid.cli; a renamed
     layer would silently read 0 there."""

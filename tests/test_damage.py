@@ -19,6 +19,11 @@ class TestEvaluateCurve:
     def test_clamp_high(self):
         assert evaluate_curve(LINEAR, 99.0) == 1.0
 
+    def test_clamp_beyond_a_subnormal_segment(self):
+        # the discarded interpolation beyond the end would overflow: 2 / 1.1e-308
+        curve = DamageCurve([(0.0, 0.0), (1.1125369292536007e-308, 0.5)])
+        assert evaluate_curve(curve, np.array([-1.0, 2.0])).tolist() == [0.0, 0.5]
+
     def test_breakpoints_exact(self):
         curve = DamageCurve([(0, 0), (1, 0.15), (2, 0.22), (4, 0.3)])
         for d, f in curve.breakpoints:

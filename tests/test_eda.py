@@ -204,6 +204,35 @@ class TestOlsFit:
         assert r2 == pytest.approx(r1, rel=1e-9)
 
 
+def huge_shape_areas():
+    """15 records with finite area costs whose sums of squares overflow."""
+    k = np.arange(15)
+    shape = 4e203 * (1 + 0.01 * k)
+    return shape, shape / 4000 * (5e4 + 1000 * k)
+
+
+class TestOverflowingSums:
+    def test_ols_names_the_statistic(self):
+        x, y = huge_shape_areas()
+        with pytest.raises(OverflowError, match="^sum of squared x deviations is not finite$"):
+            ols_fit(x, y)
+
+    def test_breusch_pagan_names_the_statistic(self):
+        x, y = huge_shape_areas()
+        with pytest.raises(OverflowError, match="^sum of squared x deviations is not finite$"):
+            breusch_pagan(x, y)
+
+    def test_overflowing_residuals(self):
+        # the regressor is tame; the residuals' squares overflow
+        x = np.arange(15.0)
+        y = 1e160 * np.where(np.arange(15) % 2, 1.0, -1.0) * (1 + x)
+        with pytest.raises(OverflowError, match="^residual sum of squares is not finite$"):
+            ols_fit(x, y)
+        with pytest.raises(OverflowError,
+                           match="^Breusch-Pagan total sum of squares is not finite$"):
+            breusch_pagan(x, y)
+
+
 def bp_fixture(proportional: bool):
     """Seeded synthetic data; LM values cross-checked once against an
     independent statistics package and frozen here."""

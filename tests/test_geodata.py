@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_raster
+from conftest import Feature, parcel_rings, random_raster
 from floodgrid import geodata
 from floodgrid.geodata import (
     DamageCurve,
+    ParcelTable,
     ParseError,
     Raster,
     data_mask,
@@ -268,15 +269,16 @@ def fc(*features):
 
 class TestParcels:
     def test_single_square(self):
-        parcels = parse_parcels(fc(SQUARE_FEATURE))
-        assert len(parcels) == 1
-        p = parcels[0]
-        assert p.parcel_id == "p1"
-        assert p.current_assessment == 100000.0
-        assert p.land_area == 100.0
-        assert p.base_flood == 0.0
+        table = parse_parcels(fc(SQUARE_FEATURE))
+        assert len(table) == 1
+        assert table.parcel_id.tolist() == ["p1"]
+        assert table.current_assessment.tolist() == [100000.0]
+        assert table.land_area.tolist() == [100.0]
+        assert table.base_flood.tolist() == [0.0]
+        assert table.area.tolist() == table.denominator.tolist() == [100.0]
+        assert table.bbox.tolist() == [[0.0, 0.0, 10.0, 10.0]]
         # closing vertex dropped, others preserved exactly
-        assert p.outer_ring == [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
+        assert parcel_rings(table, 0) == [[(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]]
 
     def test_multipolygon_splits_with_shared_pool(self):
         feature = {
@@ -290,10 +292,12 @@ class TestParcels:
             },
             "properties": {"parcel_id": "m", "current_assessment": 5000, "land_area": 200},
         }
-        parcels = parse_parcels(fc(feature))
-        assert [p.parcel_id for p in parcels] == ["m#0", "m#1"]
-        assert all(p.group_area == 200.0 for p in parcels)
-        assert all(p.current_assessment == 5000.0 for p in parcels)
+        table = parse_parcels(fc(feature))
+        assert table.parcel_id.tolist() == ["m#0", "m#1"]
+        assert table.denominator.tolist() == [200.0, 200.0]
+        assert table.area.tolist() == [100.0, 100.0]
+        assert table.current_assessment.tolist() == [5000.0, 5000.0]
+        assert table.bbox.tolist() == [[0.0, 0.0, 10.0, 10.0], [20.0, 0.0, 30.0, 10.0]]
 
     def test_point_geometry_rejected(self):
         bad = dict(SQUARE_FEATURE, geometry={"type": "Point", "coordinates": [0, 0]})
@@ -321,12 +325,17 @@ class TestParcels:
 
     def test_base_flood_parsed_when_present(self):
         good = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], base_flood="7.5"))
-        assert parse_parcels(fc(good))[0].base_flood == 7.5
+        assert parse_parcels(fc(good)).base_flood.tolist() == [7.5]
 
     def test_short_ring_rejected(self):
         bad = dict(SQUARE_FEATURE, geometry={
             "type": "Polygon", "coordinates": [[[0, 0], [1, 0], [0, 0]]]})
         with pytest.raises(ParseError, match="< 3 vertices"):
+            parse_parcels(fc(bad))
+
+    def test_empty_ring_is_short(self):
+        bad = dict(SQUARE_FEATURE, geometry={"type": "Polygon", "coordinates": [[]]})
+        with pytest.raises(ParseError, match="^feature 0: parcel 'p1', ring 0: ring with < 3"):
             parse_parcels(fc(bad))
 
     def test_holes_parsed(self):
@@ -341,9 +350,106 @@ class TestParcels:
             },
             "properties": {"parcel_id": "h", "current_assessment": 1, "land_area": 96},
         }
-        p = parse_parcels(fc(feature))[0]
-        assert len(p.holes) == 1
-        assert len(p.holes[0]) == 4
+        table = parse_parcels(fc(feature))
+        assert np.diff(table.ring_offsets).tolist() == [2]
+        assert np.diff(table.vertex_offsets).tolist() == [4, 4]
+        assert table.area.tolist() == [96.0]
+
+    @staticmethod
+    def bad_second(**props):
+        bad = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"],
+                                                   parcel_id="p2", **props))
+        return fc(SQUARE_FEATURE, bad)
+
+    def test_negative_assessment_names_feature_and_parcel(self):
+        with pytest.raises(ParseError, match="^feature 1: parcel 'p2': negative assessment$"):
+            parse_parcels(self.bad_second(current_assessment=-1))
+
+    def test_negative_land_area_names_feature_and_parcel(self):
+        with pytest.raises(ParseError, match="^feature 1: parcel 'p2': negative land area$"):
+            parse_parcels(self.bad_second(land_area=-0.5))
+
+    def test_two_vertex_hole_names_feature_and_parcel(self):
+        # three positions, but the last closes the ring: two vertices remain
+        hole = [[2, 2], [3, 3], [2, 2]]
+        bad = dict(SQUARE_FEATURE, geometry={
+            "type": "Polygon",
+            "coordinates": SQUARE_FEATURE["geometry"]["coordinates"] + [hole]})
+        bad["properties"] = dict(bad["properties"], parcel_id="h")
+        with pytest.raises(ParseError,
+                           match=r"^feature 1: parcel 'h', ring 1: ring with < 3 vertices$"):
+            parse_parcels(fc(SQUARE_FEATURE, bad))
+
+    def test_multipolygon_member_errors_name_the_member(self):
+        square = SQUARE_FEATURE["geometry"]["coordinates"]
+        feature = {
+            "type": "Feature",
+            "geometry": {"type": "MultiPolygon",
+                         "coordinates": [square, square + [[[2, 2], [3, 3], [2, 2]]]]},
+            "properties": {"parcel_id": "m", "current_assessment": 5, "land_area": 9},
+        }
+        with pytest.raises(ParseError,
+                           match=r"^feature 0: parcel 'm#1', ring 1: ring with < 3 vertices$"):
+            parse_parcels(fc(feature))
+        feature["properties"]["current_assessment"] = -5
+        with pytest.raises(ParseError, match="^feature 0: parcel 'm#0': negative assessment$"):
+            parse_parcels(fc(feature))
+
+    @pytest.mark.parametrize("point", [[1e400, 0], [float("nan"), 0], [None, 0]])
+    def test_non_finite_coordinate_rejected(self, point):
+        bad = dict(SQUARE_FEATURE, geometry={
+            "type": "Polygon", "coordinates": [[[0, 0], point, [10, 10], [0, 10]]]})
+        with pytest.raises(ParseError,
+                           match="^feature 1: parcel 'p1', ring 0: non-finite ring coordinates$"):
+            parse_parcels(fc(SQUARE_FEATURE, bad))
+
+    @pytest.mark.parametrize("ring", [[[0, 0], [1], [1, 1]], [0, 1, 2], "abcd",
+                                      [[0, 0], "xy", [1, 1]]])
+    def test_malformed_coordinates_rejected(self, ring):
+        bad = dict(SQUARE_FEATURE, geometry={"type": "Polygon", "coordinates": [ring]})
+        with pytest.raises(ParseError,
+                           match="^feature 1: parcel 'p1', ring 0: malformed ring coordinates$"):
+            parse_parcels(fc(SQUARE_FEATURE, bad))
+
+    def test_first_bad_feature_wins(self):
+        short = dict(SQUARE_FEATURE, geometry={
+            "type": "Polygon", "coordinates": [[[0, 0], [1, 0], [0, 0]]]})
+        negative = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"],
+                                                        land_area=-1))
+        with pytest.raises(ParseError, match="^feature 1: parcel 'p1', ring 0: ring with"):
+            parse_parcels(fc(SQUARE_FEATURE, short, negative))
+        with pytest.raises(ParseError, match="^feature 1: parcel 'p1': negative land area"):
+            parse_parcels(fc(SQUARE_FEATURE, negative, short))
+
+    def test_positions_with_elevation_and_mixed_rings(self):
+        flat = [[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]]
+        raised = [[x, y, 5.0] for x, y in flat]
+        for rings in ([raised], [flat, [[2, 2, 1], [4, 2, 1], [4, 4, 1]]]):
+            feature = dict(SQUARE_FEATURE, geometry={"type": "Polygon", "coordinates": rings})
+            table = parse_parcels(fc(feature))
+            assert parcel_rings(table, 0)[0] == [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0),
+                                                 (0.0, 10.0)]
+
+    def test_rows_sorted_by_id_and_group_area_in_member_order(self):
+        heights = [1 + k / 7 for k in range(12)]
+        members = [[[(k, 0), (k + 1, 0), (k + 1, h), (k, h)]] for k, h in enumerate(heights)]
+        table = ParcelTable([Feature("b", members[:1], 1.0), Feature("a", members, 2.0)])
+        names = [f"a#{k}" for k in range(12)]
+        assert table.parcel_id.tolist() == sorted(names) + ["b"]
+        assert table.area.tolist() == [heights[names.index(n)] for n in sorted(names)] + [1.0]
+        in_member_order = in_id_order = 0
+        for h in heights:
+            in_member_order += h
+        for n in sorted(names):
+            in_id_order += heights[names.index(n)]
+        assert in_member_order != in_id_order
+        assert table.denominator.tolist() == [in_member_order] * 12 + [1.0]
+        assert table.current_assessment.tolist() == [2.0] * 12 + [1.0]
+
+    def test_empty_collection(self):
+        table = parse_parcels(fc())
+        assert len(table) == 0
+        assert table.bbox.shape == (0, 4)
 
     def test_not_a_feature_collection(self):
         with pytest.raises(ParseError, match="FeatureCollection"):

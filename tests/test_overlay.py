@@ -6,47 +6,98 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    Feature,
     attributed_areas,
+    clip_half_plane,
     mc_cell_areas,
+    polygon,
+    polygon_area,
     random_convex_ring,
     random_l_ring,
     random_simple_parcel,
+    reference_apportion,
+    shoelace_area,
 )
-from floodgrid.geodata import Parcel
-from floodgrid.grid import GridSpec, cell_rect
+from floodgrid import overlay
+from floodgrid.geodata import ParcelTable
+from floodgrid.grid import GridSpec
 from floodgrid.overlay import (
     SLIVER_MIN_AREA,
-    _clip_half_plane,
-    apportion,
+    _clip,
     apportion_many,
-    clip_to_slab,
     points_in_polygon,
-    polygon_area,
-    shoelace_area,
+    ring_areas,
 )
 from floodgrid.terrain import build_cell_states
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
+def areas_of(*rings):
+    """ring_areas of a few rings given as lists of (x, y)."""
+    xy = np.array([p for ring in rings for p in ring], dtype=float).reshape(-1, 2)
+    return ring_areas(xy[:, 0].copy(), xy[:, 1].copy(),
+                      np.array([len(ring) for ring in rings])).tolist()
+
+
 def clip_to_rect(ring, rect):
+    """The four ragged half-plane steps on one ring, as a list of (x, y)."""
     xmin, ymin, xmax, ymax = rect
-    return clip_to_slab(clip_to_slab(ring, 0, xmin, xmax), 1, ymin, ymax)
+    x, y = (np.array([p[axis] for p in ring], dtype=float) for axis in (0, 1))
+    n = np.array([len(ring)])
+    x, y, n = _clip(x, y, n, np.array([xmin]), True)
+    x, y, n = _clip(x, y, n, np.array([xmax]), False)
+    y, x, n = _clip(y, x, n, np.array([ymin]), True)
+    y, x, n = _clip(y, x, n, np.array([ymax]), False)
+    return list(zip(x.tolist(), y.tolist()))
+
+
+def scalar_clip_to_rect(ring, rect):
+    xmin, ymin, xmax, ymax = rect
+    for axis, bound, keep_ge in ((0, xmin, True), (0, xmax, False),
+                                 (1, ymin, True), (1, ymax, False)):
+        ring = clip_half_plane(ring, axis, bound, keep_ge)
+    return ring
+
+
+def one(feature, g):
+    """apportion_many of a one-feature table."""
+    return apportion_many(ParcelTable([feature]), g)
+
+
+def rows(attrs):
+    return list(zip(attrs["cell"].tolist(), attrs["area"].tolist(), attrs["value"].tolist()))
+
+
+def reference_rows(features, g):
+    """The oracle's (cell, area, value) rows of a batch in stable parcel_id order."""
+    flat = [r for f in features for r in reference_apportion(f, g)]
+    return [r[1:] for r in sorted(flat, key=lambda r: r[0])]
 
 
 class TestShoelace:
     def test_unit_square_ccw(self):
-        assert shoelace_area(UNIT_SQUARE) == 1.0
+        assert areas_of(UNIT_SQUARE) == [1.0]
 
     def test_unit_square_cw(self):
-        assert shoelace_area(UNIT_SQUARE[::-1]) == -1.0
+        assert areas_of(UNIT_SQUARE[::-1]) == [1.0]
 
     def test_triangle(self):
-        assert shoelace_area([(0, 0), (4, 0), (0, 3)]) == 6.0
+        assert areas_of([(0, 0), (4, 0), (0, 3)]) == [6.0]
 
     def test_too_few_vertices(self):
-        with pytest.raises(ValueError, match="3 vertices"):
-            shoelace_area([(0, 0), (1, 1)])
+        assert areas_of([(0, 0), (1, 1)], UNIT_SQUARE, []) == [0.0, 1.0, 0.0]
+
+    def test_bit_equal_to_scalar_loop(self):
+        rng = np.random.default_rng(31)
+        rings = []
+        for n in rng.integers(3, 30, 300):
+            cx, cy = rng.uniform(-1e6, 1e6, 2)
+            angles = (np.arange(n) + rng.uniform(-0.3, 0.3, n)) * (2 * np.pi / n)
+            radii = rng.uniform(1, 50, n)
+            rings.append(list(zip((cx + radii * np.cos(angles)).tolist(),
+                                  (cy + radii * np.sin(angles)).tolist())))
+        assert areas_of(*rings) == [abs(shoelace_area(r)) for r in rings]
 
 
 class TestClip:
@@ -72,6 +123,7 @@ class TestClip:
         ring = [(cx - rx, cy - ry), (cx + rx, cy - ry), (cx + rx, cy + ry), (cx - rx, cy + ry)]
         rect = (xmin, ymin, xmin + w, ymin + h)
         out = clip_to_rect(ring, rect)
+        assert out == scalar_clip_to_rect(ring, rect)
         area = abs(shoelace_area(out)) if len(out) >= 3 else 0.0
         ring_area = abs(shoelace_area(ring))
         rect_area = w * h
@@ -127,49 +179,42 @@ class TestPointInPolygon:
 
 def square_parcel(pid, x0, y0, w, h, value):
     ring = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
-    return Parcel(parcel_id=pid, outer_ring=ring, current_assessment=value,
-                  land_area=w * h)
+    return polygon(pid, ring, value, w * h)
 
 
 class TestApportion:
     def test_parcel_coincident_with_cell(self):
         g = GridSpec(0, 0, 98, 3, 3)
-        attrs = apportion(square_parcel("a", 0, 0, 98, 98, 100_000), g)
+        attrs = one(square_parcel("a", 0, 0, 98, 98, 100_000), g)
         assert attrs["cell"].tolist() == [0]
         assert attrs["value"][0] == pytest.approx(100_000, rel=1e-12)
         assert attrs["area"][0] == pytest.approx(98 * 98, rel=1e-12)
 
     def test_two_cell_split(self):
         g = GridSpec(0, 0, 98, 3, 3)
-        attrs = apportion(square_parcel("a", 0, 0, 196, 98, 100_000), g)
+        attrs = one(square_parcel("a", 0, 0, 196, 98, 100_000), g)
         assert attrs["cell"].tolist() == [0, 1]
         for value in attrs["value"]:
             assert value == pytest.approx(50_000, rel=1e-12)
 
     def test_degenerate_parcel(self):
         g = GridSpec(0, 0, 98, 3, 3)
-        bad = Parcel(parcel_id="z", outer_ring=[(0, 0), (5, 0), (10, 0)],
-                     current_assessment=1, land_area=1)
-        with pytest.raises(ValueError, match="degenerate parcel"):
-            apportion(bad, g)
+        bad = polygon("z", [(0, 0), (5, 0), (10, 0)], 1, 1)
+        with pytest.raises(ValueError, match="degenerate parcel 'z'"):
+            one(bad, g)
 
     def test_hole_reduces_area_and_value(self):
         g = GridSpec(0, 0, 98, 1, 1)
-        p = Parcel(
-            parcel_id="h",
-            outer_ring=[(0, 0), (10, 0), (10, 10), (0, 10)],
-            holes=[[(2, 2), (4, 2), (4, 4), (2, 4)]],
-            current_assessment=96_000,
-            land_area=96,
-        )
-        attrs = apportion(p, g)
+        p = polygon("h", [(0, 0), (10, 0), (10, 10), (0, 10)], 96_000, 96,
+                    holes=[[(2, 2), (4, 2), (4, 4), (2, 4)]])
+        attrs = one(p, g)
         assert len(attrs) == 1
         assert attrs["area"][0] == pytest.approx(96.0, rel=1e-12)
         assert attrs["value"][0] == pytest.approx(96_000, rel=1e-12)
 
     def test_outside_grid_area_dropped(self):
         g = GridSpec(0, 0, 98, 1, 1)
-        attrs = apportion(square_parcel("e", 49, 0, 98, 98, 1000), g)
+        attrs = one(square_parcel("e", 49, 0, 98, 98, 1000), g)
         total_area = attrs["area"].sum()
         total_value = attrs["value"].sum()
         assert total_area == pytest.approx(49 * 98, rel=1e-12)
@@ -177,25 +222,20 @@ class TestApportion:
 
     def test_multipolygon_members_share_pool(self):
         g = GridSpec(0, 0, 98, 3, 3)
-        members = [
-            Parcel(parcel_id="m#0", outer_ring=[(0, 0), (98, 0), (98, 98), (0, 98)],
-                   current_assessment=90_000, land_area=0, group_area=3 * 98 * 98),
-            Parcel(parcel_id="m#1", outer_ring=[(98, 98), (294, 98), (294, 196), (98, 196)],
-                   current_assessment=90_000, land_area=0, group_area=3 * 98 * 98),
-        ]
-        total = apportion_many(members, g)["value"].sum()
-        assert total == pytest.approx(90_000, rel=1e-12)
-        one_cell = apportion(members[0], g)
-        assert one_cell["value"].tolist() == pytest.approx([30_000], rel=1e-12)
+        members = [[[(0, 0), (98, 0), (98, 98), (0, 98)]],
+                   [[(98, 98), (294, 98), (294, 196), (98, 196)]]]
+        table = ParcelTable([Feature("m", members, 90_000)])
+        assert table.denominator.tolist() == [3 * 98 * 98] * 2
+        attrs = apportion_many(table, g)
+        assert attrs["value"].sum() == pytest.approx(90_000, rel=1e-12)
+        assert attrs["value"][:1].tolist() == pytest.approx([30_000], rel=1e-12)
 
     def test_l_shape_against_monte_carlo(self):
         rng = np.random.default_rng(11)
         g = GridSpec(0, 0, 98, 3, 3)
         ring = random_l_ring(rng, (30, 40), 180, 200)
-        p = Parcel(parcel_id="L", outer_ring=ring, current_assessment=1.0,
-                   land_area=abs(shoelace_area(ring)))
-        engine = attributed_areas(apportion(p, g), g)
-        mc = mc_cell_areas(p, g, 100_000, rng)
+        engine = attributed_areas(one(polygon("L", ring), g), g)
+        mc = mc_cell_areas([ring], g, 100_000, rng)
         parcel_area = abs(shoelace_area(ring))
         for cell in set(engine) | set(mc):
             diff = abs(engine.get(cell, 0.0) - mc.get(cell, 0.0))
@@ -211,8 +251,8 @@ class TestConservation:
             g = GridSpec(ox, oy, cell, int(rng.integers(3, 9)), int(rng.integers(3, 9)))
             bbox = (ox, oy, ox + g.n_cols * cell, oy + g.n_rows * cell)
             p = random_simple_parcel(rng, f"p{trial}", bbox)
-            geom_area = polygon_area(p.rings)
-            attrs = apportion(p, g)
+            geom_area = polygon_area(p.polygons[0])
+            attrs = one(p, g)
             total_area = attrs["area"].sum()
             total_value = attrs["value"].sum()
             assert total_area == pytest.approx(geom_area, rel=1e-9)
@@ -222,51 +262,22 @@ class TestConservation:
         rng = np.random.default_rng(17)
         g = GridSpec(0, 0, 50, 5, 5)
         p = random_simple_parcel(rng, "t", (0, 0, 250, 250))
-        base = attributed_areas(apportion(p, g), g)
+        base = attributed_areas(one(p, g), g)
         for dx, dy in [(1000.0, -500.0), (12.5, 12.5)]:
             g2 = GridSpec(dx, dy, 50, 5, 5)
-            p2 = Parcel(parcel_id="t", current_assessment=p.current_assessment,
-                        land_area=p.land_area,
-                        outer_ring=[(x + dx, y + dy) for x, y in p.outer_ring])
-            moved = attributed_areas(apportion(p2, g2), g2)
+            ring = [(x + dx, y + dy) for x, y in p.polygons[0][0]]
+            moved = attributed_areas(one(p._replace(polygons=[[ring]]), g2), g2)
             assert set(moved) == set(base)
             for cell, area in base.items():
                 assert moved[cell] == pytest.approx(area, rel=1e-9)
 
 
-def reference_apportion(parcel, g):
-    """(cell, area, value) rows from clipping each grid cell's rectangle on
-    its own, x bounds then y bounds, and subtracting the holes in order."""
-    def clipped_area(ring, rect):
-        xmin, ymin, xmax, ymax = rect
-        out = _clip_half_plane(ring, 0, xmin, True)
-        out = _clip_half_plane(out, 0, xmax, False)
-        out = _clip_half_plane(out, 1, ymin, True)
-        out = _clip_half_plane(out, 1, ymax, False)
-        return abs(shoelace_area(out)) if len(out) >= 3 else 0.0
-
-    geom_area = (abs(shoelace_area(parcel.outer_ring))
-                 - sum(abs(shoelace_area(h)) for h in parcel.holes))
-    denom = parcel.group_area if parcel.group_area is not None else geom_area
-    rows = []
-    for i in range(g.n_rows):
-        for j in range(g.n_cols):
-            rect = cell_rect(g, i, j)
-            area = clipped_area(parcel.outer_ring, rect)
-            for hole in parcel.holes:
-                area -= clipped_area(hole, rect)
-            if area >= SLIVER_MIN_AREA:
-                rows.append((i * g.n_cols + j, area,
-                             parcel.current_assessment * area / denom))
-    return rows
-
-
 def mixed_parcels(rng, g):
-    """Parcels at county-scale coordinates: L shapes with two holes, convex
-    rings, MultiPolygon members sharing a pool, and repeated parcel_ids,
-    many to a cell and some crossing the grid edge."""
+    """Features at county-scale coordinates: L shapes with two holes, convex
+    rings, MultiPolygons of two members sharing a pool, and repeated
+    parcel_ids, many to a cell and some crossing the grid edge."""
     s = g.cell_size
-    parcels = []
+    features = []
     for k in range(60):
         x0 = g.origin_x + rng.uniform(-0.5, g.n_cols - 0.5) * s
         y0 = g.origin_y + rng.uniform(-0.5, g.n_rows - 0.5) * s
@@ -279,49 +290,71 @@ def mixed_parcels(rng, g):
             holes = [[(x0 + a * w, y0 + 0.05 * h), (x0 + b * w, y0 + 0.05 * h),
                       (x0 + b * w, y0 + 0.25 * h), (x0 + a * w, y0 + 0.25 * h)]
                      for a, b in ((0.05, 0.12), (0.15, 0.25))]
-            parcels.append(Parcel(pid, ring, holes, value, w * h))
+            features.append(polygon(pid, ring, value, w * h, holes))
         elif k % 3 == 1:
             ring = random_convex_ring(rng, (x0, y0), w / 2, h / 2)
-            parcels.append(Parcel(pid, ring, [], value, w * h))
+            features.append(polygon(pid, ring, value, w * h))
         else:
-            members = [random_convex_ring(rng, (x0 + m * w, y0), w / 2, h / 2)
+            members = [[random_convex_ring(rng, (x0 + m * w, y0), w / 2, h / 2)]
                        for m in range(2)]
-            pool = sum(abs(shoelace_area(r)) for r in members)
-            parcels += [Parcel(f"{pid}#{m}", r, [], value, pool, group_area=pool)
-                        for m, r in enumerate(members)]
-    return parcels
+            features.append(Feature(pid, members, value, w * h))
+    return features
+
+
+def edge_case_features(g):
+    """Rings on the cell lines of g (origin 0, cell 10, 4x4): vertices on the
+    lines, edges along them, clockwise rings, parcels off the grid or across
+    its edge, and pieces thinner than SLIVER_MIN_AREA in some cells."""
+    def rect(x0, y0, x1, y1):
+        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+    return [
+        polygon("a-on-lines", rect(10, 10, 30, 20), 1000.0),
+        polygon("b-clockwise", rect(10, 10, 30, 20)[::-1], 1000.0),
+        polygon("c-diamond", [(20, 10), (30, 20), (20, 30), (10, 20)], 1000.0),
+        polygon("d-edge-on-line", [(5, 10), (15, 10), (15, 20), (12, 25), (5, 20)], 700.0),
+        polygon("e-off-grid", rect(50, 50, 60, 60), 500.0),
+        polygon("f-west-of-grid", rect(-20, 5, -10, 15), 500.0),
+        polygon("g-straddles", rect(-5, -5, 15, 45), 900.0,
+                holes=[rect(0, 0, 10, 10)[::-1]]),
+        polygon("h-clockwise-hole", rect(0, 0, 40, 40)[::-1], 400.0,
+                holes=[rect(10, 10, 20, 20), rect(20, 20, 30, 30)]),
+        polygon("i-sliver", rect(5, 5, 20, 5 + 1e-8), 100.0),
+        polygon("j-sliver-tail", [(0, 0), (10 + 1e-9, 0), (10 + 1e-9, 1e-3), (0, 10)], 100.0),
+        polygon("k-needle", [(0, 35), (40, 35 + 1e-7), (40, 35 + 2e-7)], 100.0),
+    ]
 
 
 class TestApportionMany:
     def test_sorted_and_worker_invariant(self):
         rng = np.random.default_rng(23)
         g = GridSpec(0, 0, 98, 4, 4)
-        parcels = [random_simple_parcel(rng, f"p{k:03d}", (0, 0, 392, 392)) for k in range(20)]
-        attrs = apportion_many(parcels, g)
-        shuffled = [parcels[k] for k in rng.permutation(len(parcels))]
-        assert apportion_many(shuffled, g).tobytes() == attrs.tobytes()
-        per_parcel = [apportion(p, g) for p in parcels]
-        assert len(attrs) == sum(len(a) for a in per_parcel)
+        features = [random_simple_parcel(rng, f"p{k:03d}", (0, 0, 392, 392))
+                    for k in range(20)]
+        attrs = apportion_many(ParcelTable(features), g)
+        shuffled = [features[k] for k in rng.permutation(len(features))]
+        assert apportion_many(ParcelTable(shuffled), g).tobytes() == attrs.tobytes()
+        per_parcel = [one(f, g) for f in features]
+        assert attrs.tobytes() == np.concatenate(per_parcel).tobytes()
         assert all(np.all(np.diff(a["cell"]) > 0) for a in per_parcel)
 
     def test_empty_batch(self):
-        attrs = apportion_many([], GridSpec(0, 0, 98, 2, 2))
+        attrs = apportion_many(ParcelTable([]), GridSpec(0, 0, 98, 2, 2))
         assert len(attrs) == 0
         assert attrs.dtype.names == ("cell", "area", "value")
 
     def test_bit_equal_to_per_cell_reference(self):
         rng = np.random.default_rng(29)
         g = GridSpec(2_451_337.25, 731_904.5, 37.0, 7, 6)
-        parcels = mixed_parcels(rng, g)
-        assert len({p.parcel_id for p in parcels}) < len(parcels)
-        for p in parcels:
-            got = apportion(p, g)
-            want = reference_apportion(p, g)
-            assert list(zip(got["cell"].tolist(), got["area"].tolist(),
-                            got["value"].tolist())) == want, p.parcel_id
+        features = mixed_parcels(rng, g)
+        assert len({f.parcel_id for f in features}) < len(features)
+        for f in features:
+            assert rows(one(f, g)) == reference_rows([f], g), f.parcel_id
+        attrs = apportion_many(ParcelTable(features), g)
+        assert rows(attrs) == reference_rows(features, g)
 
         # exposure summed in (parcel_id, cell) order, repeated ids in input order
-        flat = [(p.parcel_id, *row) for p in parcels for row in reference_apportion(p, g)]
+        flat = [row for f in features for row in reference_apportion(f, g)]
         flat.sort(key=lambda t: t[:2])
         value = [0.0] * g.n_cells
         area = [0.0] * g.n_cells
@@ -330,6 +363,67 @@ class TestApportionMany:
             value[cell] += v
         assert max(np.bincount([t[1] for t in flat])) >= 5
         no_data = np.full(g.n_cells, np.nan)
-        states = build_cell_states(g, apportion_many(parcels, g), no_data, no_data)
+        states = build_cell_states(g, attrs, no_data, no_data)
         assert states.exposed_value.tolist() == value
         assert states.exposed_area.tolist() == area
+
+    def test_edge_cases_bit_equal_to_reference(self):
+        g = GridSpec(0.0, 0.0, 10.0, 4, 4)
+        features = edge_case_features(g)
+        for f in features:
+            assert rows(one(f, g)) == reference_rows([f], g), f.parcel_id
+        attrs = apportion_many(ParcelTable(features), g)
+        assert rows(attrs) == reference_rows(features, g)
+        # the cases the features are meant to reach
+        by_id = {f.parcel_id: rows(one(f, g)) for f in features}
+        assert by_id["e-off-grid"] == [] and by_id["f-west-of-grid"] == []
+        assert [r[0] for r in by_id["a-on-lines"]] == [5, 6]
+        assert by_id["a-on-lines"] == by_id["b-clockwise"]
+        assert by_id["i-sliver"] == [] and by_id["k-needle"] == []
+        assert 0 < ParcelTable([features[8]]).area[0] < SLIVER_MIN_AREA
+        assert [r[0] for r in by_id["j-sliver-tail"]] == [0]
+
+    def test_chunks_match_one_parcel_calls(self):
+        rng = np.random.default_rng(37)
+        g = GridSpec(-1000.0, 500.0, 10.0, 60, 60)
+        features = [polygon(f"q{k:04d}", random_convex_ring(
+                        rng, rng.uniform([-1100, 400], [-300, 1200]), *rng.uniform(20, 90, 2),
+                        n_min=5, n_max=12), float(rng.uniform(1e4, 1e6)))
+                    for k in range(500)]
+        table = ParcelTable(features)
+        vertices = np.diff(table.vertex_offsets[table.ring_offsets])
+        _, columns = overlay._span(table.bbox[:, 0], table.bbox[:, 2], -1000.0, 10.0, 60)
+        _, rows_ = overlay._span(table.bbox[:, 1], table.bbox[:, 3], 500.0, 10.0, 60)
+        assert (vertices * columns * rows_).sum() > 3 * overlay.CHUNK_COPIES
+        singles = np.concatenate([one(f, g) for f in sorted(features)])
+        assert apportion_many(table, g).tobytes() == singles.tobytes()
+
+    def test_tiny_chunks_match_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        g = GridSpec(2_451_337.25, 731_904.5, 37.0, 7, 6)
+        table = ParcelTable(mixed_parcels(rng, g))
+        whole = apportion_many(table, g).tobytes()
+        for budget in (1, 40, 300):
+            monkeypatch.setattr(overlay, "CHUNK_COPIES", budget)
+            assert apportion_many(table, g).tobytes() == whole
+
+    def test_first_degenerate_parcel_wins(self):
+        g = GridSpec(0, 0, 10, 2, 2)
+        flat = [(0, 0), (5, 0), (10, 0)]
+        features = [polygon("d2", flat), polygon("d1", flat), square_parcel("a", 0, 0, 5, 5, 1)]
+        with pytest.raises(ValueError, match="degenerate parcel 'd1'"):
+            apportion_many(ParcelTable(features), g)
+
+    def test_first_overflowing_parcel_wins(self):
+        g = GridSpec(0, 0, 10, 2, 2)
+        features = [square_parcel(pid, 0, 0, 15, 15, 1e308) for pid in ("o2", "o1")]
+        features.append(square_parcel("a", 0, 0, 5, 5, 1.0))
+        with pytest.raises(ValueError, match="apportioned value of parcel 'o1' is not finite"):
+            apportion_many(ParcelTable(features), g)
+
+    def test_overflow_before_degenerate_parcel_wins(self):
+        g = GridSpec(0, 0, 10, 2, 2)
+        features = [polygon("z", [(0, 0), (5, 0), (10, 0)]),
+                    square_parcel("o", 0, 0, 15, 15, 1e308)]
+        with pytest.raises(ValueError, match="parcel 'o' is not finite"):
+            apportion_many(ParcelTable(features), g)
