@@ -172,8 +172,8 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
         "report.csv": write_report(results),
         "cells.csv": cell_states_csv(g, states),
     }
-    for r in results:
-        outputs[f"flood_{format_number(r.slr)}.geojson"] = flooded_cells_geojson(g, r)
+    for r, doc in zip(results, flooded_cells_geojson(g, results)):
+        outputs[f"flood_{format_number(r.slr)}.geojson"] = doc
     return outputs
 
 

@@ -155,23 +155,14 @@ def parse_ascii_grid(text: str) -> Raster:
             raise ParseError(f"line {lineno}: unknown header key {parts[0]!r}")
         if key in header:
             raise ParseError(f"line {lineno}: duplicate header key {key!r}")
-        if key in ("ncols", "nrows"):
-            try:
-                header[key] = int(token)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: non-numeric token {token!r} for {key!r}"
-                ) from None
-        else:
-            try:
-                header[key] = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: non-numeric token {token!r} for {key!r}"
-                ) from None
-            # nodata_value may be nan: non-finite samples are NODATA anyway
-            if key != "nodata_value" and not math.isfinite(header[key]):
-                raise ParseError(f"line {lineno}: non-finite value {token!r} for {key!r}")
+        counts = key in ("ncols", "nrows")
+        try:
+            header[key] = int(token) if counts else float(token)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric token {token!r} for {key!r}") from None
+        # nodata_value may be nan: non-finite samples are NODATA anyway
+        if not counts and key != "nodata_value" and not math.isfinite(header[key]):
+            raise ParseError(f"line {lineno}: non-finite value {token!r} for {key!r}")
 
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
@@ -236,9 +227,6 @@ def write_ascii_grid(r: Raster) -> str:
 # ---------------------------------------------------------------------------
 # Parcels and BFE zones (GeoJSON subset)
 # ---------------------------------------------------------------------------
-
-Ring = list[tuple[float, float]]
-
 
 def _ring(coords, where: str) -> np.ndarray:
     """A GeoJSON ring as an open (n, 2) float array of finite (x, y) vertices."""
@@ -407,9 +395,13 @@ class ParcelTable:
 
 @dataclass
 class BfeZone:
-    """Flood-hazard zone polygon carrying a static base flood elevation."""
+    """Flood-hazard zone polygon carrying a static base flood elevation.
 
-    rings: list[Ring]
+    ``rings`` holds the outer ring, then the holes, each open: an (n, 2)
+    array as parsed, or a list of (x, y) pairs.
+    """
+
+    rings: list
     static_bfe: float
 
     def __post_init__(self):
@@ -497,12 +489,9 @@ def parse_bfe_zones(text: str) -> list[BfeZone]:
         props = _feature_properties(feature, where, ("static_bfe",))
         bfe = _number(props["static_bfe"], "property 'static_bfe'", where)
         for p, rings in enumerate(_feature_polygons(feature.get("geometry"), where)):
-            rings = [list(map(tuple, _ring(c, f"{where}, polygon {p}, ring {k}").tolist()))
-                     for k, c in enumerate(rings)]
-            try:
-                zones.append(BfeZone(rings=rings, static_bfe=bfe))
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from None
+            # _ring and _number leave nothing for BfeZone to reject
+            rings = [_ring(c, f"{where}, polygon {p}, ring {k}") for k, c in enumerate(rings)]
+            zones.append(BfeZone(rings=rings, static_bfe=bfe))
     return zones
 
 

@@ -24,8 +24,6 @@ SLIVER_MIN_AREA = 1e-6
 # (a traced peak of about 6 MB) whatever the batch size.
 CHUNK_COPIES = 1 << 16
 
-Point = tuple[float, float]
-
 # One row per (parcel, cell) attribution: the row-major cell index, the
 # parcel's clipped area in that cell and the assessed value apportioned to it.
 ATTRIBUTION_DTYPE = np.dtype([("cell", np.int64), ("area", float), ("value", float)])
@@ -61,28 +59,6 @@ def ring_areas(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     area[order] = np.abs(0.5 * total)
     area[lengths < 3] = 0.0
     return area
-
-
-
-def points_in_polygon(xs, ys, rings: list[list[Point]]) -> np.ndarray:
-    """Even-odd containment of points (xs, ys) in all rings (holes excluded).
-
-    A point toggles on each edge that straddles its y and crosses right of it.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    inside = np.zeros(xs.shape, dtype=bool)
-    for ring in rings:
-        pts = np.asarray(ring, dtype=float)
-        nxt = np.roll(pts, -1, axis=0)
-        for (x1, y1), (x2, y2) in zip(pts, nxt):
-            cross = (y1 > ys) != (y2 > ys)
-            if not cross.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hit = xs < (x2 - x1) * (ys - y1) / (y2 - y1) + x1
-            inside ^= cross & hit
-    return inside
 
 
 def _runs(counts: np.ndarray):

@@ -15,7 +15,10 @@ import numpy as np
 
 from .geodata import BfeZone, Raster, data_mask, format_number
 from .grid import GridSpec, col_of, row_of
-from .overlay import points_in_polygon
+
+# Scanline rows per chunk times their zone edges plus grid columns: bounds
+# the transient straddle mask and toggle counts whatever the zone or grid.
+SCANLINE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -79,21 +82,39 @@ def assign_bfe(g: GridSpec, zones: list[BfeZone]) -> np.ndarray:
     The first zone in input order whose polygon contains the cell centroid
     wins; cells whose centroid lies outside every zone are NaN (they can
     never flood).
+
+    Containment is the even-odd rule run as a scanline over all of a zone's
+    rings at once (Haines, "Point in Polygon Strategies", Graphics Gems IV,
+    1994). Edge (x1, y1) -> (x2, y2) crosses the centroid row at y when
+    ``(y1 > y) != (y2 > y)``, at ``(x2 - x1) * (y - y1) / (y2 - y1) + x1``; a
+    centroid at x is inside when an odd number of the crossings (NaN ones
+    aside) are strictly greater than x. Only rows in the zone's y-range are
+    scanned, in chunks of about SCANLINE_CHUNK row x (edge + column) entries.
     """
     cx = g.origin_x + (np.arange(g.n_cols) + 0.5) * g.cell_size
     cy = g.origin_y + (np.arange(g.n_rows) + 0.5) * g.cell_size
-    xs = np.broadcast_to(cx[None, :], (g.n_rows, g.n_cols)).ravel()
-    ys = np.broadcast_to(cy[:, None], (g.n_rows, g.n_cols)).ravel()
 
-    bfe = np.full(g.n_cells, np.nan)
-    unassigned = np.ones(g.n_cells, dtype=bool)
+    bfe = np.full((g.n_rows, g.n_cols), np.nan)
     for zone in zones:
-        if not unassigned.any():
-            break
-        hit = points_in_polygon(xs, ys, zone.rings) & unassigned
-        bfe[hit] = zone.static_bfe
-        unassigned &= ~hit
-    return bfe
+        rings = [np.asarray(ring, dtype=float) for ring in zone.rings]
+        x1, y1 = np.concatenate(rings).T
+        x2, y2 = np.concatenate([np.roll(ring, -1, axis=0) for ring in rings]).T
+        lo, hi = np.searchsorted(cy, [np.fmin.reduce(y1), np.fmax.reduce(y1)]).tolist()
+        step = max(1, SCANLINE_CHUNK // (x1.size + g.n_cols))
+        for r0 in range(lo, hi, step):
+            y = cy[r0:min(r0 + step, hi), None]
+            row, e = np.nonzero((y1 > y) != (y2 > y))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xc = (x2[e] - x1[e]) * (y[row, 0] - y1[e]) / (y2[e] - y1[e]) + x1[e]
+            # every row's centroids share the sorted cx: count those left of each crossing
+            left = np.where(np.isnan(xc), 0, np.searchsorted(cx, xc))
+            toggles = np.bincount(row * (g.n_cols + 1) + left,
+                                  minlength=y.size * (g.n_cols + 1)).reshape(y.size, -1)
+            # column j is toggled by the crossings with more than j centroids left of them
+            inside = np.cumsum(toggles[:, :0:-1], axis=1)[:, ::-1] % 2 == 1
+            block = bfe[r0:r0 + y.size]
+            block[inside & np.isnan(block)] = zone.static_bfe
+    return bfe.ravel()
 
 
 def flood_depth(bfe, slr, elevation):

@@ -9,7 +9,7 @@ import numpy as np
 
 from floodgrid.geodata import Raster
 from floodgrid.grid import GridSpec, cell_rect
-from floodgrid.overlay import SLIVER_MIN_AREA, points_in_polygon
+from floodgrid.overlay import SLIVER_MIN_AREA
 
 
 class Feature(NamedTuple):
@@ -123,6 +123,29 @@ def attributed_areas(attrs, g: GridSpec) -> dict[tuple[int, int], float]:
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+def points_in_polygon(xs, ys, rings) -> np.ndarray:
+    """Even-odd containment of points (xs, ys) in all rings (holes excluded).
+
+    A point toggles on each edge that straddles its y and crosses right of
+    it, one edge at a time over all points: the brute-force oracle for
+    terrain.assign_bfe.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    inside = np.zeros(xs.shape, dtype=bool)
+    for ring in rings:
+        pts = np.asarray(ring, dtype=float)
+        nxt = np.roll(pts, -1, axis=0)
+        for (x1, y1), (x2, y2) in zip(pts, nxt):
+            cross = (y1 > ys) != (y2 > ys)
+            if not cross.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hit = xs < (x2 - x1) * (ys - y1) / (y2 - y1) + x1
+            inside ^= cross & hit
+    return inside
+
 
 def mc_cell_areas(rings, g: GridSpec, n_samples: int, rng: np.random.Generator):
     """Monte Carlo per-cell clipped-area estimate of a polygon (outer ring first).

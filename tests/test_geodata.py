@@ -76,6 +76,22 @@ class TestAsciiGrid:
             parse_ascii_grid(text)
 
     @pytest.mark.parametrize("line, key, token", [
+        (1, "ncols", "2.0"), (2, "nrows", "inf"), (1, "ncols", "nan"), (6, "nodata_value", "x"),
+    ])
+    def test_non_numeric_header_field_rejected(self, line, key, token):
+        # row and column counts must be integers; inf and nan are not
+        lines = MINIMAL_GRID.splitlines()
+        lines[line - 1] = f"{key} {token}"
+        message = f"line {line}: non-numeric token '{token}' for '{key}'"
+        with pytest.raises(ParseError, match=message):
+            parse_ascii_grid("\n".join(lines))
+
+    def test_huge_count_is_a_count_mismatch(self):
+        text = MINIMAL_GRID.replace("ncols 2", "ncols " + "9" * 400)
+        with pytest.raises(ParseError, match="value count mismatch"):
+            parse_ascii_grid(text)
+
+    @pytest.mark.parametrize("line, key, token", [
         (5, "cellsize", "inf"), (5, "cellsize", "nan"), (3, "xllcorner", "nan"),
         (4, "yllcorner", "inf"), (3, "xllcorner", "-inf"),
     ])
@@ -471,6 +487,10 @@ class TestBfeZones:
         zones = parse_bfe_zones(fc(feature))
         assert len(zones) == 1
         assert zones[0].static_bfe == 9.5
+        # the open (n, 2) vertex array of each ring, kept as parsed
+        (ring,) = zones[0].rings
+        assert isinstance(ring, np.ndarray)
+        assert ring.tolist() == [[0, 0], [100, 0], [100, 100], [0, 100]]
 
     def test_static_bfe_required(self):
         feature = {

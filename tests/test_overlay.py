@@ -10,6 +10,7 @@ from conftest import (
     attributed_areas,
     clip_half_plane,
     mc_cell_areas,
+    points_in_polygon,
     polygon,
     polygon_area,
     random_convex_ring,
@@ -25,7 +26,6 @@ from floodgrid.overlay import (
     SLIVER_MIN_AREA,
     _clip,
     apportion_many,
-    points_in_polygon,
     ring_areas,
 )
 from floodgrid.terrain import build_cell_states

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from floodgrid.geodata import DamageCurve, Raster
-from floodgrid.grid import GridSpec
+from floodgrid.grid import GridSpec, cell_rect
 from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.scenario import (
+    ScenarioResult,
     flooded_cells_geojson,
     incremental_deltas,
     sweep,
@@ -223,7 +224,7 @@ class TestFloodedCellsGeojson:
         g = GridSpec(0, 0, 98, 2, 2)
         states = one_cell_states()
         res = run_one(states, 1.0)
-        doc = json.loads(flooded_cells_geojson(g, res))
+        doc = json.loads(flooded_cells_geojson(g, [res])[0])
         assert doc["type"] == "FeatureCollection"
         assert len(doc["features"]) == 1
         feat = doc["features"][0]
@@ -237,7 +238,7 @@ class TestFloodedCellsGeojson:
     def test_empty_scenario(self):
         g = GridSpec(0, 0, 98, 2, 2)
         res = run_one(one_cell_states(bfe=5.0, elev=7.0), 0.0)
-        doc = json.loads(flooded_cells_geojson(g, res))
+        doc = json.loads(flooded_cells_geojson(g, [res])[0])
         assert doc["features"] == []
 
     def test_zero_exposure_flooded_cell_included(self):
@@ -245,5 +246,104 @@ class TestFloodedCellsGeojson:
         states = one_cell_states(value=0.0, area=0.0)
         res = run_one(states, 0.0)
         assert res.total_flooded_area == 0.0
-        doc = json.loads(flooded_cells_geojson(g, res))
+        doc = json.loads(flooded_cells_geojson(g, [res])[0])
         assert len(doc["features"]) == 1
+
+    def test_one_document_per_scenario(self):
+        g = GridSpec(0, 0, 98, 1, 1)
+        results = sweep(one_cell_states(bfe=5.0, elev=6.0), LINEAR, [0.0, 1.0, 2.0])
+        docs = flooded_cells_geojson(g, results)
+        assert [len(json.loads(d)["features"]) for d in docs] == [0, 0, 1]
+        assert flooded_cells_geojson(g, []) == []
+
+
+def dict_geojson(g: GridSpec, result: ScenarioResult) -> str:
+    """One feature dict per flooded cell through json.dumps: the oracle for
+    flooded_cells_geojson's templated bytes."""
+    features = []
+    for idx, depth, dmg in zip(result.cells.tolist(), result.depths.tolist(),
+                               result.damages.tolist()):
+        xmin, ymin, xmax, ymax = cell_rect(g, *divmod(idx, g.n_cols))
+        ring = [[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax], [xmin, ymin]]
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+            "properties": {
+                "slr": result.slr,
+                "depth": depth,
+                "damage": round(dmg, 2),
+            },
+        })
+    doc = {"type": "FeatureCollection", "features": features}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+class TestGeojsonBytes:
+    """flooded_cells_geojson must equal the dict + json.dumps writer byte for byte."""
+
+    GRIDS = [
+        GridSpec(0, 0, 98, 7, 5),                        # integer corners
+        GridSpec(0.0, 0.0, 98.0, 7, 5),                  # the same as floats
+        GridSpec(-1234.567, 89.01, 13.7, 9, 4),          # non-integral corners
+        GridSpec(2.5e6, 1.0e5 / 3, 0.1, 6, 6),           # long reprs
+    ]
+
+    def assert_same(self, g, results):
+        docs = flooded_cells_geojson(g, results)
+        assert docs == [dict_geojson(g, r) for r in results]
+
+    @pytest.mark.parametrize("g", GRIDS)
+    @pytest.mark.parametrize("slr_list", [[0, 1, 2], [0.0, 0.5, 1.25, 3.0]])
+    def test_sweep_results(self, g, slr_list):
+        rng = np.random.default_rng(len(slr_list) + g.n_cols)
+        n = g.n_cells
+        elev = rng.uniform(0, 6, n)
+        bfe = rng.uniform(0, 6, n)
+        bfe[rng.random(n) < 0.2] = np.nan
+        states = cell_arrays(elev, bfe, rng.uniform(0, 1e6, n), rng.uniform(0, 1e4, n))
+        results = sweep(states, LINEAR, slr_list)
+        assert results[-1].cells.size > results[0].cells.size > 0
+        self.assert_same(g, results)
+
+    @pytest.mark.parametrize("g", GRIDS)
+    def test_unnested_scenarios(self, g):
+        # flooded sets that neither grow nor shrink still map each cell to its own ring
+        rng = np.random.default_rng(g.n_rows)
+        results = []
+        for slr in (0, 1.5, 3):
+            cells = np.flatnonzero(rng.random(g.n_cells) < 0.4)
+            results.append(ScenarioResult(slr, 0.0, 0.0, cells=cells,
+                                          depths=rng.uniform(0, 5, cells.size),
+                                          damages=rng.uniform(0, 1e5, cells.size)))
+        self.assert_same(g, results)
+
+    def test_non_finite_values(self):
+        g = GridSpec(0, 0, 98, 3, 1)
+        cells = np.array([0, 1, 2])
+        res = ScenarioResult(1.0, 0.0, 0.0, cells=cells,
+                             depths=np.array([np.inf, 2.0, 1e308]),
+                             damages=np.array([5.0, np.inf, np.nan]))
+        doc = flooded_cells_geojson(g, [res])[0]
+        assert '"depth":Infinity' in doc
+        assert '"damage":Infinity' in doc and '"damage":NaN' in doc
+        self.assert_same(g, [res])
+
+    def test_half_cent_damages(self):
+        # values on or next to a round(., 2) half-cent boundary
+        damages = np.array([0.125, 0.135, 0.005, 1.005, 2.675, 1e6 + 0.005,
+                            12345.675, 0.0, 5e-324, 1e17 + 0.5])
+        g = GridSpec(0, 0, 10, damages.size, 1)
+        cells = np.arange(damages.size)
+        res = ScenarioResult(2.0, 0.0, 0.0, cells=cells,
+                             depths=np.full(damages.size, 0.5), damages=damages)
+        self.assert_same(g, [res])
+
+    def test_empty_scenarios(self):
+        g = GridSpec(0.5, 0.5, 98, 2, 2)
+        empty = ScenarioResult(0, 0.0, 0.0)
+        full = ScenarioResult(1, 0.0, 0.0, cells=np.array([3]),
+                              depths=np.array([0.25]), damages=np.array([7.0]))
+        self.assert_same(g, [empty, full, empty])
+        empty_doc = '{"type":"FeatureCollection","features":[]}\n'
+        assert flooded_cells_geojson(g, [empty]) == [empty_doc]
+

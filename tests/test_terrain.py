@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_zonal_means, cell_map, random_raster
+from conftest import brute_force_zonal_means, cell_map, points_in_polygon, random_raster
+from floodgrid import terrain
 from floodgrid.geodata import BfeZone, Raster
 from floodgrid.grid import GridSpec
 from floodgrid.overlay import ATTRIBUTION_DTYPE
@@ -136,6 +137,135 @@ class TestAssignBfe:
     def test_no_zones(self):
         g = GridSpec(0, 0, 10, 2, 2)
         assert cell_map(assign_bfe(g, []), g) == {}
+
+
+def brute_force_bfe(g: GridSpec, zones) -> np.ndarray:
+    """Every centroid against every edge of each zone in turn, first zone
+    winning: the oracle for the scanline in assign_bfe."""
+    cx = g.origin_x + (np.arange(g.n_cols) + 0.5) * g.cell_size
+    cy = g.origin_y + (np.arange(g.n_rows) + 0.5) * g.cell_size
+    xs = np.broadcast_to(cx[None, :], (g.n_rows, g.n_cols)).ravel()
+    ys = np.broadcast_to(cy[:, None], (g.n_rows, g.n_cols)).ravel()
+    bfe = np.full(g.n_cells, np.nan)
+    unassigned = np.ones(g.n_cells, dtype=bool)
+    for zone in zones:
+        hit = points_in_polygon(xs, ys, zone.rings) & unassigned
+        bfe[hit] = zone.static_bfe
+        unassigned &= ~hit
+    return bfe
+
+
+def star_ring(rng, cx, cy, r_lo, r_hi, n):
+    """A star-shaped ring about (cx, cy): n vertices at sorted random angles."""
+    angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+    radii = rng.uniform(r_lo, r_hi, n)
+    return np.column_stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)])
+
+
+class TestAssignBfeScanline:
+    """assign_bfe must equal the brute-force even-odd oracle cell for cell."""
+
+    def check(self, g, zones):
+        got = assign_bfe(g, zones)
+        assert np.array_equal(got, brute_force_bfe(g, zones), equal_nan=True)
+        return got
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_star_zones(self, seed):
+        rng = np.random.default_rng(seed)
+        g = GridSpec(float(rng.uniform(-500, 500)), float(rng.uniform(-500, 500)),
+                     float(rng.uniform(0.5, 5)),
+                     int(rng.integers(5, 60)), int(rng.integers(5, 40)))
+        zones = []
+        for k in range(int(rng.integers(1, 12))):
+            # centers up to half a grid beyond each side: zones partly or wholly outside
+            cx = g.origin_x + rng.uniform(-0.5, 1.5) * g.n_cols * g.cell_size
+            cy = g.origin_y + rng.uniform(-0.5, 1.5) * g.n_rows * g.cell_size
+            r = rng.uniform(1, 15) * g.cell_size
+            rings = [star_ring(rng, cx, cy, 0.6 * r, r, int(rng.integers(3, 48)))]
+            for _ in range(int(rng.integers(0, 3))):  # holes, possibly overlapping
+                hx, hy = cx + rng.uniform(-0.2, 0.2) * r, cy + rng.uniform(-0.2, 0.2) * r
+                rings.append(star_ring(rng, hx, hy, 0.05 * r, 0.35 * r, int(rng.integers(3, 12))))
+            zones.append(BfeZone(rings=rings, static_bfe=float(k)))
+        self.check(g, zones)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vertices_and_edges_on_centroids(self, seed):
+        # integer vertices on 2-unit cells, whose centroids sit on odd
+        # integers: vertices and horizontal and vertical edges fall exactly
+        # on centroid rows and columns
+        rng = np.random.default_rng(100 + seed)
+        g = GridSpec(0.0, 0.0, 2.0, 20, 15)
+        zones = []
+        for k in range(10):
+            n = int(rng.integers(3, 12))
+            ring = rng.integers(-4, 46, (n, 2)).astype(float)
+            ring[:, 1] = np.clip(ring[:, 1], -4, 34)
+            if rng.random() < 0.5:  # axis-aligned box with its edges on centroids
+                x0, y0 = rng.integers(-2, 20, 2) * 2 + 1.0
+                w, h = rng.integers(1, 10, 2) * 2.0
+                ring = np.array([[x0, y0], [x0 + w, y0], [x0 + w, y0 + h], [x0, y0 + h]])
+            zones.append(BfeZone(rings=[ring], static_bfe=float(k)))
+        self.check(g, zones)
+
+    def test_overlapping_zones_first_wins(self):
+        g = GridSpec(0.0, 0.0, 1.0, 30, 30)
+        rng = np.random.default_rng(7)
+        rings = [star_ring(rng, 15, 15, 6, 12, 30) for _ in range(4)]
+        zones = [BfeZone(rings=[ring], static_bfe=float(k)) for k, ring in enumerate(rings)]
+        got = self.check(g, zones)
+        assert set(got[~np.isnan(got)].tolist()) == {0.0, 1.0, 2.0, 3.0}
+        backwards = self.check(g, zones[::-1])
+        both = ~np.isnan(got)
+        assert not np.array_equal(got[both], backwards[both])
+
+    def test_zone_wholly_outside_grid(self):
+        g = GridSpec(0.0, 0.0, 1.0, 10, 10)
+        far = BfeZone(rings=[[(20.0, 0.0), (30.0, 0.0), (30.0, 10.0)]], static_bfe=1.0)
+        below = BfeZone(rings=[[(0.0, -9.0), (10.0, -9.0), (10.0, 0.5)]], static_bfe=2.0)
+        got = self.check(g, [far, below])
+        assert np.isnan(got).all()
+
+    def test_rings_as_arrays_or_tuples(self):
+        g = GridSpec(0.0, 0.0, 1.0, 8, 8)
+        outer = [(0.5, 0.5), (7.5, 0.5), (7.5, 7.5), (0.5, 7.5)]
+        hole = [(2.5, 2.5), (5.5, 2.5), (5.5, 5.5), (2.5, 5.5)]
+        lists = assign_bfe(g, [BfeZone(rings=[outer, hole], static_bfe=3.0)])
+        arrays = assign_bfe(g, [BfeZone(rings=[np.array(outer), np.array(hole)],
+                                        static_bfe=3.0)])
+        assert np.array_equal(lists, arrays, equal_nan=True)
+        assert np.isnan(cell_map(lists, g).get((4, 4), np.nan))
+        assert cell_map(lists, g)[(1, 1)] == 3.0
+
+    def test_overflowing_crossings(self):
+        # x2 - x1 overflows: a crossing on a vertex row is inf * 0 = NaN and
+        # toggles no centroid; the rows above cross at +inf and toggle all
+        g = GridSpec(0.0, 0.0, 1.0, 4, 4)
+        zone = BfeZone(rings=[[(-1e308, 1.5), (1e308, 5.0), (-1e308, 5.0)]], static_bfe=1.0)
+        with np.errstate(over="ignore"):
+            got = self.check(g, [zone])
+        assert np.isnan(got[:8]).all() and (got[8:] == 1.0).all()
+
+    def test_nan_vertices(self):
+        # library-built zones are not checked for finite vertices: an edge
+        # with a NaN end never straddles a row, and the rest still count
+        g = GridSpec(0.0, 0.0, 1.0, 6, 6)
+        nan = float("nan")
+        zones = [BfeZone(rings=[[(nan, nan), (nan, 0.0), (nan, 1.0)]], static_bfe=1.0),
+                 BfeZone(rings=[[(0.0, nan), (5.0, 0.2), (5.0, 5.0), (0.2, 5.0)]], static_bfe=2.0),
+                 BfeZone(rings=[[(0.0, 0.0), (nan, 3.0), (6.0, 6.0), (0.0, 6.0)]], static_bfe=3.0)]
+        got = self.check(g, zones)
+        # zone 2's two finite edges span rows 0-4 left of x = 5
+        assert (got == 2.0).sum() == 25 and np.isnan(got).sum() == 11
+
+    @pytest.mark.parametrize("chunk", [1, 40, 1 << 16])
+    def test_row_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(terrain, "SCANLINE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        g = GridSpec(0.0, 0.0, 1.0, 25, 30)
+        zones = [BfeZone(rings=[star_ring(rng, *rng.uniform(0, 30, 2), 3, 12, 40)],
+                         static_bfe=float(k)) for k in range(5)]
+        self.check(g, zones)
 
 
 class TestFloodDepth:
