@@ -126,14 +126,13 @@ def _resolve(base: Path, p: str) -> str:
     return str(Path(p) if Path(p).is_absolute() else base / p)
 
 
-def _parse_input(path: str, what: str, parse):
-    """Read one input file and parse it; a ParseError names the file."""
+def _parse_input(path: str, what: str, parse, mode: str = "r"):
+    """Parse one input file's text, or in mode "rb" the open file; errors name the file."""
     try:
-        text = Path(path).read_text()
+        with open(path, mode) as fh:
+            return parse(fh.read() if mode == "r" else fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
-    try:
-        return parse(text)
     except ParseError as exc:
         raise ParseError(f"{what} file {path}: {exc}") from None
 
@@ -145,7 +144,15 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
     files behind.
     """
     config.validate()
-    dem = _parse_input(config.dem_path, "DEM", parse_ascii_grid)
+
+    def grid_elevations(fh):
+        dem = parse_ascii_grid(fh)
+        g = make_fishnet(dem.bbox(), config.cell_size)
+        return g, zonal_mean_elevation(dem, g)
+
+    # The DEM body streams into the zonal sums before the other inputs are
+    # read, so a DEM error is the one reported.
+    g, elevations = _parse_input(config.dem_path, "DEM", grid_elevations, "rb")
     parcels = _parse_input(config.parcels_path, "parcels", parse_parcels)
     zones = _parse_input(config.bfe_path, "BFE zones", parse_bfe_zones)
     if config.damage_curve_path:
@@ -158,11 +165,9 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
     if not parcels:
         raise EmptyInputError(f"no parcels in {config.parcels_path}")
 
-    g = make_fishnet(dem.bbox(), config.cell_size)
     logger.info("fishnet %dx%d over DEM extent, %d parcels", g.n_rows, g.n_cols, len(parcels))
 
     attributions = apportion_many(parcels, g)
-    elevations = zonal_mean_elevation(dem, g)
     bfes = assign_bfe(g, zones)
     states = build_cell_states(g, attributions, elevations, bfes)
     results = sweep(states, curve, config.slr_list, area_basis=config.area_basis,
@@ -192,24 +197,21 @@ def _write_outputs(output_dir: str, outputs: dict[str, str]) -> None:
             raise
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def cmd_assess(config: RunConfig) -> int:
     try:
-        config.validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
         outputs = run_assessment(config)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    except ConfigError as exc:
+        return _fail(exc, EXIT_CONFIG_ERROR)
     except EmptyInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_INPUT
+        return _fail(exc, EXIT_EMPTY_INPUT)
     except ValueError as exc:
-        # bad input data caught past parsing, e.g. a degenerate parcel
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        # a ParseError, or bad input data caught past parsing, e.g. a degenerate parcel
+        return _fail(exc, EXIT_PARSE_ERROR)
     _write_outputs(config.output_dir, outputs)
     return EXIT_OK
 
@@ -220,11 +222,9 @@ def cmd_eda(table_path: str, output_dir: str) -> int:
         report, kept = run_eda(table)
     except (ParseError, OverflowError) as exc:
         # unreadable input, or finite fields whose area cost overflows
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return _fail(exc, EXIT_PARSE_ERROR)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_INPUT
+        return _fail(exc, EXIT_EMPTY_INPUT)
     _write_outputs(output_dir, {
         "eda_report.json": report.to_json(),
         "scatter.csv": scatter_export(kept),
@@ -239,8 +239,7 @@ def cmd_fishnet(bbox_arg: str, cell_size: float) -> int:
             raise ValueError(f"bbox needs 4 numbers, got {len(parts)}")
         g = make_fishnet((parts[0], parts[1], parts[2], parts[3]), cell_size)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _fail(exc, EXIT_CONFIG_ERROR)
     print(g.to_json())
     return EXIT_OK
 
@@ -295,11 +294,9 @@ def main(argv=None) -> int:
             if args.out:
                 config.output_dir = args.out
         except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
+            return _fail(exc, EXIT_PARSE_ERROR)
         except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+            return _fail(exc, EXIT_CONFIG_ERROR)
         return cmd_assess(config)
 
     if args.command == "eda":

@@ -7,11 +7,15 @@ CSV. All coordinates are planar feet; no reprojection is performed.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
 from array import array
-from dataclasses import dataclass
-from itertools import chain
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -38,6 +42,8 @@ def format_number(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+# ASCII whitespace to str.isspace() and loadtxt; bytes.strip() keeps \x1c-\x1f
+_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 @dataclass(eq=False)
@@ -46,6 +52,8 @@ class Raster:
 
     ``values`` is row-major with the first row northernmost. Cells equal to
     ``nodata_value`` (exact comparison) or non-finite carry no elevation.
+    ``parse_ascii_grid`` of a binary file leaves ``values`` None: ``bands``
+    reads the rows from the file.
     """
 
     ncols: int
@@ -54,7 +62,8 @@ class Raster:
     yllcorner: float
     cellsize: float
     nodata_value: float
-    values: np.ndarray
+    values: np.ndarray | None
+    _stream: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
@@ -63,38 +72,31 @@ class Raster:
             raise ValueError(f"cellsize must be positive, got {self.cellsize}")
         if not all(math.isfinite(v) for v in self.bbox()):
             raise ValueError(f"raster extent {self.bbox()!r} is not finite")
+        if self.values is None:
+            return
         self.values = np.asarray(self.values, dtype=float)
         if self.values.size != self.ncols * self.nrows:
-            raise ValueError(
-                f"value count mismatch: expected {self.ncols * self.nrows}, "
-                f"got {self.values.size}"
-            )
+            raise ValueError(f"value count mismatch: expected {self.ncols * self.nrows}, "
+                             f"got {self.values.size}")
         self.values = self.values.reshape(self.nrows, self.ncols)
 
     def __eq__(self, other):
         if not isinstance(other, Raster):
             return NotImplemented
-        return (
-            self.ncols == other.ncols
-            and self.nrows == other.nrows
-            and self.xllcorner == other.xllcorner
-            and self.yllcorner == other.yllcorner
-            and self.cellsize == other.cellsize
-            and self.nodata_value == other.nodata_value
-            and np.array_equal(self.values, other.values)
-        )
-
-    @property
-    def xmax(self) -> float:
-        return self.xllcorner + self.ncols * self.cellsize
-
-    @property
-    def ymax(self) -> float:
-        return self.yllcorner + self.nrows * self.cellsize
+        return (all(getattr(self, k) == getattr(other, k) for k in _HEADER_KEYS)
+                and np.array_equal(self.values, other.values))
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) extent of the raster."""
-        return (self.xllcorner, self.yllcorner, self.xmax, self.ymax)
+        return (self.xllcorner, self.yllcorner, self.xllcorner + self.ncols * self.cellsize,
+                self.yllcorner + self.nrows * self.cellsize)
+
+    def bands(self, edges) -> Iterator[np.ndarray]:
+        """Rows ``edges[k]:edges[k + 1]`` of ``values`` for each k in turn, where
+        ``edges`` ascend from 0 to nrows; a raster read from a file reads them here."""
+        if self.values is None:
+            return self._stream(edges)
+        return (self.values[a:b] for a, b in zip(edges[:-1], edges[1:]))
 
 
 def data_mask(values: np.ndarray, nodata_value: float) -> np.ndarray:
@@ -102,51 +104,94 @@ def data_mask(values: np.ndarray, nodata_value: float) -> np.ndarray:
     return (values != nodata_value) & np.isfinite(values)
 
 
-def _parse_values_per_line(body: list[str], expected: int, text_len: int) -> np.ndarray:
-    """Parse the value lines of an ASCII grid one line at a time.
+def _parse_values_per_line(text: str, expected: int) -> np.ndarray:
+    """Parse the value lines of an ASCII grid text one line at a time.
 
     Any row wrapping is accepted. A bad token raises ParseError with its
     line and token position; a total other than ``expected`` raises a count
     mismatch.
     """
-    # Filled line by line. A text holds at most one value per two characters,
-    # so a header promising more is a count mismatch, not an allocation.
-    values = np.empty(max(0, min(expected, text_len // 2 + 1)))
-    n = 0
-    for lineno, line in enumerate(body, start=len(_HEADER_KEYS) + 1):
+    values = array("d")
+    n = len(_HEADER_KEYS)
+    for lineno, line in enumerate(text.splitlines()[n:], start=n + 1):
         tokens = line.split()
         try:
-            row = [float(t) for t in tokens]
+            values.extend(map(float, tokens))
         except ValueError:
             for pos, token in enumerate(tokens, start=1):
                 try:
                     float(token)
                 except ValueError:
-                    raise ParseError(
-                        f"line {lineno}, token {pos}: non-numeric token {token!r}"
-                    ) from None
-        if n + len(row) <= values.size:
-            values[n:n + len(row)] = row
-        n += len(row)
-    if n != expected:
-        raise ParseError(f"value count mismatch: expected {expected}, got {n}")
-    return values
+                    raise ParseError(f"line {lineno}, token {pos}: "
+                                     f"non-numeric token {token!r}") from None
+    if len(values) != expected:
+        raise ParseError(f"value count mismatch: expected {expected}, got {len(values)}")
+    return np.array(values, dtype=float)
 
 
-def parse_ascii_grid(text: str) -> Raster:
+def _read_bands(rows, nrows: int, ncols: int, edges, text) -> Iterator[np.ndarray]:
+    """Yield rows ``edges[k]:edges[k + 1]`` of a grid body for each k in turn.
+
+    Each band is one ``np.loadtxt`` call over the non-blank body ``rows``; it
+    must return whole rows of ``ncols`` values, and nothing may follow the
+    last band. Failing that, the rest is sliced from the per-line parse of
+    ``text()``, which raises any error with its position (the bands so far
+    had ``ncols`` values a line, so it reads the same values there).
+    """
+    # numpy's C reader gives the doubles float() gives, and refuses what only
+    # float() reads ("1_0", non-ASCII digits). Given max_rows, it allocates
+    # its result once, reads no line past it, and warns about empty input.
+    done = 0
+    try:
+        for start, end in zip(edges[:-1], edges[1:]):
+            first = next(rows, None)
+            if first is None:
+                break
+            band = np.loadtxt(chain([first], rows), dtype=float, comments=None, ndmin=2,
+                              max_rows=end - start, encoding="ascii")
+            if band.shape != (end - start, ncols):
+                break
+            yield band
+            done += 1
+        else:
+            if next(rows, None) is None:
+                return
+    except ValueError:
+        pass
+    values = _parse_values_per_line(text(), nrows * ncols).reshape(nrows, ncols)
+    yield from (values[a:b] for a, b in zip(edges[done:-1], edges[done + 1:]))
+
+
+def parse_ascii_grid(source) -> Raster:
     """Parse an ESRI ASCII grid: 6 header lines, then whitespace-separated values.
 
-    Header keys are case-insensitive. Errors carry the offending line (and
-    token) position.
+    ``source`` is the text, or a binary file open for reading, of which only
+    the header is read here: ``Raster.bands`` reads the rows while the file
+    is open, and ``values`` stays None. Header keys are case-insensitive.
+    Errors carry the offending line (and token) position.
     """
-    lines = text.splitlines()
-    if len(lines) < len(_HEADER_KEYS):
-        raise ParseError(
-            f"expected {len(_HEADER_KEYS)} header lines, file has only {len(lines)}"
-        )
+    def text() -> str:
+        if isinstance(source, str):
+            return source
+        source.seek(0)
+        return source.read().decode()
 
+    n = len(_HEADER_KEYS)
+    if isinstance(source, str):
+        lines = source.splitlines()
+        head, rows = lines[:n], (line for line in lines[n:] if line.strip())
+        size, odd = len(source), False
+    else:
+        size = source.seek(0, os.SEEK_END)
+        source.seek(0)
+        head = [line.decode().splitlines() if line.isascii() else [] for line in islice(source, n)]
+        odd = any(len(parts) != 1 for parts in head)
+        head = text().splitlines()[:n] if odd else [parts[0] for parts in head]
+        rows = (line for line in source if line.strip(_ASCII_SPACE))
+    if len(head) < n:
+        raise ParseError(f"expected {n} header lines, file has only {len(head)}")
     header: dict[str, float] = {}
-    for lineno, line in enumerate(lines[: len(_HEADER_KEYS)], start=1):
+    for lineno, line in enumerate(head, start=1):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: malformed header line {line!r}")
@@ -167,41 +212,20 @@ def parse_ascii_grid(text: str) -> Raster:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ParseError(f"missing header key(s): {', '.join(missing)}")
-
-    expected = int(header["ncols"]) * int(header["nrows"])
-    body = lines[len(_HEADER_KEYS):]
-    values = np.empty(0)
-    # numpy's C reader converts with PyOS_string_to_double, so every value
-    # is bit-identical to float(token). It refuses wrapped rows of unequal
-    # length and tokens only float() accepts ("1_0", non-ASCII digits); the
-    # per-line loop takes those and names the position of a bad token.
-    # An empty body never reaches loadtxt, which would warn about it.
-    # Given max_rows, loadtxt allocates its result once instead of growing
-    # it by realloc, which can copy the whole buffer (when malloc put it on
-    # the heap) and add it to the peak RSS. Blank lines are left out:
-    # loadtxt skips them anyway, and warns about them under max_rows.
-    rows = [line for line in body if line.strip()]
-    if rows:
-        try:
-            values = np.loadtxt(rows, dtype=float, comments=None, ndmin=2,
-                                max_rows=len(rows)).ravel()
-        except ValueError:
-            values = _parse_values_per_line(body, expected, len(text))
-    if values.size != expected:
-        raise ParseError(f"value count mismatch: expected {expected}, got {values.size}")
-
+    ncols, nrows = header["ncols"], header["nrows"]
+    # A text holds at most one value per two characters. Given no rows, or
+    # more values than that, the per-line parse or the Raster checks fail.
+    stream = not odd and ncols >= 1 and nrows >= 1 and ncols * nrows <= size // 2 + 1
     try:
-        return Raster(
-            ncols=int(header["ncols"]),
-            nrows=int(header["nrows"]),
-            xllcorner=header["xllcorner"],
-            yllcorner=header["yllcorner"],
-            cellsize=header["cellsize"],
-            nodata_value=header["nodata_value"],
-            values=values,
-        )
+        raster = Raster(*(header[k] for k in _HEADER_KEYS),
+                        None if stream else _parse_values_per_line(text(), ncols * nrows))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if stream:
+        raster._stream = partial(_read_bands, rows, nrows, ncols, text=text)
+        if isinstance(source, str):
+            (raster.values,) = raster.bands([0, nrows])
+    return raster
 
 
 def write_ascii_grid(r: Raster) -> str:
@@ -211,14 +235,7 @@ def write_ascii_grid(r: Raster) -> str:
     shortest round-trip decimal rendering. ``parse_ascii_grid`` of the
     result reproduces ``r`` exactly.
     """
-    lines = [
-        f"ncols {r.ncols}",
-        f"nrows {r.nrows}",
-        f"xllcorner {format_number(r.xllcorner)}",
-        f"yllcorner {format_number(r.yllcorner)}",
-        f"cellsize {format_number(r.cellsize)}",
-        f"nodata_value {format_number(r.nodata_value)}",
-    ]
+    lines = [f"{key} {format_number(getattr(r, key))}" for key in _HEADER_KEYS]
     for row in r.values:
         lines.append(" ".join(format_number(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -409,6 +426,9 @@ class BfeZone:
             raise ValueError("BFE zone outer ring has fewer than 3 vertices")
         if not np.isfinite(self.static_bfe):
             raise ValueError(f"static_bfe must be finite, got {self.static_bfe}")
+        for k, ring in enumerate(self.rings):
+            if not np.isfinite(np.asarray(ring, dtype=float)).all():
+                raise ValueError(f"BFE zone ring {k} has a non-finite vertex")
 
 
 def _feature_polygons(geometry, where: str) -> list[list]:
@@ -473,7 +493,14 @@ def parse_parcels(text: str) -> ParcelTable:
     member polygon with ids suffixed ``#k``; members share the feature's
     assessment pool via a common group geometric area.
     """
-    return ParcelTable(_parcel_records(_load_feature_collection(text)))
+    # the collector would only traverse the large, acyclic decoded document
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return ParcelTable(_parcel_records(_load_feature_collection(text)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_bfe_zones(text: str) -> list[BfeZone]:

@@ -96,25 +96,22 @@ def cell_rect(g: GridSpec, i: int, j: int) -> tuple[float, float, float, float]:
     )
 
 
+def _index_of(v, origin: float, s: float, n: int, top: float) -> "int | np.ndarray":
+    q = np.floor((np.asarray(v, dtype=float) - origin) / s).astype(np.int64)
+    q = np.where(np.asarray(v, dtype=float) == top, n - 1, q)
+    q = np.where((q < 0) | (q >= n), -1, q)
+    return int(q) if np.ndim(v) == 0 else q
+
+
 def col_of(g: GridSpec, x) -> "int | np.ndarray":
     """Column index for x coordinate(s); -1 where outside the grid.
 
     Index is floor((x - origin_x) / cell_size) with the right outer edge
     closed. Accepts scalars or numpy arrays.
     """
-    q = np.floor((np.asarray(x, dtype=float) - g.origin_x) / g.cell_size).astype(np.int64)
-    q = np.where(np.asarray(x, dtype=float) == g.x_max, g.n_cols - 1, q)
-    q = np.where((q < 0) | (q >= g.n_cols), -1, q)
-    if np.ndim(x) == 0:
-        return int(q)
-    return q
+    return _index_of(x, g.origin_x, g.cell_size, g.n_cols, g.x_max)
 
 
 def row_of(g: GridSpec, y) -> "int | np.ndarray":
     """Row index for y coordinate(s); -1 where outside the grid."""
-    q = np.floor((np.asarray(y, dtype=float) - g.origin_y) / g.cell_size).astype(np.int64)
-    q = np.where(np.asarray(y, dtype=float) == g.y_max, g.n_rows - 1, q)
-    q = np.where((q < 0) | (q >= g.n_rows), -1, q)
-    if np.ndim(y) == 0:
-        return int(q)
-    return q
+    return _index_of(y, g.origin_y, g.cell_size, g.n_rows, g.y_max)

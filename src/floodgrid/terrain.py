@@ -54,25 +54,24 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
 
     jj = col_of(g, centers_x)
     ii = row_of(g, centers_y)
+    # Centers are monotone, so the DEM columns inside the grid are contiguous,
+    # and the DEM rows of one fishnet row, or of the outside (-1), are a band.
+    cols = np.flatnonzero(jj >= 0)
+    c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+    jj = jj[c0:c1]
+    edges = np.concatenate(([0], 1 + np.flatnonzero(np.diff(ii)), [dem.nrows]))
 
     sums = np.zeros(g.n_cells)
     counts = np.zeros(g.n_cells, dtype=np.int64)
-    rows = np.flatnonzero(ii >= 0)
-    cols = np.flatnonzero(jj >= 0)
-    if rows.size and cols.size:
-        # Centers are monotone, so the DEM rows and columns inside the grid
-        # are contiguous, and fishnet rows never increase down the DEM.
-        r0, r1 = int(rows[0]), int(rows[-1]) + 1
-        c0, c1 = int(cols[0]), int(cols[-1]) + 1
-        jj = jj[c0:c1]
-        edges = np.concatenate(([r0], r0 + 1 + np.flatnonzero(np.diff(ii[r0:r1])), [r1]))
-        for start, end in zip(edges[:-1], edges[1:]):
-            lo = ii[start] * g.n_cols
-            block = dem.values[start:end, c0:c1]
-            ok = data_mask(block, dem.nodata_value)
-            flat = np.broadcast_to(jj, block.shape)[ok]
-            sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
-            counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
+    for k, band in enumerate(dem.bands(edges)):
+        lo = ii[edges[k]] * g.n_cols
+        if lo < 0:
+            continue  # outside the grid; a streamed band is checked all the same
+        block = band[:, c0:c1]
+        ok = data_mask(block, dem.nodata_value)
+        flat = np.broadcast_to(jj, block.shape)[ok]
+        sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
+        counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
     return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 
 

@@ -120,6 +120,49 @@ class TestFishnetCommand:
         assert err.startswith("error: ") and message in err
 
 
+GRID = ("ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 98\nnodata_value -9999\n"
+        "1 2\n3 4\n")
+
+
+def header_line(line, text):
+    lines = GRID.splitlines(keepends=True)
+    lines[line - 1] = text + "\n"
+    return "".join(lines)
+
+
+# Every DEM error that test_geodata raises from parse_ascii_grid, and the
+# message assess gives for it after "DEM file <path>: ".
+DEM_ERRORS = [
+    (GRID.replace("1 2\n3 4\n", "1 2 3\n"), "value count mismatch: expected 4, got 3"),
+    (GRID.replace("3 4\n", "3 4 5\n6\n"), "value count mismatch: expected 4, got 6"),
+    (GRID.replace("ncols 2", "ncols 1000000000000"),
+     "value count mismatch: expected 2000000000000, got 4"),
+    (GRID.replace("ncols 2", "ncols " + "9" * 400), "value count mismatch: expected 1999"),
+    *[(GRID.replace("1 2\n3 4\n", body), "value count mismatch: expected 4, got 0")
+      for body in ["", "\n\n", "  \n\t\n"]],
+    (GRID.replace("nrows 2", "ncols 2"), "line 2: duplicate header key 'ncols'"),
+    (GRID.replace("nrows", "wrongkey"), "line 2: unknown header key 'wrongkey'"),
+    *[(header_line(line, f"{key} {token}"),
+       f"line {line}: non-numeric token '{token}' for '{key}'")
+      for line, key, token in [(5, "cellsize", "huge"), (1, "ncols", "2.0"), (2, "nrows", "inf"),
+                               (1, "ncols", "nan"), (6, "nodata_value", "x")]],
+    *[(header_line(line, f"{key} {token}"), f"line {line}: non-finite value '{token}' for '{key}'")
+      for line, key, token in [(5, "cellsize", "inf"), (5, "cellsize", "nan"),
+                               (3, "xllcorner", "nan"), (4, "yllcorner", "inf"),
+                               (3, "xllcorner", "-inf")]],
+    (GRID.replace("cellsize 98", "cellsize 1e308"),
+     "raster extent (0.0, 0.0, inf, inf) is not finite"),
+    (GRID.replace("cellsize 98", "cellsize 0"), "cellsize must be positive, got 0.0"),
+    ("ncols 2\nnrows 2\n", "expected 6 header lines, file has only 2"),
+    (GRID.replace("3 4", "3 oops"), "line 8, token 2: non-numeric token 'oops'"),
+    *[(GRID.replace("1 2\n3 4\n", body), f"{where}: non-numeric token '#'")
+      for body, where in [("# comment\n1 2\n3 4\n", "line 7, token 1"),
+                          ("1 2\n# 3 4\n", "line 8, token 1"),
+                          ("1 2\n3 4 # note\n", "line 8, token 3"),
+                          ("1 2 #\n3 4\n", "line 7, token 3")]],
+]
+
+
 class TestAssessCommand:
     def run(self, fixture, *extra):
         return main(["assess", "--config", str(fixture / "run.json"), *extra])
@@ -198,6 +241,30 @@ class TestAssessCommand:
         assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
         assert (f"error: DEM file {dem}: line 8, token 2: "
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, message", DEM_ERRORS)
+    def test_dem_error_names_file_and_comes_first(self, coastal_fixture, capsys, text, message):
+        dem = coastal_fixture / "dem.asc"
+        dem.write_text(text)
+        (coastal_fixture / "parcels.geojson").write_text("{broken")
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert f"error: DEM file {dem}: {message}" in err
+        assert "parcels file" not in err
+        assert not (coastal_fixture / "out").exists()
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\x0c"])
+    def test_dem_line_breaks_and_wrapping_keep_the_bytes(self, coastal_fixture, end):
+        assert self.run(coastal_fixture) == EXIT_OK
+        plain = read_outputs(coastal_fixture / "out")
+        dem = coastal_fixture / "dem.asc"
+        lines = dem.read_text().splitlines()
+        # header and rows broken by `end`, and the rows wrapped at 10 values
+        body = " ".join(lines[6:]).split()
+        wrapped = [" ".join(body[k:k + 10]) for k in range(0, len(body), 10)]
+        dem.write_bytes(end.join(lines[:6] + wrapped).encode() + b"\n\n")
+        assert self.run(coastal_fixture, "--out", str(coastal_fixture / "out2")) == EXIT_OK
+        assert read_outputs(coastal_fixture / "out2") == plain
 
     def test_overflowing_dem_extent_names_file(self, coastal_fixture, capsys):
         dem = coastal_fixture / "dem.asc"

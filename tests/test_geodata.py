@@ -24,7 +24,9 @@ from floodgrid.geodata import (
     write_ascii_grid,
     write_report,
 )
+from floodgrid.grid import GridSpec
 from floodgrid.scenario import ScenarioResult, incremental_deltas
+from floodgrid.terrain import zonal_mean_elevation
 
 MINIMAL_GRID = (
     "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 98\nnodata_value -9999\n"
@@ -267,6 +269,95 @@ class TestBodyParseDifferential:
             warnings.simplefilter("error")
             with pytest.raises(ParseError, match="value count mismatch: expected 4, got 0"):
                 parse_ascii_grid(text)
+
+
+def streamed_means(path, g):
+    """Zonal means with the DEM body streamed from the file, as assess reads it."""
+    with open(path, "rb") as fh:
+        return zonal_mean_elevation(parse_ascii_grid(fh), g)
+
+
+def stream_grids(rng, ncols, nrows):
+    """Fishnets over a 1-ft DEM whose rows are 1, 2 and 5 DEM rows tall, and
+    one partly off the raster."""
+    yield from (GridSpec(0.0, 0.0, float(h), -(-ncols // h), -(-nrows // h)) for h in (1, 2, 5))
+    yield GridSpec(float(rng.uniform(-3, ncols / 2)), float(rng.uniform(-3, nrows / 2)),
+                   float(rng.uniform(0.4, 3)), int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+
+
+class TestStreamedBody:
+    """Zonal means of a DEM streamed from a binary file equal those of the
+    parsed text, bit for bit, whichever way the body is written."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = {"loadtxt": 0, "per_line": 0}
+        loadtxt, per_line = np.loadtxt, geodata._parse_values_per_line
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+        monkeypatch.setattr(geodata.np, "loadtxt", counted("loadtxt", loadtxt))
+        monkeypatch.setattr(geodata, "_parse_values_per_line", counted("per_line", per_line))
+        return calls
+
+    @pytest.mark.parametrize("rewrap", [False, True])
+    @pytest.mark.parametrize("messy", [False, True])
+    @pytest.mark.parametrize("seed, extra", enumerate([(), NON_FINITE, FLOAT_ONLY]))
+    def test_matches_text_parse(self, tmp_path, spy, rewrap, messy, seed, extra):
+        rng = np.random.default_rng([rewrap, messy, seed, 9])
+        path = tmp_path / "dem.asc"
+        streamed = {"loadtxt": 0, "per_line": 0}
+        for _ in range(12):
+            ncols, nrows = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+            tokens = [random_token(rng, extra) for _ in range(ncols * nrows)]
+            text = (f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
+                    f"cellsize 1\nnodata_value -9999\n"
+                    + grid_body(rng, tokens, ncols, rewrap, messy))
+            path.write_bytes(text.encode())
+            dem = parse_ascii_grid(text)
+            for g in stream_grids(rng, ncols, nrows):
+                before = dict(spy)
+                got = streamed_means(path, g)
+                streamed = {k: n + spy[k] - before[k] for k, n in streamed.items()}
+                assert as_bits(got) == as_bits(zonal_mean_elevation(dem, g))
+        # rows of ncols tokens numpy reads stay on the band path; wrapped or
+        # split rows and tokens only float() reads fall back to the per-line
+        # loop (messy bodies break lines with \r, \x0b and \x0c)
+        assert streamed["loadtxt"] > 0
+        assert (streamed["per_line"] > 0) == (rewrap or messy or extra == FLOAT_ONLY)
+
+    @pytest.mark.parametrize("g", [GridSpec(0.0, 0.0, 98.0, 2, 2),  # rows 2 and 3 of 3
+                                   GridSpec(1e4, 1e4, 98.0, 2, 2)])  # off the raster
+    def test_rows_outside_the_grid_are_read_and_checked(self, tmp_path, g):
+        path = tmp_path / "dem.asc"
+        three_rows = MINIMAL_GRID.replace("nrows 2", "nrows 3")
+        for body, message in [("1 2 x\n3 4\n5 6\n", "line 7, token 3: non-numeric token 'x'"),
+                              ("1 2\n3 4\n5 6\n7\n", "value count mismatch: expected 6, got 7")]:
+            path.write_text(three_rows.replace("1 2\n3 4\n", body))
+            with pytest.raises(ParseError, match=message):
+                streamed_means(path, g)
+        path.write_text(three_rows.replace("1 2\n3 4\n", "1 2\n3 4\n5 6\n\n \n"))
+        expected = zonal_mean_elevation(parse_ascii_grid(path.read_text()), g)
+        assert as_bits(streamed_means(path, g)) == as_bits(expected)
+
+
+    def test_ascii_separator_lines_and_stray_bytes(self, tmp_path, spy):
+        path = tmp_path / "dem.asc"
+        g = GridSpec(0.0, 0.0, 98.0, 2, 2)
+        # \x1c-\x1f are whitespace to str.split() and numpy: a line of them is blank
+        path.write_bytes(MINIMAL_GRID.replace("3 4", "\x1c\x1d \x1f\n3\x1e4").encode())
+        assert as_bits(streamed_means(path, g)) == as_bits(
+            zonal_mean_elevation(parse_ascii_grid(MINIMAL_GRID), g))
+        assert spy["per_line"] == 0
+        # a byte that is not UTF-8 is the decode error the text read gives, not a separator
+        path.write_bytes(MINIMAL_GRID.replace("3 4", "3\xa04").encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError):
+            streamed_means(path, g)
 
 
 SQUARE_FEATURE = {

@@ -1,11 +1,13 @@
 """Zonal elevation statistics, BFE assignment, and flood depth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import brute_force_zonal_means, cell_map, points_in_polygon, random_raster
 from floodgrid import terrain
-from floodgrid.geodata import BfeZone, Raster
+from floodgrid.geodata import BfeZone, Raster, parse_ascii_grid
 from floodgrid.grid import GridSpec
 from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.terrain import (
@@ -107,6 +109,42 @@ class TestZonalMeanBands:
             g = GridSpec(ox, oy, float(rng.uniform(0.3, 6) * cs),
                          int(rng.integers(1, 30)), int(rng.integers(1, 30)))
             assert cell_map(zonal_mean_elevation(dem, g), g) == brute_force_zonal_means(dem, g)
+
+
+class TestStreamedDemMemory:
+    """Streaming a DEM file into the zonal sums holds about one fishnet row
+    of samples at a time, however many rows the DEM has."""
+
+    NCOLS, BAND = 256, 32  # DEM columns, and DEM rows per fishnet row
+
+    def peak_bytes(self, path, nrows):
+        g = GridSpec(0.0, 0.0, float(self.BAND), self.NCOLS // self.BAND, nrows // self.BAND)
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                zonal_mean_elevation(parse_ascii_grid(fh), g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_rows(self, tmp_path):
+        rng = np.random.default_rng(17)
+        peaks = {}
+        for nrows in (256, 1024):
+            values = rng.integers(-500, 5000, (nrows, self.NCOLS)) / 10
+            values[rng.random(values.shape) < 0.01] = -9999
+            path = tmp_path / f"dem{nrows}.asc"
+            path.write_text(f"ncols {self.NCOLS}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
+                            "cellsize 1\nnodata_value -9999\n"
+                            + "\n".join(" ".join(map(str, row)) for row in values.tolist()))
+            peaks[nrows] = self.peak_bytes(path, nrows)
+        # a few index words per DEM row (row centers and their fishnet rows)
+        # may grow; a DEM row of samples is 2 KiB of float64, and of text more
+        assert peaks[1024] - peaks[256] <= 64 * (1024 - 256)
+        # the band loadtxt returns, its kept samples and their column indices
+        # are three bands of float64, plus masks and a fixed allowance
+        band = self.BAND * self.NCOLS * 8
+        assert max(peaks.values()) <= 3.5 * band + 64 * 1024
 
 
 class TestAssignBfe:
@@ -246,17 +284,19 @@ class TestAssignBfeScanline:
             got = self.check(g, [zone])
         assert np.isnan(got[:8]).all() and (got[8:] == 1.0).all()
 
-    def test_nan_vertices(self):
-        # library-built zones are not checked for finite vertices: an edge
-        # with a NaN end never straddles a row, and the rest still count
-        g = GridSpec(0.0, 0.0, 1.0, 6, 6)
-        nan = float("nan")
-        zones = [BfeZone(rings=[[(nan, nan), (nan, 0.0), (nan, 1.0)]], static_bfe=1.0),
-                 BfeZone(rings=[[(0.0, nan), (5.0, 0.2), (5.0, 5.0), (0.2, 5.0)]], static_bfe=2.0),
-                 BfeZone(rings=[[(0.0, 0.0), (nan, 3.0), (6.0, 6.0), (0.0, 6.0)]], static_bfe=3.0)]
-        got = self.check(g, zones)
-        # zone 2's two finite edges span rows 0-4 left of x = 5
-        assert (got == 2.0).sum() == 25 and np.isnan(got).sum() == 11
+    @pytest.mark.parametrize("ring", [
+        [(float("nan"), float("nan")), (float("nan"), 0.0), (float("nan"), 1.0)],
+        [(0.0, float("nan")), (5.0, 0.2), (5.0, 5.0), (0.2, 5.0)],
+        [(0.0, 0.0), (float("nan"), 3.0), (6.0, 6.0), (0.0, 6.0)],
+        [(0.0, 0.0), (float("inf"), 3.0), (6.0, 6.0)],
+    ])
+    def test_non_finite_vertices_rejected(self, ring):
+        # as parse_bfe_zones does: an edge with a NaN end would toggle nothing
+        with pytest.raises(ValueError, match="ring 0 has a non-finite vertex"):
+            BfeZone(rings=[ring], static_bfe=1.0)
+        square = [(0.0, 0.0), (9.0, 0.0), (9.0, 9.0), (0.0, 9.0)]
+        with pytest.raises(ValueError, match="ring 1 has a non-finite vertex"):
+            BfeZone(rings=[square, np.array(ring)], static_bfe=1.0)
 
     @pytest.mark.parametrize("chunk", [1, 40, 1 << 16])
     def test_row_chunks(self, monkeypatch, chunk):
