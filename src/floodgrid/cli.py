@@ -93,6 +93,8 @@ class RunConfig:
             text = Path(path).read_text()
         except OSError as exc:
             raise ParseError(f"cannot read config file {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config file {path}: {_undecodable(exc)}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -133,8 +135,16 @@ def _parse_input(path: str, what: str, parse, mode: str = "r"):
             return parse(fh.read() if mode == "r" else fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path}: {_undecodable(exc)}") from None
     except ParseError as exc:
         raise ParseError(f"{what} file {path}: {exc}") from None
+
+
+def _undecodable(exc: UnicodeDecodeError) -> str:
+    """Where a file's bytes stop being text: the byte offset is from the start of the file."""
+    return (f"not {exc.encoding} text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+            f" ({exc.reason})")
 
 
 def run_assessment(config: RunConfig) -> dict[str, str]:
@@ -218,8 +228,9 @@ def cmd_assess(config: RunConfig) -> int:
 
 def cmd_eda(table_path: str, output_dir: str) -> int:
     try:
-        table = _parse_input(table_path, "attribute table", read_attribute_table)
-        report, kept = run_eda(table)
+        # the full table is freed once run_eda returns, before the scatter is rendered
+        report, kept = run_eda(_parse_input(table_path, "attribute table",
+                                            read_attribute_table))
     except (ParseError, OverflowError) as exc:
         # unreadable input, or finite fields whose area cost overflows
         return _fail(exc, EXIT_PARSE_ERROR)

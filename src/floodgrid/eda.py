@@ -13,6 +13,8 @@ import io
 import json
 import logging
 import math
+import operator
+import re
 from array import array
 from dataclasses import asdict, dataclass
 
@@ -29,6 +31,11 @@ TABLE_HEADER = ["parcel_id", "current_assessment", "land_area", "shape_area", "b
 
 # The attribute table as one structured array: a row per record, in file order.
 TABLE_DTYPE = np.dtype([("parcel_id", object)] + [(name, float) for name in TABLE_HEADER[1:]])
+
+# A body with no character but line breaks holds no rows.
+_CONTENT = re.compile(r"[^\r\n]")
+# Whitespace to numpy's number reader but not to float()
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -51,7 +58,8 @@ def read_attribute_table(text: str) -> np.ndarray:
 
     A non-numeric or non-finite field is a ParseError naming its line.
     """
-    reader = csv.reader(io.StringIO(text))
+    fh = io.StringIO(text)
+    reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
@@ -60,6 +68,37 @@ def read_attribute_table(text: str) -> np.ndarray:
         raise ParseError(
             f"line 1: expected header {','.join(TABLE_HEADER)!r}, got {','.join(header)!r}"
         )
+    body = fh.tell()
+    table = None
+    # numpy's C reader quotes as csv.reader does and gives the doubles float()
+    # gives. It refuses what only float() reads ("1_000", non-ASCII digits),
+    # and the row loop, which words every error, reads those. It warns on a
+    # body without rows and strips _SEPARATORS around a number, so neither
+    # reaches it.
+    if _CONTENT.search(text, body) and not any(c in text for c in _SEPARATORS):
+        try:
+            table = np.loadtxt(fh, dtype=TABLE_DTYPE, delimiter=",", comments=None,
+                               quotechar='"', ndmin=1)
+        except ValueError:
+            fh.seek(body)
+    if table is None:
+        table = _read_rows(reader)
+    finite = np.logical_and.reduce([np.isfinite(table[name]) for name in TABLE_HEADER[1:]])
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        # the header, then one non-blank row per parsed record
+        rows = [x for x in enumerate(csv.reader(io.StringIO(text)), start=1) if x[1]]
+        lineno, row = rows[int(bad[0]) + 1]
+        raise ParseError(f"line {lineno}: non-finite field in {row!r}")
+    return table
+
+
+def _read_rows(reader) -> np.ndarray:
+    """The table body, row by row from ``reader``: the reference for the C reader.
+
+    A number is any field float() reads. A row with the wrong number of
+    fields or a field float() refuses is a ParseError naming its line.
+    """
     ids = []
     numbers = array("d")
     for lineno, row in enumerate(reader, start=2):
@@ -73,12 +112,6 @@ def read_attribute_table(text: str) -> np.ndarray:
             raise ParseError(f"line {lineno}: non-numeric field in {row!r}") from None
         ids.append(row[0])
     values = np.frombuffer(numbers, dtype=float).reshape(-1, len(TABLE_HEADER) - 1)
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        # the header, then one non-blank row per parsed record
-        rows = [x for x in enumerate(csv.reader(io.StringIO(text)), start=1) if x[1]]
-        lineno, row = rows[int(bad[0]) + 1]
-        raise ParseError(f"line {lineno}: non-finite field in {row!r}")
     table = np.empty(len(ids), dtype=TABLE_DTYPE)
     table["parcel_id"] = ids
     for k, name in enumerate(TABLE_HEADER[1:]):
@@ -107,18 +140,20 @@ def filter_records(t: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
     (assessment / land area) > $1, base flood > 0, area cost > 0.
     """
     counts = {"input": len(t)}
+    assessment, land = t["current_assessment"], t["land_area"]
 
-    t = t[t["current_assessment"] > 10_000]
-    counts["min_assessment"] = len(t)
+    keep = assessment > 10_000
+    counts["min_assessment"] = int(np.count_nonzero(keep))
 
-    t = t[t["land_area"] > 0]
-    with np.errstate(over="ignore"):
-        t = t[t["current_assessment"] / t["land_area"] > 1]
-    counts["min_price_per_sqft"] = len(t)
+    # a price over a land area <= 0 is masked out, whatever the division gives
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        keep &= (land > 0) & (assessment / land > 1)
+    counts["min_price_per_sqft"] = int(np.count_nonzero(keep))
 
-    t = t[t["base_flood"] > 0]
-    counts["positive_base_flood"] = len(t)
+    keep &= t["base_flood"] > 0
+    counts["positive_base_flood"] = int(np.count_nonzero(keep))
 
+    t = t[keep]
     t = t[area_cost(t) > 0]
     counts["positive_area_cost"] = len(t)
 
@@ -218,9 +253,20 @@ def scatter_export(t: np.ndarray) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["parcel_id", "shape_area", "area_cost"])
-    writer.writerows(zip(t["parcel_id"], map(format_number, t["shape_area"].tolist()),
-                         map(format_number, area_cost(t).tolist())))
+    writer.writerows(zip(t["parcel_id"], _format_column(t["shape_area"]),
+                         _format_column(area_cost(t))))
     return buf.getvalue()
+
+
+def _format_column(values: np.ndarray):
+    """format_number of each value, lazily: repr, less the ".0" of integral values.
+
+    repr ends in ".0" exactly on the integral values below 1e16 in magnitude;
+    from 1e16 up it switches to exponent form.
+    """
+    cut = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    return map(operator.getitem, map(repr, values.tolist()),
+               map((slice(None), slice(-2)).__getitem__, cut.tolist()))
 
 
 def run_eda(table: np.ndarray) -> tuple[EdaReport, np.ndarray]:

@@ -253,6 +253,18 @@ class TestAssessCommand:
         assert "parcels file" not in err
         assert not (coastal_fixture / "out").exists()
 
+    @pytest.mark.parametrize("name, what", [
+        ("dem.asc", "DEM"), ("parcels.geojson", "parcels"), ("bfe.geojson", "BFE zones"),
+        ("curve.json", "damage curve"), ("run.json", "config")])
+    def test_undecodable_input_names_file_and_offset(self, coastal_fixture, capsys, name, what):
+        path = coastal_fixture / name
+        data = path.read_bytes()
+        path.write_bytes(data + b"\xff")
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert (f"error: {what} file {path}: not utf-8 text: byte 0xff at offset {len(data)} "
+                "(invalid start byte)\n" in capsys.readouterr().err)
+        assert not (coastal_fixture / "out").exists()
+
     @pytest.mark.parametrize("end", ["\r\n", "\r", "\x0c"])
     def test_dem_line_breaks_and_wrapping_keep_the_bytes(self, coastal_fixture, end):
         assert self.run(coastal_fixture) == EXIT_OK
@@ -425,6 +437,15 @@ class TestEdaCommand:
             == EXIT_PARSE_ERROR
         assert (f"error: attribute table file {table}: line 20: non-finite field in "
                 f"['dry', 'inf', '4000', '4000', '0']" in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_table_is_exit_1_naming_file(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_bytes(EDA_TABLE.encode() + b"\xff")
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert (f"error: attribute table file {table}: not utf-8 text: byte 0xff at offset "
+                f"{len(EDA_TABLE)} (invalid start byte)\n" in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_area_cost_names_parcel(self, tmp_path, capsys):

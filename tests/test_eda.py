@@ -7,8 +7,11 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ols_normal_equations
+from floodgrid import eda
 from floodgrid.eda import (
     CHI2_1DF_5PCT,
     TABLE_DTYPE,
@@ -293,6 +296,15 @@ class TestScatterExport:
         out = scatter_export(table(record("x,1"), record('say "hi"')))
         assert out.split("\n")[1:3] == ['"x,1",5000,100000', '"say ""hi""",5000,100000']
 
+    def test_column_renderer_is_format_number(self):
+        edges = [-0.0, 0.0, 0.1, 123.0, 1e15, 2.0 ** 53, 9999999999999998.0, 1e16, 1e-4, 1e-5,
+                 5e-324, 1.7976931348623157e308, 0.5, 1e16 + 2, 123456.789, 1e22,
+                 float("inf"), float("nan")]
+        rng = np.random.default_rng(5)
+        lognormal = np.exp(rng.normal(0, 12, 2000))
+        values = np.concatenate([edges, np.negative(edges), lognormal, np.round(lognormal)])
+        assert list(eda._format_column(values)) == list(map(format_number, values.tolist()))
+
 
 class TestReadAttributeTable:
     GOOD = (
@@ -362,6 +374,128 @@ class TestReadAttributeTable:
         with pytest.raises(ParseError, match="line 2"):
             read_attribute_table(
                 "parcel_id,current_assessment,land_area,shape_area,base_flood\na,1,2\n")
+
+
+HEADER_LINE = ",".join(TABLE_HEADER) + "\n"
+
+
+def table_outcome(text):
+    """read_attribute_table's result, its columns bit for bit, or its error."""
+    try:
+        t = read_attribute_table(text)
+    except (ParseError, csv.Error) as exc:
+        return type(exc), str(exc)
+    assert t.dtype == TABLE_DTYPE and t.ndim == 1
+    assert all(type(pid) is str for pid in t["parcel_id"])
+    return t["parcel_id"].tolist(), [t[name].tobytes() for name in TABLE_HEADER[1:]]
+
+
+def row_loop_outcome(text):
+    """table_outcome with numpy's reader refusing every body, so the row loop reads it."""
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", refuse)
+        return table_outcome(text)
+
+
+@pytest.fixture
+def row_loop_calls(monkeypatch):
+    """How many times read_attribute_table fell back to the row loop."""
+    calls = []
+    read_rows = eda._read_rows
+
+    def spy(reader):
+        calls.append(1)
+        return read_rows(reader)
+
+    monkeypatch.setattr(eda, "_read_rows", spy)
+    return calls
+
+
+# body after the header, whether numpy's reader reads it (no row loop)
+EDGE_TABLES = {
+    "quoted comma": ('"lot 4, block 2",1,2,3,4\n', True),
+    "quoted quote": ('"say ""hi""",1,2,3,4\n', True),
+    "quoted newline": ('"a\nb",1,2,3,4\nc,1,2,3,inf\n', True),
+    "hash in id": ("a#b,1,2,3,4\n", True),
+    "underscore digits": ("a,1_000,2,3,4\n", False),
+    "arabic digits": ("a,\u0661\u0662,2,3,4\n", False),
+    "full-width digits": ("a,\uff11,2,3,4\n", False),
+    "padded fields": (" a , 1 ,\t2\t,3 ,4 \n", True),
+    "no-break space padding": ("a,\xa01\xa0,2,3,4\n", True),
+    "whitespace-only line": ("a,1,2,3,4\n  \nb,1,2,3,4\n", False),
+    "crlf": ("a,1,2,3,4\r\n\r\nb,1,2,3,4\r\n", True),
+    "no final newline": ("a,1,2,3,4\nb,1,2,3,4", True),
+    "empty id": (",1,2,3,4\n", True),
+    "empty field": ("a,,2,3,4\n", False),
+    "four fields": ("a,1,2,3\n", False),
+    "six fields": ("a,1,2,3,4,5\n", False),
+    "hex": ("a,0x10,2,3,4\n", False),
+    "nan": ("a,1,2,3,4\n\nb,nan,2,3,4\n", True),
+    "1e400": ("a,1e400,2,3,4\n", True),
+    "infinity": ("a,1,-Infinity,3,4\n", True),
+    "nul in id": ("a\x00,1,2,3,4\n", True),
+    "nul in number": ("a,1\x00,2,3,4\n", False),
+    "header only": ("", False),
+    "line breaks only": ("\n\r\n\n", False),
+    "separator padding": ("a,\x1c1,2,3,4\n", False),
+    "separator in id": ("\x1fa,1,2,3,4\n", False),
+    "quoted number": ('a,"1",2,3,4\n', True),
+    "quote inside id": ('a"b,1,2,3,4\n', True),
+    "text after closing quote": ('"a"b,1,2,3,4\n', True),
+    "unterminated quote": ('"a,1,2,3,4\n', False),
+    "signed zero and subnormals": ("a,-0,1e-320,5e-324,4\n", True),
+}
+
+
+class TestReaderOracle:
+    """numpy's C reader against the row loop it replaced, which stays the reference."""
+
+    @pytest.mark.parametrize("name", EDGE_TABLES)
+    def test_edge_tables(self, name, row_loop_calls):
+        body, fast = EDGE_TABLES[name]
+        text = HEADER_LINE + body
+        expected = row_loop_outcome(text)
+        row_loop_calls.clear()
+        assert table_outcome(text) == expected
+        assert row_loop_calls == ([] if fast else [1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_tables(self, data):
+        pid = st.text(st.sampled_from(list('ab #,"\n\r1.\t\x00\x1d\xa0\u0661')), max_size=6)
+        number = st.one_of(
+            st.floats(width=64).map(repr),
+            st.integers(-10 ** 20, 10 ** 20).map(str),
+            st.sampled_from([" 7.5 ", "1_000", "\u0661", "nan", "-inf", "1e400", "", "0x10",
+                             "-0", '"1"', ' "1"', "1e-320", "\xa02", "\x1d3", "5.", ".5",
+                             "1E5", "+1", "inf ", "'1'", "1 2", "\t4\t"]),
+        )
+        rows = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            fields = [data.draw(pid)] + data.draw(st.lists(number, min_size=3, max_size=5))
+            if data.draw(st.booleans()):
+                fields[0] = '"' + fields[0].replace('"', '""') + '"'
+            rows.append(",".join(fields))
+            rows += [""] * data.draw(st.integers(0, 1))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = HEADER_LINE + end.join(rows) + data.draw(st.sampled_from(["", end]))
+        assert table_outcome(text) == row_loop_outcome(text)
+
+    def test_benchmark_shaped_table_skips_the_row_loop(self, row_loop_calls):
+        rng = np.random.default_rng(3)
+        columns = np.round(np.exp(rng.normal(9.0, 2.0, (4, 500))), 1).tolist()
+        text = HEADER_LINE + "".join(f"r{k:06d},{a!r},{b!r},{c!r},{d!r}\n"
+                                     for k, (a, b, c, d) in enumerate(zip(*columns)))
+        assert table_outcome(text) == row_loop_outcome(text)
+        row_loop_calls.clear()
+        assert len(read_attribute_table(text)) == 500
+        assert row_loop_calls == []
+        # one spelling only float() reads sends the whole body to the row loop
+        read_attribute_table(text.replace("r000007,", "r000007,1_0", 1))
+        assert row_loop_calls == [1]
 
 
 class TestRunEda:
