@@ -10,13 +10,12 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .damage import load_default_curve
@@ -24,6 +23,7 @@ from .eda import read_attribute_table, run_eda, scatter_export
 from .geodata import (
     ParseError,
     format_number,
+    load_json,
     parse_ascii_grid,
     parse_bfe_zones,
     parse_damage_curve,
@@ -32,7 +32,7 @@ from .geodata import (
 )
 from .grid import make_fishnet
 from .overlay import apportion_many
-from .scenario import AREA_BASES, flooded_cells_geojson, sweep
+from .scenario import AREA_BASES, check_scenarios, flooded_cells_geojson, sweep
 from .terrain import assign_bfe, build_cell_states, cell_states_csv, zonal_mean_elevation
 
 logger = logging.getLogger(__name__)
@@ -51,10 +51,7 @@ class EmptyInputError(Exception):
     """Inputs parsed fine but leave nothing to assess."""
 
 
-_CONFIG_KEYS = {
-    "dem_path", "parcels_path", "bfe_path", "damage_curve_path",
-    "cell_size", "slr_list", "area_basis", "output_dir",
-}
+_PATH_FIELDS = ("dem_path", "parcels_path", "bfe_path", "damage_curve_path", "output_dir")
 
 
 @dataclass
@@ -71,61 +68,47 @@ class RunConfig:
     output_dir: str = "."
 
     def validate(self) -> None:
-        for name in ("dem_path", "parcels_path", "bfe_path", "output_dir"):
-            if not getattr(self, name):
-                raise ConfigError(f"config field {name!r} must be a nonempty path")
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
-            raise ConfigError(f"cell_size must be positive and finite, got {self.cell_size}")
-        if not self.slr_list:
-            raise ConfigError("slr_list must be nonempty")
-        if not all(math.isfinite(s) for s in self.slr_list):
-            raise ConfigError(f"slr_list values must be finite, got {self.slr_list}")
-        if self.slr_list[0] != 0:
-            raise ConfigError(f"slr_list must start at 0, got {self.slr_list[0]}")
-        if any(not b > a for a, b in zip(self.slr_list, self.slr_list[1:])):
-            raise ConfigError(f"slr_list must be strictly ascending, got {self.slr_list}")
-        if self.area_basis not in AREA_BASES:
-            raise ConfigError(f"area_basis must be one of {AREA_BASES}, got {self.area_basis!r}")
+        """Check every field; cell_size and slr_list become floats."""
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str) or not (value or name == "damage_curve_path"):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
+        try:
+            self.cell_size = float(self.cell_size)
+            if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"cell_size must be positive and finite, "
+                              f"got {self.cell_size!r}") from None
+        try:
+            if not isinstance(self.slr_list, list):
+                raise TypeError
+            self.slr_list = [float(s) for s in self.slr_list]
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"slr_list must be a list of numbers, "
+                              f"got {self.slr_list!r}") from None
+        try:
+            check_scenarios(self.slr_list, self.area_basis)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read config file {path}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"config file {path}: {_undecodable(exc)}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config file {path}: invalid JSON: {exc}") from None
+        doc = _parse_input(path, "config", load_json)
         if not isinstance(doc, dict):
             raise ParseError(f"config file {path}: expected a JSON object")
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         missing = [k for k in ("dem_path", "parcels_path", "bfe_path") if k not in doc]
         if missing:
             raise ConfigError(f"missing config key(s): {', '.join(missing)}")
-        base = Path(path).parent
-        cfg = cls(
-            dem_path=_resolve(base, doc["dem_path"]),
-            parcels_path=_resolve(base, doc["parcels_path"]),
-            bfe_path=_resolve(base, doc["bfe_path"]),
-            damage_curve_path=_resolve(base, doc.get("damage_curve_path", "")),
-            cell_size=float(doc.get("cell_size", 98.0)),
-            slr_list=[float(s) for s in doc.get("slr_list", [0, 1, 2, 3])],
-            area_basis=str(doc.get("area_basis", "parcel")),
-            output_dir=_resolve(base, doc.get("output_dir", ".")),
-        )
+        cfg = cls(**doc)
+        for name in _PATH_FIELDS:  # relative to the config file; absolute paths pass through
+            value = getattr(cfg, name)
+            if isinstance(value, str) and value:
+                setattr(cfg, name, str(Path(path).parent / value))
         return cfg
-
-
-def _resolve(base: Path, p: str) -> str:
-    """Config-relative path resolution; absolute paths pass through."""
-    if not p:
-        return p
-    return str(Path(p) if Path(p).is_absolute() else base / p)
 
 
 def _parse_input(path: str, what: str, parse, mode: str = "r"):
@@ -135,16 +118,12 @@ def _parse_input(path: str, what: str, parse, mode: str = "r"):
             return parse(fh.read() if mode == "r" else fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{what} file {path}: {_undecodable(exc)}") from None
+    except UnicodeDecodeError as exc:  # the offset is from the start of the file
+        byte = exc.object[exc.start]
+        raise ParseError(f"{what} file {path}: not {exc.encoding} text: byte {byte:#04x} "
+                         f"at offset {exc.start} ({exc.reason})") from None
     except ParseError as exc:
         raise ParseError(f"{what} file {path}: {exc}") from None
-
-
-def _undecodable(exc: UnicodeDecodeError) -> str:
-    """Where a file's bytes stop being text: the byte offset is from the start of the file."""
-    return (f"not {exc.encoding} text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
-            f" ({exc.reason})")
 
 
 def run_assessment(config: RunConfig) -> dict[str, str]:
@@ -166,8 +145,7 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
     parcels = _parse_input(config.parcels_path, "parcels", parse_parcels)
     zones = _parse_input(config.bfe_path, "BFE zones", parse_bfe_zones)
     if config.damage_curve_path:
-        curve = _parse_input(config.damage_curve_path, "damage curve",
-                             parse_damage_curve)
+        curve = _parse_input(config.damage_curve_path, "damage curve", parse_damage_curve)
     else:
         logger.info("no damage curve configured; using the uncalibrated packaged default")
         curve = load_default_curve()
@@ -255,13 +233,6 @@ def cmd_fishnet(bbox_arg: str, cell_size: float) -> int:
     return EXIT_OK
 
 
-def _parse_slr_list(raw: str) -> list[float]:
-    try:
-        return [float(v) for v in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"invalid slr list {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floodgrid",
@@ -298,16 +269,13 @@ def main(argv=None) -> int:
     if args.command == "assess":
         try:
             config = RunConfig.from_file(args.config)
-            if args.slr:
-                config.slr_list = _parse_slr_list(args.slr)
-            if args.area_basis:
-                config.area_basis = args.area_basis
-            if args.out:
-                config.output_dir = args.out
         except ParseError as exc:
             return _fail(exc, EXIT_PARSE_ERROR)
         except ConfigError as exc:
             return _fail(exc, EXIT_CONFIG_ERROR)
+        config.slr_list = args.slr.split(",") if args.slr else config.slr_list
+        config.area_basis = args.area_basis or config.area_basis
+        config.output_dir = args.out or config.output_dir
         return cmd_assess(config)
 
     if args.command == "eda":

@@ -13,14 +13,13 @@ import io
 import json
 import logging
 import math
-import operator
 import re
 from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geodata import ParseError, format_number
+from .geodata import ParseError, format_numbers
 
 logger = logging.getLogger(__name__)
 
@@ -56,41 +55,47 @@ class EdaReport:
 def read_attribute_table(text: str) -> np.ndarray:
     """Parse the attribute CSV (fixed 5-column header) into a TABLE_DTYPE array.
 
-    A non-numeric or non-finite field is a ParseError naming its line.
+    A field may be of any length, as it may for numpy's reader. A row csv
+    cannot split, or a non-numeric or non-finite field, is a ParseError
+    naming its line.
     """
+    limit = csv.field_size_limit(len(text) + 1)  # no field outgrows the text
     fh = io.StringIO(text)
     reader = csv.reader(fh)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty attribute table") from None
-    if [h.strip() for h in header] != TABLE_HEADER:
-        raise ParseError(
-            f"line 1: expected header {','.join(TABLE_HEADER)!r}, got {','.join(header)!r}"
-        )
-    body = fh.tell()
-    table = None
-    # numpy's C reader quotes as csv.reader does and gives the doubles float()
-    # gives. It refuses what only float() reads ("1_000", non-ASCII digits),
-    # and the row loop, which words every error, reads those. It warns on a
-    # body without rows and strips _SEPARATORS around a number, so neither
-    # reaches it.
-    if _CONTENT.search(text, body) and not any(c in text for c in _SEPARATORS):
-        try:
-            table = np.loadtxt(fh, dtype=TABLE_DTYPE, delimiter=",", comments=None,
-                               quotechar='"', ndmin=1)
-        except ValueError:
-            fh.seek(body)
-    if table is None:
-        table = _read_rows(reader)
-    finite = np.logical_and.reduce([np.isfinite(table[name]) for name in TABLE_HEADER[1:]])
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        # the header, then one non-blank row per parsed record
-        rows = [x for x in enumerate(csv.reader(io.StringIO(text)), start=1) if x[1]]
-        lineno, row = rows[int(bad[0]) + 1]
-        raise ParseError(f"line {lineno}: non-finite field in {row!r}")
-    return table
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty attribute table")
+        if [h.strip() for h in header] != TABLE_HEADER:
+            raise ParseError(f"line 1: expected header {','.join(TABLE_HEADER)!r}, "
+                             f"got {','.join(header)!r}")
+        body = fh.tell()
+        table = None
+        # numpy's C reader quotes as csv.reader does and gives the doubles float()
+        # gives. It refuses what only float() reads ("1_000", non-ASCII digits),
+        # and the row loop, which words every error, reads those. It warns on a
+        # body without rows and strips _SEPARATORS around a number, so neither
+        # reaches it.
+        if _CONTENT.search(text, body) and not any(c in text for c in _SEPARATORS):
+            try:
+                table = np.loadtxt(fh, dtype=TABLE_DTYPE, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+            except ValueError:
+                fh.seek(body)
+        if table is None:
+            table = _read_rows(reader)
+        finite = np.logical_and.reduce([np.isfinite(table[name]) for name in TABLE_HEADER[1:]])
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            # the header, then one non-blank row per parsed record
+            reader = csv.reader(io.StringIO(text))
+            lineno, row = [x for x in enumerate(reader, start=1) if x[1]][int(bad[0]) + 1]
+            raise ParseError(f"line {lineno}: non-finite field in {row!r}")
+        return table
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _read_rows(reader) -> np.ndarray:
@@ -253,20 +258,9 @@ def scatter_export(t: np.ndarray) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["parcel_id", "shape_area", "area_cost"])
-    writer.writerows(zip(t["parcel_id"], _format_column(t["shape_area"]),
-                         _format_column(area_cost(t))))
+    writer.writerows(zip(t["parcel_id"], format_numbers(t["shape_area"]),
+                         format_numbers(area_cost(t))))
     return buf.getvalue()
-
-
-def _format_column(values: np.ndarray):
-    """format_number of each value, lazily: repr, less the ".0" of integral values.
-
-    repr ends in ".0" exactly on the integral values below 1e16 in magnitude;
-    from 1e16 up it switches to exponent form.
-    """
-    cut = (values == np.trunc(values)) & (np.abs(values) < 1e16)
-    return map(operator.getitem, map(repr, values.tolist()),
-               map((slice(None), slice(-2)).__getitem__, cut.tolist()))
 
 
 def run_eda(table: np.ndarray) -> tuple[EdaReport, np.ndarray]:

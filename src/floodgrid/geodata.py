@@ -8,8 +8,10 @@ CSV. All coordinates are planar feet; no reprojection is performed.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import math
+import operator
 import os
 from array import array
 from collections.abc import Callable, Iterator
@@ -35,6 +37,14 @@ def format_number(x: float) -> str:
     if s.endswith(".0"):
         return s[:-2]
     return s
+
+
+def format_numbers(values: np.ndarray):
+    """format_number of each value, lazily: repr, less the ".0" it ends in exactly on
+    the integral values below 1e16 in magnitude (from 1e16 up it has an exponent)."""
+    cut = (values == np.trunc(values)) & (np.abs(values) < 1e16)
+    return map(operator.getitem, map(repr, values.tolist()),
+               map((slice(None), slice(-2)).__getitem__, cut.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -165,29 +175,30 @@ def _read_bands(rows, nrows: int, ncols: int, edges, text) -> Iterator[np.ndarra
 def parse_ascii_grid(source) -> Raster:
     """Parse an ESRI ASCII grid: 6 header lines, then whitespace-separated values.
 
-    ``source`` is the text, or a binary file open for reading, of which only
-    the header is read here: ``Raster.bands`` reads the rows while the file
-    is open, and ``values`` stays None. Header keys are case-insensitive.
-    Errors carry the offending line (and token) position.
+    ``source`` is a binary file open for reading, of which only the header
+    is read here: ``Raster.bands`` reads the rows while the file is open,
+    and ``values`` stays None. Given the text instead, its lines are read
+    the same way and ``values`` holds the rows. Header keys are
+    case-insensitive. Errors carry the offending line (and token) position.
     """
+    if isinstance(source, str):
+        text = "\n".join([*source.splitlines(), ""])
+        raster = parse_ascii_grid(io.BytesIO(text.encode(errors="replace")))  # "?" for a surrogate
+        (raster.values,) = raster.bands([0, raster.nrows])
+        raster._stream = None  # lets the copy of the text go
+        return raster
+
     def text() -> str:
-        if isinstance(source, str):
-            return source
         source.seek(0)
         return source.read().decode()
 
     n = len(_HEADER_KEYS)
-    if isinstance(source, str):
-        lines = source.splitlines()
-        head, rows = lines[:n], (line for line in lines[n:] if line.strip())
-        size, odd = len(source), False
-    else:
-        size = source.seek(0, os.SEEK_END)
-        source.seek(0)
-        head = [line.decode().splitlines() if line.isascii() else [] for line in islice(source, n)]
-        odd = any(len(parts) != 1 for parts in head)
-        head = text().splitlines()[:n] if odd else [parts[0] for parts in head]
-        rows = (line for line in source if line.strip(_ASCII_SPACE))
+    size = source.seek(0, os.SEEK_END)
+    source.seek(0)
+    head = [line.decode().splitlines() if line.isascii() else [] for line in islice(source, n)]
+    odd = any(len(parts) != 1 for parts in head)
+    head = text().splitlines()[:n] if odd else [parts[0] for parts in head]
+    rows = (line for line in source if line.strip(_ASCII_SPACE))
     if len(head) < n:
         raise ParseError(f"expected {n} header lines, file has only {len(head)}")
     header: dict[str, float] = {}
@@ -223,8 +234,6 @@ def parse_ascii_grid(source) -> Raster:
         raise ParseError(str(exc)) from None
     if stream:
         raster._stream = partial(_read_bands, rows, nrows, ncols, text=text)
-        if isinstance(source, str):
-            (raster.values,) = raster.bands([0, nrows])
     return raster
 
 
@@ -236,8 +245,7 @@ def write_ascii_grid(r: Raster) -> str:
     result reproduces ``r`` exactly.
     """
     lines = [f"{key} {format_number(getattr(r, key))}" for key in _HEADER_KEYS]
-    for row in r.values:
-        lines.append(" ".join(format_number(v) for v in row))
+    lines += map(" ".join, map(format_numbers, r.values))
     return "\n".join(lines) + "\n"
 
 
@@ -312,6 +320,8 @@ def _property_error(idx: int, pid: str, raw) -> ParseError:
 def _number(value, what: str, where: str) -> float:
     try:
         number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
     except (TypeError, ValueError):
         raise ParseError(f"{where}: non-numeric value {value!r} for {what}") from None
     if not math.isfinite(number):
@@ -357,7 +367,7 @@ class ParcelTable:
                 try:
                     values = [float(assessment), float(land_area), float(base_flood)]
                     ok = values[0] >= 0 and values[1] >= 0 and all(map(math.isfinite, values))
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     ok = False
                 if not ok:
                     raise _property_error(idx, pid if len(polygons) == 1 else f"{pid}#0",
@@ -451,11 +461,16 @@ def _feature_polygons(geometry, where: str) -> list[list]:
     return polys
 
 
-def _load_feature_collection(text: str):
+def load_json(text: str):
+    """The JSON document ``text``; one it cannot decode, or nested too deep, is a ParseError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def _load_feature_collection(text: str):
+    doc = load_json(text)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("root object is not a GeoJSON FeatureCollection")
     features = doc.get("features")
@@ -533,13 +548,21 @@ class DamageCurve:
     breakpoints: list[tuple[float, float]]
 
     def __post_init__(self):
-        if len(self.breakpoints) < 2:
+        pairs = []
+        for i, pair in enumerate(self.breakpoints):
+            try:
+                d, f = map(float, pair)
+            except OverflowError:  # an integer too large for a float
+                d = f = math.inf
+            except (TypeError, ValueError):
+                raise ValueError(f"entry {i}: non-numeric pair {pair!r}") from None
+            if not (math.isfinite(d) and math.isfinite(f)):
+                raise ValueError(f"entry {i}: non-finite value in {pair!r} (must be finite)")
+            pairs.append((d, f))
+        if len(pairs) < 2:
             raise ValueError("damage curve needs at least 2 breakpoints")
-        self.breakpoints = [(float(d), float(f)) for d, f in self.breakpoints]
-        depths = [d for d, _ in self.breakpoints]
-        fractions = [f for _, f in self.breakpoints]
-        if not all(math.isfinite(v) for v in depths + fractions):
-            raise ValueError("breakpoint depths and fractions must be finite")
+        self.breakpoints = pairs
+        depths, fractions = zip(*pairs)
         if any(not b > a for a, b in zip(depths, depths[1:])):
             raise ValueError("depths strictly increasing violated")
         if any(f < 0 or f > 1 for f in fractions):
@@ -550,22 +573,14 @@ class DamageCurve:
 
 def parse_damage_curve(text: str) -> DamageCurve:
     """Parse a JSON array of [depth_ft, fraction] pairs into a DamageCurve."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    raw = load_json(text)
     if not isinstance(raw, list):
         raise ParseError("damage curve must be a JSON array of [depth, fraction] pairs")
-    pairs = []
     for i, item in enumerate(raw):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
+        if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"entry {i}: expected a [depth, fraction] pair")
-        try:
-            pairs.append((float(item[0]), float(item[1])))
-        except (TypeError, ValueError):
-            raise ParseError(f"entry {i}: non-numeric pair {item!r}") from None
     try:
-        return DamageCurve(pairs)
+        return DamageCurve(raw)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

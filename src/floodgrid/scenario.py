@@ -74,6 +74,21 @@ def _sequential_totals(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=1)[:, -1]
 
 
+def check_scenarios(slr_list, area_basis: str) -> None:
+    """Raise ValueError unless ``slr_list`` is finite, nonempty, starts at 0 and
+    strictly ascends, and ``area_basis`` is one of AREA_BASES."""
+    if not all(math.isfinite(s) for s in slr_list):
+        raise ValueError(f"slr list values must be finite, got {slr_list}")
+    if not slr_list:
+        raise ValueError("empty slr list")
+    if slr_list[0] != 0:
+        raise ValueError(f"first scenario must be the base flood (slr 0), got {slr_list[0]}")
+    if any(not b > a for a, b in zip(slr_list, slr_list[1:])):
+        raise ValueError("slr list must be strictly ascending")
+    if area_basis not in AREA_BASES:
+        raise ValueError(f"area_basis must be one of {AREA_BASES}, got {area_basis!r}")
+
+
 def sweep(
     states: CellArrays,
     curve: DamageCurve,
@@ -88,18 +103,11 @@ def sweep(
     area (or, under the ``cell`` basis, the full cell area) once, plus its
     damage. Totals add cells in row-major order.
 
-    ``slr_list`` must be strictly ascending and start at 0. Totals are
-    checked for monotonicity in the rise: more water can never flood less.
-    A total that overflows raises ValueError.
+    The arguments must pass ``check_scenarios``. Totals are checked for
+    monotonicity in the rise: more water can never flood less. A total that
+    overflows raises ValueError.
     """
-    if not slr_list:
-        raise ValueError("empty slr list")
-    if slr_list[0] != 0:
-        raise ValueError(f"first scenario must be the base flood (slr 0), got {slr_list[0]}")
-    if any(not b > a for a, b in zip(slr_list, slr_list[1:])):
-        raise ValueError("slr list must be strictly ascending")
-    if area_basis not in AREA_BASES:
-        raise ValueError(f"area_basis must be one of {AREA_BASES}, got {area_basis!r}")
+    check_scenarios(slr_list, area_basis)
     if area_basis == "cell" and cell_area <= 0:
         raise ValueError("cell basis requires a positive cell_area")
 

@@ -8,12 +8,11 @@ Each is one row-major array over the grid, NaN where unknown.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geodata import BfeZone, Raster, data_mask, format_number
+from .geodata import BfeZone, Raster, data_mask, format_numbers
 from .grid import GridSpec, col_of, row_of
 
 # Scanline rows per chunk times their zone edges plus grid columns: bounds
@@ -151,12 +150,10 @@ def build_cell_states(
 
 def cell_states_csv(g: GridSpec, states: CellArrays) -> str:
     """Dump cell states as CSV, row-major; absent elevations/BFEs are empty."""
+    elev, bfe = (("" if s == "nan" else s for s in format_numbers(column))
+                 for column in (states.mean_elevation, states.bfe))
+    rows = zip(elev, bfe, states.exposed_value.tolist(), format_numbers(states.exposed_area))
     lines = ["row,col,mean_elevation,bfe,exposed_value,exposed_area"]
-    columns = zip(states.mean_elevation.tolist(), states.bfe.tolist(),
-                  states.exposed_value.tolist(), states.exposed_area.tolist())
-    for k, (elev, bfe, value, area) in enumerate(columns):
-        elev = "" if math.isnan(elev) else format_number(elev)
-        bfe = "" if math.isnan(bfe) else format_number(bfe)
-        lines.append(f"{k // g.n_cols},{k % g.n_cols},{elev},{bfe},"
-                     f"{value:.2f},{format_number(area)}")
+    lines += (f"{k // g.n_cols},{k % g.n_cols},{e},{b},{value:.2f},{area}"
+              for k, (e, b, value, area) in enumerate(rows))
     return "\n".join(lines) + "\n"

@@ -477,3 +477,110 @@ def test_traced_layer_names_are_bound_in_cli():
     spec.loader.exec_module(child)
     assert child.LAYER_CALLS
     assert [name for name in child.LAYER_CALLS if not hasattr(cli, name)] == []
+
+
+@pytest.fixture
+def tiny_fixture(tmp_path):
+    """A 4x4 DEM under a 2x2 fishnet: one parcel, one BFE zone, a linear curve."""
+    dem = Raster(4, 4, 0.0, 0.0, 10.0, -9999.0, np.arange(16.0).reshape(4, 4) / 4)
+    (tmp_path / "dem.asc").write_text(write_ascii_grid(dem))
+    (tmp_path / "parcels.geojson").write_text(json.dumps({
+        "type": "FeatureCollection", "features": [rect_feature("A", 0, 0, 20, 20, 100_000)]}))
+    (tmp_path / "bfe.geojson").write_text(json.dumps({
+        "type": "FeatureCollection", "features": [{
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [
+                [[0, 0], [40, 0], [40, 40], [0, 40], [0, 0]]]},
+            "properties": {"static_bfe": 8.0}}]}))
+    (tmp_path / "curve.json").write_text("[[0, 0], [10, 1]]")
+    (tmp_path / "run.json").write_text(json.dumps({
+        "dem_path": "dem.asc", "parcels_path": "parcels.geojson", "bfe_path": "bfe.geojson",
+        "damage_curve_path": "curve.json", "cell_size": 20.0, "slr_list": [0, 1],
+        "output_dir": "out"}))
+    return tmp_path
+
+
+def edit_json(doc, keys, value):
+    """``doc`` with the item at the path ``keys`` set to ``value``."""
+    *parents, last = keys
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+HUGE = 10 ** 400  # a JSON integer too large for a float
+ASSESSMENT = ("features", 0, "properties", "current_assessment")
+
+# file, item path in its JSON (None: the whole file), new value, exit code,
+# and what the error line must say after the file (or, for config, the key)
+CRASHING_INPUTS = {
+    "huge assessment": ("parcels.geojson", ASSESSMENT, HUGE, EXIT_PARSE_ERROR,
+                        "feature 0: non-finite value 1000"),
+    "huge static_bfe": ("bfe.geojson", ("features", 0, "properties", "static_bfe"), HUGE,
+                        EXIT_PARSE_ERROR, "feature 0: non-finite value 1000"),
+    "huge curve depth": ("curve.json", (1, 0), HUGE, EXIT_PARSE_ERROR,
+                         "entry 1: non-finite value in [1000"),
+    "deeply nested parcels": ("parcels.geojson", None, "[" * 100_000 + "]" * 100_000,
+                              EXIT_PARSE_ERROR, "invalid JSON: maximum recursion depth"),
+    "huge cell_size": ("run.json", ("cell_size",), HUGE, EXIT_CONFIG_ERROR, "cell_size"),
+    "null cell_size": ("run.json", ("cell_size",), None, EXIT_CONFIG_ERROR, "cell_size"),
+    "text in slr_list": ("run.json", ("slr_list",), ["a"], EXIT_CONFIG_ERROR, "slr_list"),
+    "number as slr_list": ("run.json", ("slr_list",), 3, EXIT_CONFIG_ERROR, "slr_list"),
+    "number as dem_path": ("run.json", ("dem_path",), 3, EXIT_CONFIG_ERROR, "dem_path"),
+    "infinite slr": ("run.json", ("slr_list",), [0, float("inf")], EXIT_CONFIG_ERROR,
+                     "slr list values must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", CRASHING_INPUTS)
+def test_crashing_input_is_one_error_line(tiny_fixture, capsys, case):
+    name, keys, value, code, message = CRASHING_INPUTS[case]
+    path = tiny_fixture / name
+    if keys is None:
+        path.write_text(value)
+    else:
+        doc = json.loads(path.read_text())
+        edit_json(doc, keys, value)
+        path.write_text(json.dumps(doc))
+    assert main(["assess", "--config", str(tiny_fixture / "run.json")]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    if code == EXIT_CONFIG_ERROR:
+        assert message in errors[0]
+    else:
+        what = {"parcels.geojson": "parcels", "bfe.geojson": "BFE zones",
+                "curve.json": "damage curve"}[name]
+        assert errors[0].startswith(f"error: {what} file {path}: {message}")
+    assert not (tiny_fixture / "out").exists()
+
+
+def test_tiny_fixture_runs(tiny_fixture):
+    assert main(["assess", "--config", str(tiny_fixture / "run.json")]) == EXIT_OK
+    assert (tiny_fixture / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("slr, message", [
+    ("1,a", "slr_list must be a list of numbers, got ['1', 'a']"),
+    ("0,inf", "slr list values must be finite"),
+    ("1,2", "first scenario must be the base flood (slr 0), got 1.0"),
+])
+def test_bad_slr_flag_is_config_error_in_sweeps_wording(tiny_fixture, capsys, slr, message):
+    assert main(["assess", "--config", str(tiny_fixture / "run.json"),
+                 "--slr", slr]) == EXIT_CONFIG_ERROR
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tiny_fixture / "out").exists()
+
+
+@pytest.mark.parametrize("number, code", [("60000", EXIT_OK), ("60_000", EXIT_OK),
+                                          ("6e400", EXIT_PARSE_ERROR)])
+def test_eda_reads_an_id_longer_than_the_csv_field_limit(tmp_path, capsys, number, code):
+    # 1_000 sends the table to the row loop, 6e400 to the line lookup of a non-finite field
+    table = tmp_path / "table.csv"
+    table.write_text(EDA_TABLE + "x" * 140_000 + f",{number},4000,3900,6\n")
+    assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) == code
+    if code == EXIT_OK:
+        report = json.loads((tmp_path / "o" / "eda_report.json").read_text())
+        assert report["counts"]["input"] == 21
+    else:
+        assert (f"error: attribute table file {table}: line 22: non-finite field"
+                in capsys.readouterr().err)

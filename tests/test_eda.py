@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ols_normal_equations
-from floodgrid import eda
+from floodgrid import eda, geodata
 from floodgrid.eda import (
     CHI2_1DF_5PCT,
     TABLE_DTYPE,
@@ -303,7 +303,7 @@ class TestScatterExport:
         rng = np.random.default_rng(5)
         lognormal = np.exp(rng.normal(0, 12, 2000))
         values = np.concatenate([edges, np.negative(edges), lognormal, np.round(lognormal)])
-        assert list(eda._format_column(values)) == list(map(format_number, values.tolist()))
+        assert list(geodata.format_numbers(values)) == list(map(format_number, values.tolist()))
 
 
 class TestReadAttributeTable:
@@ -377,6 +377,7 @@ class TestReadAttributeTable:
 
 
 HEADER_LINE = ",".join(TABLE_HEADER) + "\n"
+LONG_ID_CHARS = 140_000  # over csv.field_size_limit()'s default of 131072
 
 
 def table_outcome(text):
@@ -496,6 +497,30 @@ class TestReaderOracle:
         # one spelling only float() reads sends the whole body to the row loop
         read_attribute_table(text.replace("r000007,", "r000007,1_0", 1))
         assert row_loop_calls == [1]
+
+
+    @pytest.mark.parametrize("number, row_loop", [("1", False), ("1_000", True)])
+    def test_id_longer_than_the_csv_field_limit(self, row_loop_calls, number, row_loop):
+        limit = csv.field_size_limit()
+        assert limit < LONG_ID_CHARS
+        text = HEADER_LINE + "a,1,2,3,4\n" + "x" * LONG_ID_CHARS + f",{number},2,3,4\n"
+        expected = row_loop_outcome(text)
+        row_loop_calls.clear()
+        assert table_outcome(text) == expected
+        assert row_loop_calls == ([1] if row_loop else [])
+        assert expected[0] == ["a", "x" * LONG_ID_CHARS]  # both readers accept it
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize("body, message", [
+        ("a\rb,1,2,3,4\n", "line 2: new-line character seen in unquoted field"),
+        ("a,1,2,3,4\r\nb\r,1,2,3,4\r\n", "line 3: new-line character seen in unquoted field"),
+        ("x" * LONG_ID_CHARS + ",1" + "0" * LONG_ID_CHARS + ",2,3,4\n", "line 2: non-finite field"),
+    ], ids=["cr in id", "cr after a crlf row", "long id and number"])
+    def test_what_csv_refuses_is_a_parse_error_naming_the_line(self, body, message):
+        text = HEADER_LINE + body
+        expected = row_loop_outcome(text)
+        assert table_outcome(text) == expected
+        assert expected[0] is ParseError and expected[1].startswith(message)
 
 
 class TestRunEda:

@@ -1,6 +1,8 @@
 """IO formats: ASCII grid, parcel/BFE GeoJSON, damage curves, report CSV."""
 
+import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -700,3 +702,25 @@ class TestFormatNumber:
         rng = np.random.default_rng(7)
         for v in rng.uniform(-1e8, 1e8, 500):
             assert float(format_number(v)) == v
+
+
+@pytest.mark.parametrize("line, token", [(7, 2), (1, None)])
+def test_text_with_a_lone_surrogate_is_a_parse_error(line, token):
+    text = MINIMAL_GRID.replace("1 2", "1 \ud800") if token else \
+        MINIMAL_GRID.replace("ncols 2", "ncols \ud800")
+    where = f"line {line}, token {token}" if token else f"line {line}"
+    with pytest.raises(ParseError, match=f"{where}: non-numeric token"):
+        parse_ascii_grid(text)
+
+
+def test_raster_parsed_from_text_keeps_no_copy_of_it():
+    rng = np.random.default_rng(2)
+    text = write_ascii_grid(Raster(200, 100, 0.0, 0.0, 1.0, -9999.0, rng.normal(size=(100, 200))))
+    tracemalloc.start()
+    try:
+        dem = parse_ascii_grid(text)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < dem.values.nbytes + len(text) // 4

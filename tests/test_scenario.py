@@ -347,3 +347,10 @@ class TestGeojsonBytes:
         empty_doc = '{"type":"FeatureCollection","features":[]}\n'
         assert flooded_cells_geojson(g, [empty]) == [empty_doc]
 
+
+
+@pytest.mark.parametrize("slr_list", [[0.0, float("inf")], [0.0, float("nan")],
+                                      [float("-inf"), 0.0]])
+def test_sweep_rejects_non_finite_rise(slr_list):
+    with pytest.raises(ValueError, match="slr list values must be finite"):
+        sweep(one_cell_states(), LINEAR, slr_list)

@@ -1,5 +1,6 @@
 """Zonal elevation statistics, BFE assignment, and flood depth."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from conftest import brute_force_zonal_means, cell_map, points_in_polygon, random_raster
 from floodgrid import terrain
-from floodgrid.geodata import BfeZone, Raster, parse_ascii_grid
+from floodgrid.geodata import BfeZone, Raster, format_number, parse_ascii_grid
 from floodgrid.grid import GridSpec
 from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.terrain import (
+    CellArrays,
     assign_bfe,
     build_cell_states,
     cell_states_csv,
@@ -368,3 +370,49 @@ class TestCellStates:
             "0,0,2.5,,0.00,0\n"
             "0,1,,6,1000.00,12.5\n"
         )
+
+
+def per_row_cell_states_csv(g, states):
+    """cells.csv as one format_number call per value writes it: the reference
+    for the bulk column renderer."""
+    lines = ["row,col,mean_elevation,bfe,exposed_value,exposed_area"]
+    columns = zip(states.mean_elevation.tolist(), states.bfe.tolist(),
+                  states.exposed_value.tolist(), states.exposed_area.tolist())
+    for k, (elev, bfe, value, area) in enumerate(columns):
+        elev = "" if math.isnan(elev) else format_number(elev)
+        bfe = "" if math.isnan(bfe) else format_number(bfe)
+        lines.append(f"{k // g.n_cols},{k % g.n_cols},{elev},{bfe},"
+                     f"{value:.2f},{format_number(area)}")
+    return "\n".join(lines) + "\n"
+
+
+CSV_EDGES = [-0.0, 0.0, 1e16, -1e16, 2.675, 0.005, 1e-5, 123.0, -7.5, 1e22,
+             9999999999999998.0, 5e-324, 1.7976931348623157e308]
+
+
+class TestCellStatesCsvBytes:
+    """cell_states_csv against the per-row loop it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("value", CSV_EDGES)
+    def test_one_cell_grid(self, value):
+        g = GridSpec(0, 0, 10, 1, 1)
+        for elev, bfe in [(value, value), (np.nan, value), (value, np.nan), (np.nan, np.nan)]:
+            states = CellArrays(np.array([elev]), np.array([bfe]),
+                                np.array([value]), np.array([value]))
+            assert cell_states_csv(g, states) == per_row_cell_states_csv(g, states)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(3, 4), (7, 5), (1, 9), (12, 1)])
+    def test_random_grids(self, n_rows, n_cols):
+        rng = np.random.default_rng([n_rows, n_cols])
+        g = GridSpec(0, 0, 10, n_cols, n_rows)
+        n = g.n_cells
+
+        def column(nan_share):
+            v = rng.normal(0, 10.0 ** rng.integers(-3, 18, n))
+            v = np.where(rng.random(n) < 0.3, np.round(v, 2), v)
+            v = np.where(rng.random(n) < 0.2, rng.choice(CSV_EDGES, n), v)
+            return np.where(rng.random(n) < nan_share, np.nan, v)
+
+        states = CellArrays(column(0.3), column(0.3), column(0.0), column(0.0))
+        assert np.isnan(states.mean_elevation).any() or n < 4
+        assert cell_states_csv(g, states) == per_row_cell_states_csv(g, states)
