@@ -68,12 +68,15 @@ class RunConfig:
     output_dir: str = "."
 
     def validate(self) -> None:
-        """Check every field; cell_size and slr_list become floats."""
+        """Check every field; cell_size and slr_list become floats. A number may
+        be a string float() reads, but not a bool."""
         for name in _PATH_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, str) or not (value or name == "damage_curve_path"):
                 raise ConfigError(f"{name} must be a path, got {value!r}")
         try:
+            if isinstance(self.cell_size, bool):
+                raise TypeError
             self.cell_size = float(self.cell_size)
             if not (math.isfinite(self.cell_size) and self.cell_size > 0):
                 raise ValueError
@@ -81,7 +84,7 @@ class RunConfig:
             raise ConfigError(f"cell_size must be positive and finite, "
                               f"got {self.cell_size!r}") from None
         try:
-            if not isinstance(self.slr_list, list):
+            if not isinstance(self.slr_list, list) or bool in map(type, self.slr_list):
                 raise TypeError
             self.slr_list = [float(s) for s in self.slr_list]
         except (TypeError, ValueError, OverflowError):

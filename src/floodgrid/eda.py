@@ -60,7 +60,7 @@ def read_attribute_table(text: str) -> np.ndarray:
     naming its line.
     """
     limit = csv.field_size_limit(len(text) + 1)  # no field outgrows the text
-    fh = io.StringIO(text)
+    fh = io.StringIO(text, newline="")  # a line may end in \n, \r\n or \r
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
@@ -88,7 +88,7 @@ def read_attribute_table(text: str) -> np.ndarray:
         bad = np.flatnonzero(~finite)
         if bad.size:
             # the header, then one non-blank row per parsed record
-            reader = csv.reader(io.StringIO(text))
+            reader = csv.reader(io.StringIO(text, newline=""))
             lineno, row = [x for x in enumerate(reader, start=1) if x[1]][int(bad[0]) + 1]
             raise ParseError(f"line {lineno}: non-finite field in {row!r}")
         return table

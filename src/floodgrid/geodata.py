@@ -63,7 +63,9 @@ class Raster:
     ``values`` is row-major with the first row northernmost. Cells equal to
     ``nodata_value`` (exact comparison) or non-finite carry no elevation.
     ``parse_ascii_grid`` of a binary file leaves ``values`` None: ``bands``
-    reads the rows from the file.
+    reads the rows from the file. If the file has a name, ``body`` is its
+    path, the byte offset of the first row and its ``os.stat_result``, and
+    ``reread`` reads rows anew from there.
     """
 
     ncols: int
@@ -74,6 +76,7 @@ class Raster:
     nodata_value: float
     values: np.ndarray | None
     _stream: Callable | None = field(default=None, init=False, repr=False)
+    body: tuple[str, int, os.stat_result] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
@@ -107,6 +110,19 @@ class Raster:
         if self.values is None:
             return self._stream(edges)
         return (self.values[a:b] for a, b in zip(edges[:-1], edges[1:]))
+
+    def reread(self, edges) -> Iterator[np.ndarray]:
+        """As ``bands``, for ``edges`` ascending within 0 to nrows, read anew from
+        the file of ``body``; ValueError where ``bands`` would fall back to the
+        per-line parse, or if the path now leads to another file."""
+        path, offset, stat = self.body
+        with open(path, "rb") as fh:
+            if not os.path.samestat(os.fstat(fh.fileno()), stat):
+                raise ValueError(f"{path} is no longer the file read")
+            fh.seek(offset)
+            rows = (line for line in fh if line.strip(_ASCII_SPACE))
+            next(islice(rows, edges[0], edges[0]), None)  # skips the rows before edges[0]
+            yield from _read_bands(rows, self.nrows, self.ncols, edges, None)
 
 
 def data_mask(values: np.ndarray, nodata_value: float) -> np.ndarray:
@@ -142,11 +158,13 @@ def _parse_values_per_line(text: str, expected: int) -> np.ndarray:
 def _read_bands(rows, nrows: int, ncols: int, edges, text) -> Iterator[np.ndarray]:
     """Yield rows ``edges[k]:edges[k + 1]`` of a grid body for each k in turn.
 
-    Each band is one ``np.loadtxt`` call over the non-blank body ``rows``; it
-    must return whole rows of ``ncols`` values, and nothing may follow the
-    last band. Failing that, the rest is sliced from the per-line parse of
-    ``text()``, which raises any error with its position (the bands so far
-    had ``ncols`` values a line, so it reads the same values there).
+    Each band is one ``np.loadtxt`` call over ``rows``, the non-blank body
+    lines from row ``edges[0]`` on; it must return whole rows of ``ncols``
+    values, and nothing may follow a band that ends at ``nrows``. Failing
+    that, the rest is sliced from the per-line parse of ``text()``, which
+    raises any error with its position (the bands so far had ``ncols``
+    values a line, so it reads the same values there); or, given no
+    ``text``, ValueError.
     """
     # numpy's C reader gives the doubles float() gives, and refuses what only
     # float() reads ("1_0", non-ASCII digits). Given max_rows, it allocates
@@ -164,10 +182,12 @@ def _read_bands(rows, nrows: int, ncols: int, edges, text) -> Iterator[np.ndarra
             yield band
             done += 1
         else:
-            if next(rows, None) is None:
+            if edges[-1] < nrows or next(rows, None) is None:
                 return
     except ValueError:
         pass
+    if text is None:
+        raise ValueError(f"the body is not {ncols} values a line from row {edges[done]} on")
     values = _parse_values_per_line(text(), nrows * ncols).reshape(nrows, ncols)
     yield from (values[a:b] for a, b in zip(edges[done:-1], edges[done + 1:]))
 
@@ -196,6 +216,7 @@ def parse_ascii_grid(source) -> Raster:
     size = source.seek(0, os.SEEK_END)
     source.seek(0)
     head = [line.decode().splitlines() if line.isascii() else [] for line in islice(source, n)]
+    offset = source.tell()
     odd = any(len(parts) != 1 for parts in head)
     head = text().splitlines()[:n] if odd else [parts[0] for parts in head]
     rows = (line for line in source if line.strip(_ASCII_SPACE))
@@ -234,6 +255,8 @@ def parse_ascii_grid(source) -> Raster:
         raise ParseError(str(exc)) from None
     if stream:
         raster._stream = partial(_read_bands, rows, nrows, ncols, text=text)
+        if isinstance(getattr(source, "name", None), str):
+            raster.body = (source.name, offset, os.fstat(source.fileno()))
     return raster
 
 

@@ -8,7 +8,12 @@ Each is one row-major array over the grid, NaN where unknown.
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +40,40 @@ class CellArrays:
     exposed_area: np.ndarray
 
 
+def _workers() -> int:
+    """How many processes sum a DEM body read from a file: one per CPU this
+    process may run on, or one where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _forked(runs) -> bool:
+    """Call ``runs[0]()`` here while each later run is called in a forked child.
+    False if a child's run raises or the child dies, if ``runs[0]`` raises
+    OSError or ValueError, or if a fork fails; no child outlives the call."""
+    pids = []
+    try:
+        for run in runs[1:]:
+            if (pid := os.fork()) == 0:  # a child never returns into the caller
+                try:
+                    run()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        runs[0]()
+        while pids:
+            if os.waitpid(pids.pop(0), 0)[1]:
+                return False
+        return True
+    except (OSError, ValueError):
+        return False
+    finally:
+        for pid in pids:
+            with suppress(ChildProcessError, ProcessLookupError):  # reaped if SIGCHLD is ignored
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     """Mean DEM elevation per fishnet cell, row-major.
 
@@ -44,7 +83,11 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
 
     The sums run over bands of the DEM rows that fall in one fishnet row,
     so each cell is summed within one band, in row-major order, exactly as
-    one bincount over the whole raster would.
+    one bincount over the whole raster would. A body streamed from a named
+    file is split into contiguous runs of bands, one per ``_workers()``,
+    each read anew from the file: this process sums the first, and a forked
+    child each other. Should any of them fail, all bands are summed here
+    from ``dem.bands``, so the means and any error do not depend on the count.
     """
     cs = dem.cellsize
     centers_x = dem.xllcorner + (np.arange(dem.ncols) + 0.5) * cs
@@ -60,17 +103,27 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     jj = jj[c0:c1]
     edges = np.concatenate(([0], 1 + np.flatnonzero(np.diff(ii)), [dem.nrows]))
 
-    sums = np.zeros(g.n_cells)
-    counts = np.zeros(g.n_cells, dtype=np.int64)
-    for k, band in enumerate(dem.bands(edges)):
-        lo = ii[edges[k]] * g.n_cols
-        if lo < 0:
-            continue  # outside the grid; a streamed band is checked all the same
-        block = band[:, c0:c1]
-        ok = data_mask(block, dem.nodata_value)
-        flat = np.broadcast_to(jj, block.shape)[ok]
-        sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
-        counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
+    # the sum and the count of the samples of each cell, shared with forked children
+    acc = np.frombuffer(mmap.mmap(-1, 16 * g.n_cells)).reshape(2, g.n_cells)
+    sums, counts = acc
+
+    def add(bands, k0=0):
+        for k, band in enumerate(bands, start=k0):
+            lo = ii[edges[k]] * g.n_cols
+            if lo < 0:
+                continue  # outside the grid; a streamed band is checked all the same
+            block = band[:, c0:c1]
+            ok = data_mask(block, dem.nodata_value)
+            flat = np.broadcast_to(jj, block.shape)[ok]
+            sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
+            counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
+
+    n = min(_workers(), len(edges) - 1) if dem.body else 1
+    bounds = [(len(edges) - 1) * r // n for r in range(n + 1)]
+    runs = [partial(add, dem.reread(edges[a:b + 1]), a) for a, b in zip(bounds, bounds[1:])]
+    # add() sets all the cells of a band, so a failed split leaves nothing behind
+    if n == 1 or not _forked(runs):
+        add(dem.bands(edges))
     return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floodgrid import cli
+from floodgrid import cli, terrain
 from floodgrid.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_EMPTY_INPUT,
@@ -201,13 +201,15 @@ class TestAssessCommand:
         assert read_outputs(coastal_fixture / "out") == first
 
     def test_thread_count_does_not_change_bytes(self, coastal_fixture, monkeypatch):
+        split = terrain._workers
+        monkeypatch.setattr(terrain, "_workers", lambda: 1)
         assert self.run(coastal_fixture) == EXIT_OK
         serial = read_outputs(coastal_fixture / "out")
-        # runs are single-threaded; the old thread-count variable is ignored
-        monkeypatch.setenv("FLOODGRID_THREADS", "4")
+        # the DEM body's three bands are split between one process per CPU
+        monkeypatch.setattr(terrain, "_workers", split)
         assert self.run(coastal_fixture, "--out", str(coastal_fixture / "out2")) == EXIT_OK
-        threaded = read_outputs(coastal_fixture / "out2")
-        assert serial == threaded
+        parallel = read_outputs(coastal_fixture / "out2")
+        assert serial == parallel
 
     def test_missing_dem_names_file(self, coastal_fixture, capsys):
         (coastal_fixture / "dem.asc").unlink()
@@ -527,6 +529,10 @@ CRASHING_INPUTS = {
     "text in slr_list": ("run.json", ("slr_list",), ["a"], EXIT_CONFIG_ERROR, "slr_list"),
     "number as slr_list": ("run.json", ("slr_list",), 3, EXIT_CONFIG_ERROR, "slr_list"),
     "number as dem_path": ("run.json", ("dem_path",), 3, EXIT_CONFIG_ERROR, "dem_path"),
+    "true cell_size": ("run.json", ("cell_size",), True, EXIT_CONFIG_ERROR,
+                       "cell_size must be positive and finite, got True"),
+    "booleans in slr_list": ("run.json", ("slr_list",), [False, True], EXIT_CONFIG_ERROR,
+                             "slr_list must be a list of numbers, got [False, True]"),
     "infinite slr": ("run.json", ("slr_list",), [0, float("inf")], EXIT_CONFIG_ERROR,
                      "slr list values must be finite"),
 }
@@ -557,6 +563,17 @@ def test_crashing_input_is_one_error_line(tiny_fixture, capsys, case):
 def test_tiny_fixture_runs(tiny_fixture):
     assert main(["assess", "--config", str(tiny_fixture / "run.json")]) == EXIT_OK
     assert (tiny_fixture / "out" / "report.csv").exists()
+
+
+def test_config_numbers_may_be_strings(tiny_fixture):
+    config = tiny_fixture / "run.json"
+    assert main(["assess", "--config", str(config)]) == EXIT_OK
+    expected = read_outputs(tiny_fixture / "out")
+    doc = json.loads(config.read_text())
+    doc.update(cell_size="20", slr_list=["0", "1.0"], output_dir="out2")
+    config.write_text(json.dumps(doc))
+    assert main(["assess", "--config", str(config)]) == EXIT_OK
+    assert read_outputs(tiny_fixture / "out2") == expected
 
 
 @pytest.mark.parametrize("slr, message", [

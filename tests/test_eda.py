@@ -511,9 +511,10 @@ class TestReaderOracle:
         assert expected[0] == ["a", "x" * LONG_ID_CHARS]  # both readers accept it
         assert csv.field_size_limit() == limit
 
+    # a bare \r ends a line, so the rest of the id starts a row of its own
     @pytest.mark.parametrize("body, message", [
-        ("a\rb,1,2,3,4\n", "line 2: new-line character seen in unquoted field"),
-        ("a,1,2,3,4\r\nb\r,1,2,3,4\r\n", "line 3: new-line character seen in unquoted field"),
+        ("a\rb,1,2,3,4\n", "line 2: expected 5 fields, got 1"),
+        ("a,1,2,3,4\r\nb\r,1,2,3,4\r\n", "line 3: expected 5 fields, got 1"),
         ("x" * LONG_ID_CHARS + ",1" + "0" * LONG_ID_CHARS + ",2,3,4\n", "line 2: non-finite field"),
     ], ids=["cr in id", "cr after a crlf row", "long id and number"])
     def test_what_csv_refuses_is_a_parse_error_naming_the_line(self, body, message):
@@ -521,6 +522,13 @@ class TestReaderOracle:
         expected = row_loop_outcome(text)
         assert table_outcome(text) == expected
         assert expected[0] is ParseError and expected[1].startswith(message)
+
+
+    @pytest.mark.parametrize("name", [name for name in EDGE_TABLES if name != "quoted newline"])
+    def test_bare_cr_line_ends_read_as_lf(self, name):
+        text = (HEADER_LINE + EDGE_TABLES[name][0]).replace("\r\n", "\n")
+        twin = text.replace("\n", "\r")
+        assert table_outcome(twin) == row_loop_outcome(twin) == table_outcome(text)
 
 
 class TestRunEda:

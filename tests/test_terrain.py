@@ -1,6 +1,10 @@
 """Zonal elevation statistics, BFE assignment, and flood depth."""
 
+import io
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,8 +12,8 @@ import pytest
 
 from conftest import brute_force_zonal_means, cell_map, points_in_polygon, random_raster
 from floodgrid import terrain
-from floodgrid.geodata import BfeZone, Raster, format_number, parse_ascii_grid
-from floodgrid.grid import GridSpec
+from floodgrid.geodata import BfeZone, ParseError, Raster, format_number, parse_ascii_grid
+from floodgrid.grid import GridSpec, make_fishnet
 from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.terrain import (
     CellArrays,
@@ -147,6 +151,195 @@ class TestStreamedDemMemory:
         # are three bands of float64, plus masks and a fixed allowance
         band = self.BAND * self.NCOLS * 8
         assert max(peaks.values()) <= 3.5 * band + 64 * 1024
+
+
+def dem_file_text(rows, end="\n", between=()):
+    """An ASCII grid of ``rows`` (lists of tokens) over 0..ncols x 0..nrows, lines
+    ending in ``end``, with ``between[k % len(between)]`` written after row k."""
+    lines = [f"ncols {len(rows[0])}", f"nrows {len(rows)}", "xllcorner 0",
+             "yllcorner 0", "cellsize 1", "nodata_value -9999"]
+    for k, row in enumerate(rows):
+        lines += [" ".join(row), *([between[k % len(between)]] if between else [])]
+    return end.join(lines) + end
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitBody:
+    """A DEM body read from a file and split between forked processes gives
+    the means of one process bit for bit, and its errors word for word."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Per split: True where every process summed its run, False where
+        this one summed them all after a failure."""
+        calls = []
+        forked = terrain._forked
+
+        def spy(runs):
+            calls.append(forked(runs))
+            return calls[-1]
+        monkeypatch.setattr(terrain, "_forked", spy)
+        return calls
+
+    @staticmethod
+    def outcome(monkeypatch, path, g, workers):
+        """The means' bytes with ``workers`` processes, or the ParseError text."""
+        monkeypatch.setattr(terrain, "_workers", lambda: workers)
+        try:
+            with open(path, "rb") as fh:
+                return zonal_mean_elevation(parse_ascii_grid(fh), g).tobytes()
+        except ParseError as exc:
+            return str(exc)
+        finally:
+            assert_no_child_left()
+
+    def check(self, monkeypatch, path, g):
+        """The outcome of one process, which every split must give too."""
+        expected = self.outcome(monkeypatch, path, g, 1)
+        for workers in (2, 3, 8):
+            assert self.outcome(monkeypatch, path, g, workers) == expected
+        return expected
+
+    @staticmethod
+    def tokens(rng, nrows, ncols):
+        values = np.round(rng.uniform(-50, 50, (nrows, ncols)), 3).astype(str)
+        values[rng.random(values.shape) < 0.1] = "-9999"
+        values[rng.random(values.shape) < 0.05] = "nan"
+        return values.tolist()
+
+    @pytest.mark.parametrize("end, between", [
+        ("\n", ()), ("\r\n", ()), ("\n", ("", " \t", "\x0c\n")), ("\r\n", ("", "   ")),
+    ], ids=["lf", "crlf", "blank lines", "crlf and blank lines"])
+    @pytest.mark.parametrize("cell, bands", [(9.0, 1), (5.0, 2), (1.0, 9)])
+    def test_means_match_one_process(self, tmp_path, monkeypatch, forks, end, between,
+                                     cell, bands):
+        rng = np.random.default_rng([len(end), len(between), bands])
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(self.tokens(rng, 9, 7), end, between), newline="")
+        g = make_fishnet((0.0, 0.0, 7.0, 9.0), cell)
+        assert g.n_rows == bands
+        means = self.check(monkeypatch, path, g)
+        assert np.isnan(np.frombuffer(means)).sum() < g.n_cells
+        # one band stays in this process; else every split sums its runs
+        assert forks == ([] if bands == 1 else [True] * 3)
+
+    @pytest.mark.parametrize("fault, expected", [
+        ("bad token in the last row", "line 19, token 4: non-numeric token 'x'"),
+        ("bad token in the first row", "line 7, token 1: non-numeric token 'x'"),
+        ("trailing row", "value count mismatch: expected 35, got 40"),
+        ("short body", "value count mismatch: expected 35, got 30"),
+        ("wrapped row", None),
+        ("float()-only token in the last row", None),
+    ])
+    def test_fault_in_a_run_is_that_of_one_process(self, tmp_path, monkeypatch, forks,
+                                                   fault, expected):
+        rows = self.tokens(np.random.default_rng(4), 7, 5)
+        if fault == "bad token in the last row":
+            rows[-1][3] = "x"
+        elif fault == "bad token in the first row":
+            rows[0][0] = "x"
+        elif fault == "trailing row":
+            rows.append(rows[0])
+        elif fault == "short body":
+            rows.pop()
+        elif fault == "wrapped row":
+            rows[5:6] = [rows[5][:2], rows[5][2:]]
+        else:
+            rows[-1][0] = "1_0"
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(rows, between=("", " ")).replace(
+            f"nrows {len(rows)}", "nrows 7"))
+        g = make_fishnet((0.0, 0.0, 5.0, 7.0), 1.0)  # a band per row; a child reads the last
+        got = self.check(monkeypatch, path, g)
+        assert got == expected if expected else isinstance(got, bytes)
+        assert forks == [False] * 3  # a run failed, so this process read them all
+
+    def test_a_child_that_dies_is_a_failed_run(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(self.tokens(np.random.default_rng(5), 6, 4)))
+        g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
+        expected = self.outcome(monkeypatch, path, g, 1)
+        parent, data_mask = os.getpid(), terrain.data_mask
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return data_mask(*args)
+        monkeypatch.setattr(terrain, "data_mask", die_in_child)
+        assert self.outcome(monkeypatch, path, g, 3) == expected
+        assert forks == [False]
+
+    def test_failed_fork_reaps_the_children_forked(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(self.tokens(np.random.default_rng(6), 6, 4)))
+        g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
+        expected = self.outcome(monkeypatch, path, g, 1)
+        fork, calls = os.fork, []
+
+        def fork_once():
+            calls.append(1)
+            if len(calls) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert self.outcome(monkeypatch, path, g, 4) == expected
+        assert len(calls) == 2 and forks == [False]
+
+    def test_interrupt_stops_every_child(self, tmp_path, monkeypatch):
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(self.tokens(np.random.default_rng(7), 6, 4)))
+        g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
+        parent = os.getpid()
+
+        def interrupt_here(*args):  # while the children take their time
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        monkeypatch.setattr(terrain, "data_mask", interrupt_here)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self.outcome(monkeypatch, path, g, 3)
+        assert time.perf_counter() - t0 < 30
+
+    def test_children_reaped_by_the_system(self, tmp_path, monkeypatch, forks):
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(self.tokens(np.random.default_rng(10), 6, 4)))
+        g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
+        expected = self.outcome(monkeypatch, path, g, 1)
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert self.outcome(monkeypatch, path, g, 4) == expected
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert forks == [False]  # no exit status to read
+
+    def test_replaced_file_is_read_from_the_open_one(self, tmp_path, monkeypatch, forks):
+        path, other = tmp_path / "dem.asc", tmp_path / "other.asc"
+        rng = np.random.default_rng(8)
+        path.write_text(dem_file_text(self.tokens(rng, 6, 4)))
+        other.write_text(dem_file_text(self.tokens(rng, 6, 4)))
+        g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
+        expected = self.outcome(monkeypatch, path, g, 1)
+        monkeypatch.setattr(terrain, "_workers", lambda: 3)
+        with open(path, "rb") as fh:
+            dem = parse_ascii_grid(fh)
+            os.replace(other, path)
+            assert zonal_mean_elevation(dem, g).tobytes() == expected
+        assert_no_child_left()
+        assert forks == [False]
+
+    def test_text_and_unnamed_sources_stay_in_one_process(self, tmp_path, monkeypatch, forks):
+        text = dem_file_text(self.tokens(np.random.default_rng(9), 6, 4))
+        g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
+        monkeypatch.setattr(terrain, "_workers", lambda: 3)
+        for dem in (parse_ascii_grid(text), parse_ascii_grid(io.BytesIO(text.encode()))):
+            assert dem.body is None
+            zonal_mean_elevation(dem, g)
+        assert forks == []
 
 
 class TestAssignBfe:
