@@ -69,16 +69,21 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check every field; cell_size and slr_list become floats. A number may
-        be a string float() reads, but not a bool."""
+        be a string float() reads, but not a bool. A path must be a name the
+        OS accepts, and the cell area, cell_size ** 2, must be finite."""
         for name in _PATH_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, str) or not (value or name == "damage_curve_path"):
-                raise ConfigError(f"{name} must be a path, got {value!r}")
+            try:
+                if not (isinstance(value, str) and (value or name == "damage_curve_path")
+                        and b"\0" not in os.fsencode(value)):
+                    raise ValueError
+            except ValueError:  # a UnicodeEncodeError, from a lone surrogate, too
+                raise ConfigError(f"{name} must be a path, got {value!r}") from None
         try:
             if isinstance(self.cell_size, bool):
                 raise TypeError
             self.cell_size = float(self.cell_size)
-            if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            if not (self.cell_size > 0 and math.isfinite(self.cell_size ** 2)):
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"cell_size must be positive and finite, "

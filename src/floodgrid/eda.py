@@ -57,7 +57,7 @@ def read_attribute_table(text: str) -> np.ndarray:
 
     A field may be of any length, as it may for numpy's reader. A row csv
     cannot split, or a non-numeric or non-finite field, is a ParseError
-    naming its line.
+    naming the line on which its record ends.
     """
     limit = csv.field_size_limit(len(text) + 1)  # no field outgrows the text
     fh = io.StringIO(text, newline="")  # a line may end in \n, \r\n or \r
@@ -69,29 +69,22 @@ def read_attribute_table(text: str) -> np.ndarray:
         if [h.strip() for h in header] != TABLE_HEADER:
             raise ParseError(f"line 1: expected header {','.join(TABLE_HEADER)!r}, "
                              f"got {','.join(header)!r}")
-        body = fh.tell()
-        table = None
         # numpy's C reader quotes as csv.reader does and gives the doubles float()
         # gives. It refuses what only float() reads ("1_000", non-ASCII digits),
-        # and the row loop, which words every error, reads those. It warns on a
-        # body without rows and strips _SEPARATORS around a number, so neither
-        # reaches it.
+        # and the row loop, which words every error, reads those and any table
+        # with a non-finite field. numpy warns on a body without rows and strips
+        # _SEPARATORS around a number, so neither reaches it.
+        body = fh.tell()
         if _CONTENT.search(text, body) and not any(c in text for c in _SEPARATORS):
             try:
                 table = np.loadtxt(fh, dtype=TABLE_DTYPE, delimiter=",", comments=None,
                                    quotechar='"', ndmin=1)
+                if all(np.isfinite(table[name]).all() for name in TABLE_HEADER[1:]):
+                    return table
             except ValueError:
-                fh.seek(body)
-        if table is None:
-            table = _read_rows(reader)
-        finite = np.logical_and.reduce([np.isfinite(table[name]) for name in TABLE_HEADER[1:]])
-        bad = np.flatnonzero(~finite)
-        if bad.size:
-            # the header, then one non-blank row per parsed record
-            reader = csv.reader(io.StringIO(text, newline=""))
-            lineno, row = [x for x in enumerate(reader, start=1) if x[1]][int(bad[0]) + 1]
-            raise ParseError(f"line {lineno}: non-finite field in {row!r}")
-        return table
+                pass
+            fh.seek(body)
+        return _read_rows(reader)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
     finally:
@@ -102,19 +95,24 @@ def _read_rows(reader) -> np.ndarray:
     """The table body, row by row from ``reader``: the reference for the C reader.
 
     A number is any field float() reads. A row with the wrong number of
-    fields or a field float() refuses is a ParseError naming its line.
+    fields, or a field float() refuses or reads as non-finite, is a
+    ParseError naming ``reader.line_num``, the line on which the row ends.
     """
     ids = []
     numbers = array("d")
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(TABLE_HEADER):
-            raise ParseError(f"line {lineno}: expected {len(TABLE_HEADER)} fields, got {len(row)}")
+            raise ParseError(f"line {reader.line_num}: expected {len(TABLE_HEADER)} fields, "
+                             f"got {len(row)}")
         try:
-            numbers.extend(map(float, row[1:]))
+            values = list(map(float, row[1:]))
         except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric field in {row!r}") from None
+            raise ParseError(f"line {reader.line_num}: non-numeric field in {row!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"line {reader.line_num}: non-finite field in {row!r}")
+        numbers.extend(values)
         ids.append(row[0])
     values = np.frombuffer(numbers, dtype=float).reshape(-1, len(TABLE_HEADER) - 1)
     table = np.empty(len(ids), dtype=TABLE_DTYPE)

@@ -97,7 +97,8 @@ class Raster:
         if not isinstance(other, Raster):
             return NotImplemented
         return (all(getattr(self, k) == getattr(other, k) for k in _HEADER_KEYS)
-                and np.array_equal(self.values, other.values))
+                and (self.values is other.values  # both None when streamed
+                     or np.array_equal(self.values, other.values, equal_nan=True)))
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) extent of the raster."""
@@ -201,9 +202,9 @@ def parse_ascii_grid(source) -> Raster:
     the same way and ``values`` holds the rows. Header keys are
     case-insensitive. Errors carry the offending line (and token) position.
     """
-    if isinstance(source, str):
-        text = "\n".join([*source.splitlines(), ""])
-        raster = parse_ascii_grid(io.BytesIO(text.encode(errors="replace")))  # "?" for a surrogate
+    if isinstance(source, str):  # only the UTF-8 bytes of the text reach the parse
+        raster = parse_ascii_grid(io.BytesIO(
+            "\n".join([*source.splitlines(), ""]).encode(errors="replace")))  # "?" for a surrogate
         (raster.values,) = raster.bands([0, raster.nrows])
         raster._stream = None  # lets the copy of the text go
         return raster
@@ -268,7 +269,8 @@ def write_ascii_grid(r: Raster) -> str:
     result reproduces ``r`` exactly.
     """
     lines = [f"{key} {format_number(getattr(r, key))}" for key in _HEADER_KEYS]
-    lines += map(" ".join, map(format_numbers, r.values))
+    (values,) = r.bands([0, r.nrows])
+    lines += map(" ".join, map(format_numbers, values))
     return "\n".join(lines) + "\n"
 
 
@@ -464,26 +466,6 @@ class BfeZone:
                 raise ValueError(f"BFE zone ring {k} has a non-finite vertex")
 
 
-def _feature_polygons(geometry, where: str) -> list[list]:
-    """Raw ring coordinate lists (outer first) per member of a Polygon or MultiPolygon."""
-    if not isinstance(geometry, dict) or "type" not in geometry:
-        raise ParseError(f"{where}: missing or malformed geometry")
-    gtype = geometry["type"]
-    coords = geometry.get("coordinates")
-    if gtype == "Polygon":
-        polys = [coords]
-    elif gtype == "MultiPolygon":
-        polys = coords
-    else:
-        raise ParseError(f"{where}: non-polygon geometry {gtype!r}")
-    if not isinstance(polys, list) or not polys:
-        raise ParseError(f"{where}: empty geometry coordinates")
-    for p, rings in enumerate(polys):
-        if not isinstance(rings, list) or not rings:
-            raise ParseError(f"{where}: polygon {p} has no rings")
-    return polys
-
-
 def load_json(text: str):
     """The JSON document ``text``; one it cannot decode, or nested too deep, is a ParseError."""
     try:
@@ -492,34 +474,41 @@ def load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def _load_feature_collection(text: str):
+def _features(text: str, required) -> Iterator[tuple[str, dict, list]]:
+    """``(where, properties, polygons)`` per feature of a GeoJSON FeatureCollection:
+    ``feature N``, an object holding each name in ``required`` (null reads as
+    none), and the raw ring lists (outer first) of each Polygon or MultiPolygon
+    member. A layout error is a ParseError, raised when its feature is reached."""
     doc = load_json(text)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("root object is not a GeoJSON FeatureCollection")
     features = doc.get("features")
     if not isinstance(features, list):
         raise ParseError("FeatureCollection has no features array")
-    return features
-
-
-def _feature_properties(feature, where: str, required) -> dict:
-    if not isinstance(feature, dict):
-        raise ParseError(f"{where}: not an object")
-    props = feature.get("properties") or {}
-    for name in required:
-        if name not in props:
-            raise ParseError(f"{where}: missing required property {name!r}")
-    return props
-
-
-def _parcel_records(features):
-    """ParcelTable records, checking each feature's layout as it is reached."""
     for idx, feature in enumerate(features):
         where = f"feature {idx}"
-        props = _feature_properties(feature, where,
-                                    ("parcel_id", "current_assessment", "land_area"))
-        yield (props["parcel_id"], _feature_polygons(feature.get("geometry"), where),
-               props["current_assessment"], props["land_area"], props.get("base_flood", 0.0))
+        if not isinstance(feature, dict):
+            raise ParseError(f"{where}: not an object")
+        props = {} if feature.get("properties") is None else feature["properties"]
+        if not isinstance(props, dict):
+            raise ParseError(f"{where}: properties must be an object")
+        for name in required:
+            if name not in props:
+                raise ParseError(f"{where}: missing required property {name!r}")
+        geometry = feature.get("geometry")
+        if not isinstance(geometry, dict) or "type" not in geometry:
+            raise ParseError(f"{where}: missing or malformed geometry")
+        gtype = geometry["type"]
+        if gtype not in ("Polygon", "MultiPolygon"):
+            raise ParseError(f"{where}: non-polygon geometry {gtype!r}")
+        polys = geometry.get("coordinates")
+        polys = [polys] if gtype == "Polygon" else polys
+        if not isinstance(polys, list) or not polys:
+            raise ParseError(f"{where}: empty geometry coordinates")
+        for p, rings in enumerate(polys):
+            if not isinstance(rings, list) or not rings:
+                raise ParseError(f"{where}: polygon {p} has no rings")
+        yield where, props, polys
 
 
 def parse_parcels(text: str) -> ParcelTable:
@@ -535,7 +524,10 @@ def parse_parcels(text: str) -> ParcelTable:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return ParcelTable(_parcel_records(_load_feature_collection(text)))
+        return ParcelTable((props["parcel_id"], polygons, props["current_assessment"],
+                            props["land_area"], props.get("base_flood", 0.0))
+                           for _, props, polygons in _features(
+                               text, ("parcel_id", "current_assessment", "land_area")))
     finally:
         if enabled:
             gc.enable()
@@ -549,11 +541,9 @@ def parse_bfe_zones(text: str) -> list[BfeZone]:
     overall (first containing zone wins downstream).
     """
     zones: list[BfeZone] = []
-    for idx, feature in enumerate(_load_feature_collection(text)):
-        where = f"feature {idx}"
-        props = _feature_properties(feature, where, ("static_bfe",))
+    for where, props, polygons in _features(text, ("static_bfe",)):
         bfe = _number(props["static_bfe"], "property 'static_bfe'", where)
-        for p, rings in enumerate(_feature_polygons(feature.get("geometry"), where)):
+        for p, rings in enumerate(polygons):
             # _ring and _number leave nothing for BfeZone to reject
             rings = [_ring(c, f"{where}, polygon {p}, ring {k}") for k, c in enumerate(rings)]
             zones.append(BfeZone(rings=rings, static_bfe=bfe))

@@ -139,8 +139,9 @@ def assign_bfe(g: GridSpec, zones: list[BfeZone]) -> np.ndarray:
     1994). Edge (x1, y1) -> (x2, y2) crosses the centroid row at y when
     ``(y1 > y) != (y2 > y)``, at ``(x2 - x1) * (y - y1) / (y2 - y1) + x1``; a
     centroid at x is inside when an odd number of the crossings (NaN ones
-    aside) are strictly greater than x. Only rows in the zone's y-range are
-    scanned, in chunks of about SCANLINE_CHUNK row x (edge + column) entries.
+    aside, an overflowing one infinite) are strictly greater than x. Only rows
+    in the zone's y-range are scanned, in chunks of about SCANLINE_CHUNK row
+    x (edge + column) entries.
     """
     cx = g.origin_x + (np.arange(g.n_cols) + 0.5) * g.cell_size
     cy = g.origin_y + (np.arange(g.n_rows) + 0.5) * g.cell_size
@@ -155,7 +156,7 @@ def assign_bfe(g: GridSpec, zones: list[BfeZone]) -> np.ndarray:
         for r0 in range(lo, hi, step):
             y = cy[r0:min(r0 + step, hi), None]
             row, e = np.nonzero((y1 > y) != (y2 > y))
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 xc = (x2[e] - x1[e]) * (y[row, 0] - y1[e]) / (y2[e] - y1[e]) + x1[e]
             # every row's centroids share the sorted cx: count those left of each crossing
             left = np.where(np.isnan(xc), 0, np.searchsorted(cx, xc))

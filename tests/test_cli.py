@@ -11,12 +11,20 @@ parcels placed so per-cell damages are hand-computable:
   base totals: $89,750 damage, 28,812 sqft flooded; +$25,000 per ft of rise
 """
 
+import contextlib
+import csv
 import importlib.util
+import io
 import json
+import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodgrid import cli, terrain
 from floodgrid.cli import (
@@ -481,25 +489,37 @@ def test_traced_layer_names_are_bound_in_cli():
     assert [name for name in child.LAYER_CALLS if not hasattr(cli, name)] == []
 
 
-@pytest.fixture
-def tiny_fixture(tmp_path):
-    """A 4x4 DEM under a 2x2 fishnet: one parcel, one BFE zone, a linear curve."""
-    dem = Raster(4, 4, 0.0, 0.0, 10.0, -9999.0, np.arange(16.0).reshape(4, 4) / 4)
-    (tmp_path / "dem.asc").write_text(write_ascii_grid(dem))
-    (tmp_path / "parcels.geojson").write_text(json.dumps({
-        "type": "FeatureCollection", "features": [rect_feature("A", 0, 0, 20, 20, 100_000)]}))
-    (tmp_path / "bfe.geojson").write_text(json.dumps({
+# A 4x4 DEM under a 2x2 fishnet: one parcel, one BFE zone, a linear curve;
+# and the EDA table
+TINY_FILES = {
+    "dem.asc": write_ascii_grid(Raster(4, 4, 0.0, 0.0, 10.0, -9999.0,
+                                       np.arange(16.0).reshape(4, 4) / 4)),
+    "parcels.geojson": json.dumps({
+        "type": "FeatureCollection", "features": [rect_feature("A", 0, 0, 20, 20, 100_000)]}),
+    "bfe.geojson": json.dumps({
         "type": "FeatureCollection", "features": [{
             "type": "Feature",
             "geometry": {"type": "Polygon", "coordinates": [
                 [[0, 0], [40, 0], [40, 40], [0, 40], [0, 0]]]},
-            "properties": {"static_bfe": 8.0}}]}))
-    (tmp_path / "curve.json").write_text("[[0, 0], [10, 1]]")
-    (tmp_path / "run.json").write_text(json.dumps({
+            "properties": {"static_bfe": 8.0}}]}),
+    "curve.json": "[[0, 0], [10, 1]]",
+    "run.json": json.dumps({
         "dem_path": "dem.asc", "parcels_path": "parcels.geojson", "bfe_path": "bfe.geojson",
         "damage_curve_path": "curve.json", "cell_size": 20.0, "slr_list": [0, 1],
-        "output_dir": "out"}))
-    return tmp_path
+        "output_dir": "out"}),
+    "table.csv": EDA_TABLE,
+}
+
+
+def write_tiny_fixture(path: Path) -> Path:
+    for name, text in TINY_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.fixture
+def tiny_fixture(tmp_path):
+    return write_tiny_fixture(tmp_path)
 
 
 def edit_json(doc, keys, value):
@@ -511,6 +531,9 @@ def edit_json(doc, keys, value):
 
 
 HUGE = 10 ** 400  # a JSON integer too large for a float
+# how an error message names each file of the tiny fixture
+FILE_WHAT = {"dem.asc": "DEM", "parcels.geojson": "parcels", "bfe.geojson": "BFE zones",
+             "curve.json": "damage curve", "run.json": "config", "table.csv": "attribute table"}
 ASSESSMENT = ("features", 0, "properties", "current_assessment")
 
 # file, item path in its JSON (None: the whole file), new value, exit code,
@@ -535,6 +558,20 @@ CRASHING_INPUTS = {
                              "slr_list must be a list of numbers, got [False, True]"),
     "infinite slr": ("run.json", ("slr_list",), [0, float("inf")], EXIT_CONFIG_ERROR,
                      "slr list values must be finite"),
+    "NUL in output_dir": ("run.json", ("output_dir",), "a\u0000", EXIT_CONFIG_ERROR,
+                          "output_dir must be a path"),
+    "lone surrogate in output_dir": ("run.json", ("output_dir",), "\ud800", EXIT_CONFIG_ERROR,
+                                     "output_dir must be a path"),
+    "overflowing cell area": ("run.json", ("cell_size",), 1e200, EXIT_CONFIG_ERROR,
+                              "cell_size must be positive and finite, got 1e+200"),
+    "NUL in dem_path": ("run.json", ("dem_path",), "dem.asc\u0000", EXIT_CONFIG_ERROR,
+                        "dem_path must be a path"),
+    "lone surrogate in parcels_path": ("run.json", ("parcels_path",), "\udfff",
+                                       EXIT_CONFIG_ERROR, "parcels_path must be a path"),
+    "number as parcel properties": ("parcels.geojson", ("features", 0, "properties"), 5,
+                                    EXIT_PARSE_ERROR, "feature 0: properties must be an object"),
+    "number as BFE zone properties": ("bfe.geojson", ("features", 0, "properties"), 5,
+                                      EXIT_PARSE_ERROR, "feature 0: properties must be an object"),
 }
 
 
@@ -554,9 +591,7 @@ def test_crashing_input_is_one_error_line(tiny_fixture, capsys, case):
     if code == EXIT_CONFIG_ERROR:
         assert message in errors[0]
     else:
-        what = {"parcels.geojson": "parcels", "bfe.geojson": "BFE zones",
-                "curve.json": "damage curve"}[name]
-        assert errors[0].startswith(f"error: {what} file {path}: {message}")
+        assert errors[0].startswith(f"error: {FILE_WHAT[name]} file {path}: {message}")
     assert not (tiny_fixture / "out").exists()
 
 
@@ -591,7 +626,7 @@ def test_bad_slr_flag_is_config_error_in_sweeps_wording(tiny_fixture, capsys, sl
 @pytest.mark.parametrize("number, code", [("60000", EXIT_OK), ("60_000", EXIT_OK),
                                           ("6e400", EXIT_PARSE_ERROR)])
 def test_eda_reads_an_id_longer_than_the_csv_field_limit(tmp_path, capsys, number, code):
-    # 1_000 sends the table to the row loop, 6e400 to the line lookup of a non-finite field
+    # 1_000 and 6e400 (a non-finite field) send the table to the row loop
     table = tmp_path / "table.csv"
     table.write_text(EDA_TABLE + "x" * 140_000 + f",{number},4000,3900,6\n")
     assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) == code
@@ -601,3 +636,96 @@ def test_eda_reads_an_id_longer_than_the_csv_field_limit(tmp_path, capsys, numbe
     else:
         assert (f"error: attribute table file {table}: line 22: non-finite field"
                 in capsys.readouterr().err)
+
+
+DEEP = "\u0000deep"  # written as 100 000 nested arrays
+HOSTILE_VALUES = [HUGE, 1e308, None, True, False, "", "\u0000", "\ud800", [], {}, DEEP]
+# written over, or before, one whitespace- or comma-separated token of the DEM
+# or EDA table (a BOM before the first token starts the file)
+HOSTILE_TOKENS = [b"\xef\xbb\xbf", b"\x00", b"\xff", b"1e400", b"nan", b'"a\nb"', b"x" * 140_000]
+TOKEN = re.compile(rb"[^\s,]+")
+# exit 1 without a file: finite input whose values overflow, named as README "CLI" says
+VALUE_ERROR = re.compile(r"error: (apportioned value of parcel|exposure of cell|totals of scenario"
+                         r"|area cost of parcel) .* is not finite")
+
+
+def json_items(doc, keys=()):
+    """The key path of every item of a JSON document, the root () first."""
+    yield keys
+    if isinstance(doc, (dict, list)):
+        for key in (doc if isinstance(doc, dict) else range(len(doc))):
+            yield from json_items(doc[key], (*keys, key))
+
+
+@st.composite
+def one_change(draw):
+    """(file, new bytes, the config key changed or None): one item of a JSON
+    input set to a hostile value, or one token of the DEM or EDA table
+    replaced or preceded by a hostile one."""
+    name = draw(st.sampled_from(sorted(FILE_WHAT)))
+    text = TINY_FILES[name]
+    if name in ("dem.asc", "table.csv"):
+        data = text.encode()
+        token = draw(st.sampled_from(list(TOKEN.finditer(data))))
+        end = token.start() if draw(st.booleans()) else token.end()
+        data = data[:token.start()] + draw(st.sampled_from(HOSTILE_TOKENS)) + data[end:]
+        return name, data, None
+    doc = json.loads(text)
+    keys = draw(st.sampled_from(list(json_items(doc))))
+    value = draw(st.sampled_from(HOSTILE_VALUES))
+    if keys:
+        edit_json(doc, keys, value)
+    else:
+        doc = value
+    text = json.dumps(doc).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
+    return name, text.encode(), keys[0] if name == "run.json" and keys else None
+
+
+def assert_finite_numbers(path: Path):
+    """Every number in an output file is finite (a CSV's first column holds ids)."""
+    def finite(token):
+        assert math.isfinite(float(token)), f"{path.name}: {token}"
+
+    text = path.read_text()
+    if path.suffix == ".csv":
+        limit = csv.field_size_limit(len(text) + 1)
+        try:
+            for row in csv.reader(io.StringIO(text)):
+                for field in row[1:]:
+                    if re.match(r"\s*[-+]?(\d|\.\d|inf|nan)", field, re.I):
+                        finite(field)
+        finally:
+            csv.field_size_limit(limit)
+    else:
+        json.loads(text, parse_float=finite, parse_int=finite, parse_constant=finite)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(one_change())
+def test_no_input_ends_in_a_traceback(change):
+    """One hostile change to the tiny fixture exits 0 with finite outputs, or
+    1, 2 or 3 with one error line naming the file (1) or the key (2)."""
+    name, data, key = change
+    with tempfile.TemporaryDirectory() as tmp:
+        root = write_tiny_fixture(Path(tmp))
+        (root / name).write_bytes(data)
+        out = root / ("eda_out" if name == "table.csv" else "out")
+        args = (["eda", "--table", str(root / name), "--out", str(out)] if name == "table.csv"
+                else ["assess", "--config", str(root / "run.json")])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(args)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_CONFIG_ERROR, EXIT_EMPTY_INPUT)
+        if code == EXIT_OK:
+            assert errors == []
+            for path in out.iterdir():
+                assert_finite_numbers(path)
+            return
+        assert len(errors) == 1 and not out.exists()
+        if code == EXIT_CONFIG_ERROR:
+            # the slr_list rules word their errors as sweep does ("empty slr list")
+            assert name == "run.json"
+            assert ("slr" if key == "slr_list" else key or "dem_path") in errors[0]
+        elif code == EXIT_PARSE_ERROR and not VALUE_ERROR.fullmatch(errors[0]):
+            assert errors[0].startswith(f"error: {FILE_WHAT[name]} file {root / name}: ")

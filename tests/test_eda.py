@@ -419,7 +419,7 @@ def row_loop_calls(monkeypatch):
 EDGE_TABLES = {
     "quoted comma": ('"lot 4, block 2",1,2,3,4\n', True),
     "quoted quote": ('"say ""hi""",1,2,3,4\n', True),
-    "quoted newline": ('"a\nb",1,2,3,4\nc,1,2,3,inf\n', True),
+    "quoted newline": ('"a\nb",1,2,3,4\nc,1,2,3,inf\n', False),
     "hash in id": ("a#b,1,2,3,4\n", True),
     "underscore digits": ("a,1_000,2,3,4\n", False),
     "arabic digits": ("a,\u0661\u0662,2,3,4\n", False),
@@ -434,9 +434,9 @@ EDGE_TABLES = {
     "four fields": ("a,1,2,3\n", False),
     "six fields": ("a,1,2,3,4,5\n", False),
     "hex": ("a,0x10,2,3,4\n", False),
-    "nan": ("a,1,2,3,4\n\nb,nan,2,3,4\n", True),
-    "1e400": ("a,1e400,2,3,4\n", True),
-    "infinity": ("a,1,-Infinity,3,4\n", True),
+    "nan": ("a,1,2,3,4\n\nb,nan,2,3,4\n", False),
+    "1e400": ("a,1e400,2,3,4\n", False),
+    "infinity": ("a,1,-Infinity,3,4\n", False),
     "nul in id": ("a\x00,1,2,3,4\n", True),
     "nul in number": ("a,1\x00,2,3,4\n", False),
     "header only": ("", False),
@@ -523,6 +523,18 @@ class TestReaderOracle:
         assert table_outcome(text) == expected
         assert expected[0] is ParseError and expected[1].startswith(message)
 
+
+    # a record ends on the line after each line break quoted in it
+    @pytest.mark.parametrize("body, message", [
+        ('"a\nb",1,2,3,4\nc,x,2,3,4\n', "line 4: non-numeric field in ['c', 'x', '2', '3', '4']"),
+        ('"a\nb",1,2,3,4\n\nc,1,2,3\n', "line 5: expected 5 fields, got 4"),
+        ('"a\r\nb",1,2,3,4\nc,1,2,3,nan\n',
+         "line 4: non-finite field in ['c', '1', '2', '3', 'nan']"),
+        ('"a\n\nb",1,2,3,inf\n', "line 4: non-finite field in ['a\\n\\nb', '1', '2', '3', 'inf']"),
+    ])
+    def test_error_names_the_physical_line_the_record_ends_on(self, body, message):
+        text = HEADER_LINE + body
+        assert table_outcome(text) == row_loop_outcome(text) == (ParseError, message)
 
     @pytest.mark.parametrize("name", [name for name in EDGE_TABLES if name != "quoted newline"])
     def test_bare_cr_line_ends_read_as_lf(self, name):

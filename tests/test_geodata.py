@@ -1,6 +1,7 @@
 """IO formats: ASCII grid, parcel/BFE GeoJSON, damage curves, report CSV."""
 
 import gc
+import io
 import json
 import tracemalloc
 import warnings
@@ -159,7 +160,7 @@ class TestAsciiGrid:
     )
     def test_round_trip_property(self, ncols, nrows, xll, yll, cellsize, data):
         values = data.draw(st.lists(
-            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            st.floats(allow_nan=False, allow_infinity=False, width=64) | st.just(float("nan")),
             min_size=ncols * nrows, max_size=ncols * nrows,
         ))
         r = Raster(ncols, nrows, xll, yll, cellsize, -9999.0, np.array(values, dtype=float))
@@ -568,6 +569,21 @@ class TestParcels:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_parcels("{nope")
 
+    @pytest.mark.parametrize("parse", [parse_parcels, parse_bfe_zones])
+    @pytest.mark.parametrize("props", [5, [], "p1", True, False, 0])
+    def test_properties_must_be_an_object(self, parse, props):
+        good = dict(SQUARE_FEATURE, properties={**SQUARE_FEATURE["properties"], "static_bfe": 1})
+        bad = dict(SQUARE_FEATURE, properties=props)
+        with pytest.raises(ParseError, match=r"^feature 1: properties must be an object$"):
+            parse(fc(good, bad))
+
+    @pytest.mark.parametrize("parse, name", [(parse_parcels, "parcel_id"),
+                                             (parse_bfe_zones, "static_bfe")])
+    def test_null_properties_read_as_none(self, parse, name):
+        bad = dict(SQUARE_FEATURE, properties=None)
+        with pytest.raises(ParseError, match=f"^feature 0: missing required property '{name}'$"):
+            parse(fc(bad))
+
 
 class TestBfeZones:
     def test_parse_zone(self):
@@ -724,3 +740,26 @@ def test_raster_parsed_from_text_keeps_no_copy_of_it():
     finally:
         tracemalloc.stop()
     assert kept < dem.values.nbytes + len(text) // 4
+
+
+def test_streamed_write_equals_text_write():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        text = write_ascii_grid(random_raster(rng))
+        assert write_ascii_grid(parse_ascii_grid(io.BytesIO(text.encode()))) == text
+
+
+@pytest.mark.parametrize("ncols, nrows", [(200, 100), (500, 400)])
+def test_text_parse_peak_holds_no_copy_of_the_text(ncols, nrows):
+    # the UTF-8 bytes and the float64 samples (8 bytes for an 8-character
+    # token such as "12.345 ") may coexist, but not a second copy of the text
+    rng = np.random.default_rng(8)
+    values = rng.integers(-10 ** 4, 10 ** 5, (nrows, ncols)) / 1000
+    text = write_ascii_grid(Raster(ncols, nrows, 0.0, 0.0, 1.0, -9999.0, values))
+    tracemalloc.start()
+    try:
+        parse_ascii_grid(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)

@@ -351,6 +351,14 @@ class TestAssignBfe:
         assert len(bfes) == 9
         assert all(v == 9.0 for v in bfes.values())
 
+    def test_overflowing_crossing_is_infinite_and_silent(self):
+        # the edge to (1e308, 40) crosses y = 10 at x = 2.5e307, but the
+        # product (x2 - x1) * (y - y1) overflows first: an infinite crossing
+        # still lies east of every centroid, and no warning is raised
+        far = BfeZone(rings=[[(0.0, 0.0), (40.0, 0.0), (1e308, 40.0), (0.0, 40.0)]],
+                      static_bfe=8.0)
+        assert assign_bfe(GridSpec(0, 0, 20, 2, 2), [far]).tolist() == [8.0] * 4
+
     def test_outside_zone_absent(self):
         g = GridSpec(0, 0, 10, 3, 3)
         west = BfeZone(rings=[[(0.0, 0.0), (15.0, 0.0), (15.0, 30.0), (0.0, 30.0)]],
