@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -44,7 +45,7 @@ EXIT_EMPTY_INPUT = 3
 
 
 class ConfigError(ValueError):
-    """A run configuration violates its invariants."""
+    """A run configuration violates its invariants, or its output directory cannot be written."""
 
 
 class EmptyInputError(Exception):
@@ -120,9 +121,9 @@ class RunConfig:
 
 
 def _parse_input(path: str, what: str, parse, mode: str = "r"):
-    """Parse one input file's text, or in mode "rb" the open file; errors name the file."""
+    """Parse one input file's UTF-8 text, or in mode "rb" the open file; errors name the file."""
     try:
-        with open(path, mode) as fh:
+        with open(path, mode, encoding="utf-8" if mode == "r" else None) as fh:
             return parse(fh.read() if mode == "r" else fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
@@ -144,8 +145,18 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
 
     def grid_elevations(fh):
         dem = parse_ascii_grid(fh)
-        g = make_fishnet(dem.bbox(), config.cell_size)
-        return g, zonal_mean_elevation(dem, g)
+        bbox = dem.bbox()
+        if not (bbox[2] > bbox[0] and bbox[3] > bbox[1]):  # cells lost beside a far larger corner
+            raise ParseError(f"degenerate bbox {bbox!r}")
+        try:  # the extent is finite and not empty: only cell_size can fail here
+            g = make_fishnet(bbox, config.cell_size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        try:
+            return g, zonal_mean_elevation(dem, g)
+        except MemoryError:
+            raise ConfigError(f"cell_size {config.cell_size} gives {g.n_rows}x{g.n_cols} "
+                              f"cells, too many to hold in memory") from None
 
     # The DEM body streams into the zonal sums before the other inputs are
     # read, so a DEM error is the one reported.
@@ -179,66 +190,29 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
 
 
 def _write_outputs(output_dir: str, outputs: dict[str, str]) -> None:
+    """Write each output (file name -> text) into ``output_dir`` as UTF-8.
+
+    Every output is written to a temp file there before any is renamed into
+    place, so a failed write replaces none; temp files never outlive the
+    call. An OSError is a ConfigError naming the directory.
+    """
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, content in outputs.items():
-        # temp file in the target dir, then atomic rename
-        fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
+    staged = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in outputs.items():
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.")
+            staged.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(content)
+        for name, tmp in zip(outputs, staged):
             os.replace(tmp, out / name)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
-
-
-def cmd_assess(config: RunConfig) -> int:
-    try:
-        outputs = run_assessment(config)
-    except ConfigError as exc:
-        return _fail(exc, EXIT_CONFIG_ERROR)
-    except EmptyInputError as exc:
-        return _fail(exc, EXIT_EMPTY_INPUT)
-    except ValueError as exc:
-        # a ParseError, or bad input data caught past parsing, e.g. a degenerate parcel
-        return _fail(exc, EXIT_PARSE_ERROR)
-    _write_outputs(config.output_dir, outputs)
-    return EXIT_OK
-
-
-def cmd_eda(table_path: str, output_dir: str) -> int:
-    try:
-        # the full table is freed once run_eda returns, before the scatter is rendered
-        report, kept = run_eda(_parse_input(table_path, "attribute table",
-                                            read_attribute_table))
-    except (ParseError, OverflowError) as exc:
-        # unreadable input, or finite fields whose area cost overflows
-        return _fail(exc, EXIT_PARSE_ERROR)
-    except ValueError as exc:
-        return _fail(exc, EXIT_EMPTY_INPUT)
-    _write_outputs(output_dir, {
-        "eda_report.json": report.to_json(),
-        "scatter.csv": scatter_export(kept),
-    })
-    return EXIT_OK
-
-
-def cmd_fishnet(bbox_arg: str, cell_size: float) -> int:
-    try:
-        parts = [float(v) for v in bbox_arg.split(",")]
-        if len(parts) != 4:
-            raise ValueError(f"bbox needs 4 numbers, got {len(parts)}")
-        g = make_fishnet((parts[0], parts[1], parts[2], parts[3]), cell_size)
-    except ValueError as exc:
-        return _fail(exc, EXIT_CONFIG_ERROR)
-    print(g.to_json())
-    return EXIT_OK
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {output_dir}: {exc}") from None
+    finally:
+        for tmp in staged:
+            with suppress(OSError):  # gone once renamed
+                os.unlink(tmp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,29 +241,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A failure prints one ``error:`` line and returns its exit code."""
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-
-    if args.command == "fishnet":
-        return cmd_fishnet(args.bbox, args.cell_size)
-
-    if args.command == "assess":
-        try:
+    try:
+        if args.command == "fishnet":
+            try:
+                parts = [float(v) for v in args.bbox.split(",")]
+                if len(parts) != 4:
+                    raise ValueError(f"bbox needs 4 numbers, got {len(parts)}")
+                g = make_fishnet(tuple(parts), args.cell_size)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            print(g.to_json())
+        elif args.command == "assess":
             config = RunConfig.from_file(args.config)
-        except ParseError as exc:
-            return _fail(exc, EXIT_PARSE_ERROR)
-        except ConfigError as exc:
-            return _fail(exc, EXIT_CONFIG_ERROR)
-        config.slr_list = args.slr.split(",") if args.slr else config.slr_list
-        config.area_basis = args.area_basis or config.area_basis
-        config.output_dir = args.out or config.output_dir
-        return cmd_assess(config)
-
-    if args.command == "eda":
-        return cmd_eda(args.table, args.out)
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+            config.slr_list = args.slr.split(",") if args.slr else config.slr_list
+            config.area_basis = args.area_basis or config.area_basis
+            config.output_dir = args.out or config.output_dir
+            _write_outputs(config.output_dir, run_assessment(config))
+        else:
+            try:  # the full table is freed once run_eda returns, before the scatter is rendered
+                report, kept = run_eda(_parse_input(args.table, "attribute table",
+                                                    read_attribute_table))
+            except ParseError:
+                raise
+            except ValueError as exc:  # too few records, or a degenerate fit
+                raise EmptyInputError(str(exc)) from None
+            _write_outputs(args.out, {
+                "eda_report.json": report.to_json(),
+                "scatter.csv": scatter_export(kept),
+            })
+    except (ValueError, OverflowError, EmptyInputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        # else a ParseError, or input found bad past parsing (a degenerate parcel, an overflow)
+        return (EXIT_CONFIG_ERROR if isinstance(exc, ConfigError)
+                else EXIT_EMPTY_INPUT if isinstance(exc, EmptyInputError) else EXIT_PARSE_ERROR)
+    return EXIT_OK
 
 
 def entry_point() -> None:

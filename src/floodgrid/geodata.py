@@ -241,10 +241,6 @@ def parse_ascii_grid(source) -> Raster:
         # nodata_value may be nan: non-finite samples are NODATA anyway
         if not counts and key != "nodata_value" and not math.isfinite(header[key]):
             raise ParseError(f"line {lineno}: non-finite value {token!r} for {key!r}")
-
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise ParseError(f"missing header key(s): {', '.join(missing)}")
     ncols, nrows = header["ncols"], header["nrows"]
     # A text holds at most one value per two characters. Given no rows, or
     # more values than that, the per-line parse or the Raster checks fail.
@@ -282,6 +278,8 @@ def _ring(coords, where: str) -> np.ndarray:
     """A GeoJSON ring as an open (n, 2) float array of finite (x, y) vertices."""
     try:
         ring = np.array(coords, dtype=float)
+        if ((ring == 0) | (ring == 1)).any() and bool in map(type, chain.from_iterable(coords)):
+            raise TypeError  # JSON true or false, read as 1.0 or 0.0
     except (TypeError, ValueError, OverflowError):
         ring = None
     if ring is not None and ring.size == 0:
@@ -315,6 +313,9 @@ def _member_vertices(members, n_members, ids):
         (dim,) = set(map(len, chain.from_iterable(rings)))  # one size for all positions
         xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=float,
                          count=lengths.sum() * dim).reshape(-1, dim)
+        if ((xy == 0) | (xy == 1)).any() and bool in map(
+                type, chain.from_iterable(chain.from_iterable(rings))):
+            raise TypeError  # JSON true or false: _ring names the ring
     except (TypeError, ValueError, OverflowError):
         xy = None
     if (xy is not None and xy.shape[1] >= 2 and (lengths >= 3).all()
@@ -344,6 +345,8 @@ def _property_error(idx: int, pid: str, raw) -> ParseError:
 
 def _number(value, what: str, where: str) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = float(value)
     except OverflowError:  # an integer too large for a float
         number = math.inf
@@ -391,7 +394,9 @@ class ParcelTable:
                 pid = str(pid)
                 try:
                     values = [float(assessment), float(land_area), float(base_flood)]
-                    ok = values[0] >= 0 and values[1] >= 0 and all(map(math.isfinite, values))
+                    ok = (values[0] >= 0 and values[1] >= 0 and all(map(math.isfinite, values))
+                          # JSON true and false are not numbers
+                          and bool not in (type(assessment), type(land_area), type(base_flood)))
                 except (TypeError, ValueError, OverflowError):
                     ok = False
                 if not ok:
@@ -564,6 +569,8 @@ class DamageCurve:
         pairs = []
         for i, pair in enumerate(self.breakpoints):
             try:
+                if bool in map(type, pair):  # JSON true and false are not numbers
+                    raise TypeError
                 d, f = map(float, pair)
             except OverflowError:  # an integer too large for a float
                 d = f = math.inf

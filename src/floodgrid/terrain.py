@@ -79,7 +79,7 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
 
     A DEM sample belongs to the fishnet cell containing its center point;
     NODATA and non-finite samples are excluded. Cells with no samples are
-    NaN.
+    NaN. A grid too large for its sums to be mapped is a MemoryError.
 
     The sums run over bands of the DEM rows that fall in one fishnet row,
     so each cell is summed within one band, in row-major order, exactly as
@@ -104,7 +104,10 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     edges = np.concatenate(([0], 1 + np.flatnonzero(np.diff(ii)), [dem.nrows]))
 
     # the sum and the count of the samples of each cell, shared with forked children
-    acc = np.frombuffer(mmap.mmap(-1, 16 * g.n_cells)).reshape(2, g.n_cells)
+    try:
+        acc = np.frombuffer(mmap.mmap(-1, 16 * g.n_cells)).reshape(2, g.n_cells)
+    except (OSError, OverflowError):  # more than the address space or the memory
+        raise MemoryError(f"cannot map the sums of {g.n_cells} cells") from None
     sums, counts = acc
 
     def add(bands, k0=0):

@@ -17,7 +17,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,7 +37,6 @@ from floodgrid.cli import (
     EXIT_PARSE_ERROR,
     ConfigError,
     RunConfig,
-    cmd_assess,
     main,
 )
 from floodgrid.geodata import Raster, write_ascii_grid
@@ -138,8 +140,9 @@ def header_line(line, text):
     return "".join(lines)
 
 
-# Every DEM error that test_geodata raises from parse_ascii_grid, and the
-# message assess gives for it after "DEM file <path>: ".
+# Every DEM error that test_geodata raises from parse_ascii_grid, and an
+# extent too narrow for its cells, with the message assess gives for it
+# after "DEM file <path>: ".
 DEM_ERRORS = [
     (GRID.replace("1 2\n3 4\n", "1 2 3\n"), "value count mismatch: expected 4, got 3"),
     (GRID.replace("3 4\n", "3 4 5\n6\n"), "value count mismatch: expected 4, got 6"),
@@ -161,6 +164,7 @@ DEM_ERRORS = [
     (GRID.replace("cellsize 98", "cellsize 1e308"),
      "raster extent (0.0, 0.0, inf, inf) is not finite"),
     (GRID.replace("cellsize 98", "cellsize 0"), "cellsize must be positive, got 0.0"),
+    (GRID.replace("xllcorner 0", "xllcorner 1e20"), "degenerate bbox (1e+20, 0.0, 1e+20, 196.0)"),
     ("ncols 2\nnrows 2\n", "expected 6 header lines, file has only 2"),
     (GRID.replace("3 4", "3 oops"), "line 8, token 2: non-numeric token 'oops'"),
     *[(GRID.replace("1 2\n3 4\n", body), f"{where}: non-numeric token '#'")
@@ -333,6 +337,13 @@ class TestAssessCommand:
         (coastal_fixture / "run.json").write_text(json.dumps(doc))
         assert self.run(coastal_fixture) == EXIT_CONFIG_ERROR
 
+    def test_missing_config_key(self, coastal_fixture, capsys):
+        doc = json.loads((coastal_fixture / "run.json").read_text())
+        del doc["bfe_path"]
+        (coastal_fixture / "run.json").write_text(json.dumps(doc))
+        assert self.run(coastal_fixture) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: missing config key(s): bfe_path\n"
+
     def test_no_parcels_is_empty_input(self, coastal_fixture, capsys):
         (coastal_fixture / "parcels.geojson").write_text(
             '{"type": "FeatureCollection", "features": []}')
@@ -376,7 +387,11 @@ class TestRunConfig:
         setattr(cfg, field, value)
         with pytest.raises(ConfigError, match="finite"):
             cfg.validate()
-        assert cmd_assess(cfg) == EXIT_CONFIG_ERROR
+        doc = json.loads((coastal_fixture / "run.json").read_text())
+        doc[field] = value  # json writes NaN and Infinity, and the loader reads them
+        (coastal_fixture / "run.json").write_text(json.dumps(doc))
+        assert main(["assess", "--config", str(coastal_fixture / "run.json")]) \
+            == EXIT_CONFIG_ERROR
 
     def test_validate_rejects_bad_cell_size(self, coastal_fixture):
         cfg = RunConfig.from_file(str(coastal_fixture / "run.json"))
@@ -426,6 +441,14 @@ class TestEdaCommand:
             "a,1,1,1,0\nb,2,1,1,0\n")
         assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
             == EXIT_EMPTY_INPUT
+
+    def test_empty_table_is_parse_error(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("")
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert (f"error: attribute table file {table}: empty attribute table\n"
+                in capsys.readouterr().err)
 
     def test_missing_table_is_parse_error(self, tmp_path, capsys):
         assert main(["eda", "--table", str(tmp_path / "nope.csv"),
@@ -572,6 +595,14 @@ CRASHING_INPUTS = {
                                     EXIT_PARSE_ERROR, "feature 0: properties must be an object"),
     "number as BFE zone properties": ("bfe.geojson", ("features", 0, "properties"), 5,
                                       EXIT_PARSE_ERROR, "feature 0: properties must be an object"),
+    "MultiPolygon of no members": ("parcels.geojson", ("features", 0, "geometry"),
+                                   {"type": "MultiPolygon", "coordinates": []}, EXIT_PARSE_ERROR,
+                                   "feature 0: empty geometry coordinates"),
+    # sums too large to map, and a grid too large to index
+    "tiny cell_size": ("run.json", ("cell_size",), 1e-5, EXIT_CONFIG_ERROR,
+                       "error: cell_size 1e-05 gives 4000000x4000000 cells, too many to hold"),
+    "tinier cell_size": ("run.json", ("cell_size",), 1e-300, EXIT_CONFIG_ERROR,
+                         "at cell_size 1e-300 needs too many cells"),
 }
 
 
@@ -636,6 +667,68 @@ def test_eda_reads_an_id_longer_than_the_csv_field_limit(tmp_path, capsys, numbe
     else:
         assert (f"error: attribute table file {table}: line 22: non-finite field"
                 in capsys.readouterr().err)
+
+
+def command_args(fixture: Path, command: str) -> list[str]:
+    """argv, less --out, of assess or eda on the tiny fixture."""
+    if command == "assess":
+        return ["assess", "--config", str(fixture / "run.json")]
+    return ["eda", "--table", str(fixture / "table.csv")]
+
+
+def error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("error: ")]
+
+
+@pytest.mark.parametrize("command", ["assess", "eda"])
+@pytest.mark.parametrize("below", [False, True])
+def test_unwritable_output_dir_is_config_error(tiny_fixture, capsys, command, below):
+    taken = tiny_fixture / "taken"
+    taken.write_text("a file")
+    out = taken / "sub" if below else taken
+    assert main([*command_args(tiny_fixture, command), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    (error,) = error_lines(capsys.readouterr().err)
+    assert error.startswith(f"error: cannot write output directory {out}: [Errno ")
+    assert taken.read_text() == "a file"
+
+
+def test_failed_write_replaces_no_output(tiny_fixture, capsys, monkeypatch):
+    assert main(command_args(tiny_fixture, "assess")) == EXIT_OK
+    out = tiny_fixture / "out"
+    before = read_outputs(out)
+    (tiny_fixture / "curve.json").write_text("[[0, 0], [5, 1]]")
+    mkstemp, calls = tempfile.mkstemp, []
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", second_call_fails)
+    assert main(command_args(tiny_fixture, "assess")) == EXIT_CONFIG_ERROR
+    assert error_lines(capsys.readouterr().err) == [
+        f"error: cannot write output directory {out}: [Errno 28] No space left on device"]
+    assert read_outputs(out) == before  # no output replaced, and no temp file left
+    monkeypatch.undo()
+    assert main(command_args(tiny_fixture, "assess")) == EXIT_OK
+    assert read_outputs(out) != before  # the new curve does change the outputs
+
+
+def test_eda_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_text(EDA_TABLE.replace("g0,", "p\u00e90,"), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    scatters = []
+    for locale in ("C.UTF-8", "C"):
+        env = dict(os.environ, LC_ALL=locale, PYTHONUTF8="0", PYTHONPATH=src)
+        out = tmp_path / locale
+        run = subprocess.run([sys.executable, "-m", "floodgrid.cli", "eda", "--table", str(table),
+                              "--out", str(out)], env=env, capture_output=True, timeout=60)
+        assert run.returncode == EXIT_OK, run.stderr
+        scatters.append((out / "scatter.csv").read_bytes())
+    assert scatters[0] == scatters[1]
+    assert "\np\u00e90,".encode() in scatters[0]
 
 
 DEEP = "\u0000deep"  # written as 100 000 nested arrays

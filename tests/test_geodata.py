@@ -433,6 +433,15 @@ class TestParcels:
                            match="feature 1: non-numeric value .* for property 'base_flood'"):
             parse_parcels(fc(SQUARE_FEATURE, bad))
 
+    @pytest.mark.parametrize("name", ["current_assessment", "land_area", "base_flood"])
+    @pytest.mark.parametrize("raw", [True, False])
+    def test_boolean_property_rejected(self, name, raw):
+        # a bool would read as 1.0 or 0.0
+        bad = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], **{name: raw}))
+        with pytest.raises(ParseError,
+                           match=f"^feature 1: non-numeric value {raw} for property {name!r}"):
+            parse_parcels(fc(SQUARE_FEATURE, bad))
+
     def test_base_flood_parsed_when_present(self):
         good = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], base_flood="7.5"))
         assert parse_parcels(fc(good)).base_flood.tolist() == [7.5]
@@ -514,7 +523,8 @@ class TestParcels:
             parse_parcels(fc(SQUARE_FEATURE, bad))
 
     @pytest.mark.parametrize("ring", [[[0, 0], [1], [1, 1]], [0, 1, 2], "abcd",
-                                      [[0, 0], "xy", [1, 1]]])
+                                      [[0, 0], "xy", [1, 1]], [[0, 0], [True, 0], [1, 1]],
+                                      [[0, 0, False], [2, 0, 0], [1, 1, 0]]])
     def test_malformed_coordinates_rejected(self, ring):
         bad = dict(SQUARE_FEATURE, geometry={"type": "Polygon", "coordinates": [ring]})
         with pytest.raises(ParseError,
@@ -610,6 +620,21 @@ class TestBfeZones:
         with pytest.raises(ParseError, match="static_bfe"):
             parse_bfe_zones(fc(feature))
 
+    @pytest.mark.parametrize("coordinates, static_bfe, message", [
+        ([[[0, 0], [1, 0], [1, 1]]], True, "feature 0: non-numeric value True for property "
+                                           "'static_bfe'"),
+        ([[[0, 0], [1, False], [1, 1]]], 7, "feature 0, polygon 0, ring 0: malformed ring "
+                                            "coordinates"),
+    ])
+    def test_booleans_rejected(self, coordinates, static_bfe, message):
+        feature = {
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": coordinates},
+            "properties": {"static_bfe": static_bfe},
+        }
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_bfe_zones(fc(feature))
+
     def test_multipolygon_zone_splits_in_order(self):
         feature = {
             "type": "Feature",
@@ -658,6 +683,11 @@ class TestDamageCurveParsing:
     def test_non_finite_breakpoint_rejected(self, text):
         with pytest.raises(ParseError, match="must be finite"):
             parse_damage_curve(text)
+
+    def test_booleans_rejected(self):
+        with pytest.raises(ParseError,
+                           match=r"^entry 0: non-numeric pair \[False, False\]$"):
+            parse_damage_curve("[[false, false], [true, true]]")
 
     def test_constructor_validates_too(self):
         with pytest.raises(ValueError):
