@@ -2,7 +2,9 @@
 
 Covers ESRI ASCII grid rasters, the GeoJSON subset used for parcels and
 base-flood-elevation zones, damage-curve tables, and the scenario report
-CSV. All coordinates are planar feet; no reprojection is performed.
+CSV. All coordinates are planar feet; no reprojection is performed. Work
+that a reader or writer splits between forked processes goes through
+``_forked`` here.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import json
 import math
 import operator
 import os
+import pickle
+import signal
 from array import array
 from collections.abc import Callable, Iterator
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -45,6 +50,63 @@ def format_numbers(values: np.ndarray):
     cut = (values == np.trunc(values)) & (np.abs(values) < 1e16)
     return map(operator.getitem, map(repr, values.tolist()),
                map((slice(None), slice(-2)).__getitem__, cut.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Work split between forked processes
+# ---------------------------------------------------------------------------
+
+def _workers() -> int:
+    """How many processes share a split task: one per CPU this process may run
+    on, or one where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _parts(n: int, least: int = 1) -> list[tuple[int, int]]:
+    """range(n) as contiguous (start, stop) parts in order: one per ``_workers()``,
+    but no more than give each ``least`` items, and one at the least."""
+    k = max(1, min(_workers(), n // least))
+    bounds = [n * r // k for r in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _forked(runs) -> list | None:
+    """Call ``runs[0]()`` here while each later run is called in a forked child
+    that sends its value back, pickled, through a pipe of its own: the values in
+    run order. None if a child's run raises or the child dies, if ``runs[0]``
+    raises OSError or ValueError, or if a fork fails; no child outlives the call."""
+    pids, pipes = [], []
+    try:
+        for run in runs[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as fh:  # this process keeps only the read end
+                if (pid := os.fork()) == 0:  # a child never returns into the caller
+                    try:
+                        pickle.dump(run(), fh)
+                        fh.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        values = [runs[0]()]
+        for pipe in pipes:
+            data = pipe.read()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]  # reaped: an interrupted wait leaves it for the kill below
+            if status:
+                return None
+            values.append(pickle.loads(data))
+        return values
+    except (OSError, ValueError):
+        return None
+    finally:
+        for pid in pids:
+            with suppress(ChildProcessError, ProcessLookupError):  # reaped if SIGCHLD is ignored
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 # ---------------------------------------------------------------------------

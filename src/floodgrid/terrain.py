@@ -9,14 +9,12 @@ Each is one row-major array over the grid, NaN where unknown.
 from __future__ import annotations
 
 import mmap
-import os
-import signal
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from . import geodata
 from .geodata import BfeZone, Raster, data_mask, format_numbers
 from .grid import GridSpec, col_of, row_of
 
@@ -40,40 +38,6 @@ class CellArrays:
     exposed_area: np.ndarray
 
 
-def _workers() -> int:
-    """How many processes sum a DEM body read from a file: one per CPU this
-    process may run on, or one where the platform cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _forked(runs) -> bool:
-    """Call ``runs[0]()`` here while each later run is called in a forked child.
-    False if a child's run raises or the child dies, if ``runs[0]`` raises
-    OSError or ValueError, or if a fork fails; no child outlives the call."""
-    pids = []
-    try:
-        for run in runs[1:]:
-            if (pid := os.fork()) == 0:  # a child never returns into the caller
-                try:
-                    run()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        runs[0]()
-        while pids:
-            if os.waitpid(pids.pop(0), 0)[1]:
-                return False
-        return True
-    except (OSError, ValueError):
-        return False
-    finally:
-        for pid in pids:
-            with suppress(ChildProcessError, ProcessLookupError):  # reaped if SIGCHLD is ignored
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
 def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     """Mean DEM elevation per fishnet cell, row-major.
 
@@ -84,10 +48,11 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     The sums run over bands of the DEM rows that fall in one fishnet row,
     so each cell is summed within one band, in row-major order, exactly as
     one bincount over the whole raster would. A body streamed from a named
-    file is split into contiguous runs of bands, one per ``_workers()``,
-    each read anew from the file: this process sums the first, and a forked
-    child each other. Should any of them fail, all bands are summed here
-    from ``dem.bands``, so the means and any error do not depend on the count.
+    file is split into contiguous runs of bands, one per
+    ``geodata._workers()``, each read anew from the file: this process sums
+    the first, and a forked child each other (``geodata._forked``). Should
+    any of them fail, all bands are summed here from ``dem.bands``, so the
+    means and any error do not depend on the count.
     """
     cs = dem.cellsize
     centers_x = dem.xllcorner + (np.arange(dem.ncols) + 0.5) * cs
@@ -121,11 +86,10 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
             sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
             counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
 
-    n = min(_workers(), len(edges) - 1) if dem.body else 1
-    bounds = [(len(edges) - 1) * r // n for r in range(n + 1)]
-    runs = [partial(add, dem.reread(edges[a:b + 1]), a) for a, b in zip(bounds, bounds[1:])]
+    parts = geodata._parts(len(edges) - 1) if dem.body else [(0, len(edges) - 1)]
+    runs = [partial(add, dem.reread(edges[a:b + 1]), a) for a, b in parts]
     # add() sets all the cells of a band, so a failed split leaves nothing behind
-    if n == 1 or not _forked(runs):
+    if len(runs) == 1 or geodata._forked(runs) is None:
         add(dem.bands(edges))
     return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
+from floodgrid import geodata
 from floodgrid.geodata import Raster
 from floodgrid.grid import GridSpec, cell_rect
 from floodgrid.overlay import SLIVER_MIN_AREA
@@ -32,6 +35,30 @@ def parcel_rings(table, k: int) -> list[list[tuple[float, float]]]:
     v = table.vertex_offsets.tolist()
     return [list(zip(table.x[v[r]:v[r + 1]].tolist(), table.y[v[r]:v[r + 1]].tolist()))
             for r in range(table.ring_offsets[k], table.ring_offsets[k + 1])]
+
+
+# ---------------------------------------------------------------------------
+# Work split between forked processes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Per call of geodata._forked: True where every process ran its part,
+    False where it failed and the caller did all the work itself."""
+    calls = []
+    forked = geodata._forked
+
+    def spy(runs):
+        values = forked(runs)
+        calls.append(values is not None)
+        return values
+    monkeypatch.setattr(geodata, "_forked", spy)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

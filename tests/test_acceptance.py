@@ -35,7 +35,7 @@ from conftest import (
     random_raster,
     random_simple_parcel,
 )
-from floodgrid import terrain
+from floodgrid import geodata
 from floodgrid.cli import EXIT_OK, main
 from floodgrid.damage import cell_damage
 from floodgrid.eda import CHI2_1DF_5PCT, breusch_pagan, ols_fit
@@ -470,13 +470,13 @@ def test_c9_determinism_and_performance(tmp_path, monkeypatch):
     }))
 
     # the DEM body is summed in one process, then split between one per CPU
-    split = terrain._workers
-    monkeypatch.setattr(terrain, "_workers", lambda: 1)
+    split = geodata._workers
+    monkeypatch.setattr(geodata, "_workers", lambda: 1)
     t0 = time.perf_counter()
     assert main(["assess", "--config", str(tmp_path / "run.json")]) == EXIT_OK
     elapsed = time.perf_counter() - t0
 
-    monkeypatch.setattr(terrain, "_workers", split)
+    monkeypatch.setattr(geodata, "_workers", split)
     assert main(["assess", "--config", str(tmp_path / "run.json"),
                  "--out", str(tmp_path / "out2")]) == EXIT_OK
 

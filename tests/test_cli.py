@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floodgrid import cli, terrain
+from floodgrid import cli, eda, geodata
 from floodgrid.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_EMPTY_INPUT,
@@ -213,12 +213,12 @@ class TestAssessCommand:
         assert read_outputs(coastal_fixture / "out") == first
 
     def test_thread_count_does_not_change_bytes(self, coastal_fixture, monkeypatch):
-        split = terrain._workers
-        monkeypatch.setattr(terrain, "_workers", lambda: 1)
+        split = geodata._workers
+        monkeypatch.setattr(geodata, "_workers", lambda: 1)
         assert self.run(coastal_fixture) == EXIT_OK
         serial = read_outputs(coastal_fixture / "out")
         # the DEM body's three bands are split between one process per CPU
-        monkeypatch.setattr(terrain, "_workers", split)
+        monkeypatch.setattr(geodata, "_workers", split)
         assert self.run(coastal_fixture, "--out", str(coastal_fixture / "out2")) == EXIT_OK
         parallel = read_outputs(coastal_fixture / "out2")
         assert serial == parallel
@@ -433,6 +433,18 @@ class TestEdaCommand:
         first = read_outputs(out)
         main(["eda", "--table", str(table), "--out", str(out)])
         assert read_outputs(out) == first
+
+    def test_process_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        table = tmp_path / "table.csv"
+        table.write_text(EDA_TABLE)
+        # parts of one row, so that any count of CPUs above one splits the scatter
+        monkeypatch.setattr(eda, "SCATTER_PART_ROWS", 1)
+        split = geodata._workers
+        monkeypatch.setattr(geodata, "_workers", lambda: 1)
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "one")]) == EXIT_OK
+        monkeypatch.setattr(geodata, "_workers", split)
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "many")]) == EXIT_OK
+        assert read_outputs(tmp_path / "one") == read_outputs(tmp_path / "many")
 
     def test_all_filtered_is_exit_3(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

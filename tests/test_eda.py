@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import signal
+import time
 from collections import namedtuple
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ols_normal_equations
+from conftest import assert_no_child_left, ols_normal_equations
 from floodgrid import eda, geodata
 from floodgrid.eda import (
     CHI2_1DF_5PCT,
@@ -304,6 +307,130 @@ class TestScatterExport:
         lognormal = np.exp(rng.normal(0, 12, 2000))
         values = np.concatenate([edges, np.negative(edges), lognormal, np.round(lognormal)])
         assert list(geodata.format_numbers(values)) == list(map(format_number, values.tolist()))
+
+
+class TestScatterSplit:
+    """Scatter rows split between forked processes give the bytes one process
+    gives, and the bytes csv.writer gives; ``forks`` (conftest) holds True per
+    split where every process rendered its part, False where this one
+    rendered them all after a failure."""
+
+    IDS = {
+        "ascii": [f"r{k:06d}" for k in range(40)],
+        "non-ascii": [f"{name}-{k}" for k in range(10)
+                      for name in ("Zürich", "東京", "ß", "\U0001f30a")],
+        **{f"with {name}": [f"x{char}{k}" if k % 3 else f"p{k}" for k in range(40)]
+           for name, char in (("comma", ","), ("quote", '"'), ("cr", "\r"), ("lf", "\n"))},
+        "quoted": [f"{name}{k}" for k in range(8)
+                   for name in ("plain", "x,1", 'say "hi"', "a\r\nb", "")],
+        "not str": [k if k % 3 else None for k in range(40)],
+    }
+
+    @pytest.fixture(autouse=True)
+    def small_parts(self, monkeypatch):
+        monkeypatch.setattr(eda, "SCATTER_PART_ROWS", 2)
+
+    @staticmethod
+    def records(ids, seed=0):
+        """A table of kept records with parcel ids ``ids``."""
+        rng = np.random.default_rng(seed)
+        t = np.empty(len(ids), dtype=TABLE_DTYPE)
+        t["parcel_id"] = ids
+        t["current_assessment"] = np.round(np.exp(rng.normal(12.0, 1.0, len(ids))), 2)
+        t["land_area"] = np.round(rng.uniform(2_000, 40_000, len(ids)), 1)
+        t["shape_area"] = np.round(t["land_area"] * rng.uniform(0.7, 1.3, len(ids)), 1)
+        t["base_flood"] = 6.0
+        return t
+
+    @staticmethod
+    def written(t) -> bytes:
+        """The scatter of ``t`` as one csv.writer writes it."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["parcel_id", "shape_area", "area_cost"])
+        writer.writerows(zip(t["parcel_id"], map(format_number, t["shape_area"].tolist()),
+                             map(format_number, area_cost(t).tolist())))
+        return buf.getvalue().encode()
+
+    @staticmethod
+    def outcome(monkeypatch, t, workers) -> bytes:
+        monkeypatch.setattr(geodata, "_workers", lambda: workers)
+        try:
+            return scatter_export(t).encode()
+        finally:
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", IDS)
+    def test_bytes_match_one_process(self, monkeypatch, forks, kind):
+        t = self.records(self.IDS[kind])
+        expected = self.written(t)
+        for workers in (1, 2, 3, 8):
+            assert self.outcome(monkeypatch, t, workers) == expected
+        assert forks == [True] * 3  # one process renders all; every split renders its parts
+        if kind == "quoted":
+            assert b'\n"x,10",' in expected and b'\n"say ""hi""1",' in expected
+
+    def test_parts_hold_the_fewest_rows(self, monkeypatch, forks):
+        monkeypatch.setattr(eda, "SCATTER_PART_ROWS", 20)
+        t = self.records(self.IDS["ascii"])
+        for rows, splits in ((39, 0), (40, 1)):
+            assert self.outcome(monkeypatch, t[:rows], 8) == self.written(t[:rows])
+            assert len(forks) == splits
+        assert geodata._parts(40, 20) == [(0, 20), (20, 40)]
+        assert geodata._parts(0, 20) == [(0, 0)]
+
+    def test_a_child_that_dies_is_rendered_here(self, monkeypatch, forks):
+        t = self.records(self.IDS["non-ascii"])
+        parent, format_numbers = os.getpid(), eda.format_numbers
+
+        def die_in_child(values):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return format_numbers(values)
+        monkeypatch.setattr(eda, "format_numbers", die_in_child)
+        assert self.outcome(monkeypatch, t, 3) == self.written(t)
+        assert forks == [False]
+
+    def test_failed_fork_reaps_the_child_forked(self, monkeypatch, forks):
+        t = self.records(self.IDS["quoted"])
+        fork, calls = os.fork, []
+
+        def fork_once():
+            calls.append(1)
+            if len(calls) > 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert self.outcome(monkeypatch, t, 4) == self.written(t)
+        assert len(calls) == 2 and forks == [False]
+
+    def test_interrupted_wait_reaps_the_child(self, monkeypatch):
+        t = self.records(self.IDS["ascii"])
+        waitpid, calls = os.waitpid, []
+
+        def interrupted_once(pid, options):
+            calls.append(pid)
+            if len(calls) == 1:  # the child has sent its part, and is not yet reaped
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+        monkeypatch.setattr(os, "waitpid", interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            self.outcome(monkeypatch, t, 2)
+        assert len(calls) == 3  # the interrupted wait, the kill's wait, no child left
+
+    def test_interrupt_stops_every_child(self, monkeypatch):
+        t = self.records(self.IDS["ascii"])
+        parent = os.getpid()
+
+        def interrupt_here(values):  # while the children take their time
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        monkeypatch.setattr(eda, "format_numbers", interrupt_here)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self.outcome(monkeypatch, t, 3)
+        assert time.perf_counter() - t0 < 30
 
 
 class TestReadAttributeTable:

@@ -10,8 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import brute_force_zonal_means, cell_map, points_in_polygon, random_raster
-from floodgrid import terrain
+from conftest import (
+    assert_no_child_left,
+    brute_force_zonal_means,
+    cell_map,
+    points_in_polygon,
+    random_raster,
+)
+from floodgrid import geodata, terrain
 from floodgrid.geodata import BfeZone, ParseError, Raster, format_number, parse_ascii_grid
 from floodgrid.grid import GridSpec, make_fishnet
 from floodgrid.overlay import ATTRIBUTION_DTYPE
@@ -163,32 +169,16 @@ def dem_file_text(rows, end="\n", between=()):
     return end.join(lines) + end
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestSplitBody:
     """A DEM body read from a file and split between forked processes gives
-    the means of one process bit for bit, and its errors word for word."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Per split: True where every process summed its run, False where
-        this one summed them all after a failure."""
-        calls = []
-        forked = terrain._forked
-
-        def spy(runs):
-            calls.append(forked(runs))
-            return calls[-1]
-        monkeypatch.setattr(terrain, "_forked", spy)
-        return calls
+    the means of one process bit for bit, and its errors word for word.
+    ``forks`` (conftest) holds True per split where every process summed its
+    run, False where this one summed them all after a failure."""
 
     @staticmethod
     def outcome(monkeypatch, path, g, workers):
         """The means' bytes with ``workers`` processes, or the ParseError text."""
-        monkeypatch.setattr(terrain, "_workers", lambda: workers)
+        monkeypatch.setattr(geodata, "_workers", lambda: workers)
         try:
             with open(path, "rb") as fh:
                 return zonal_mean_elevation(parse_ascii_grid(fh), g).tobytes()
@@ -324,7 +314,7 @@ class TestSplitBody:
         other.write_text(dem_file_text(self.tokens(rng, 6, 4)))
         g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
         expected = self.outcome(monkeypatch, path, g, 1)
-        monkeypatch.setattr(terrain, "_workers", lambda: 3)
+        monkeypatch.setattr(geodata, "_workers", lambda: 3)
         with open(path, "rb") as fh:
             dem = parse_ascii_grid(fh)
             os.replace(other, path)
@@ -335,7 +325,7 @@ class TestSplitBody:
     def test_text_and_unnamed_sources_stay_in_one_process(self, tmp_path, monkeypatch, forks):
         text = dem_file_text(self.tokens(np.random.default_rng(9), 6, 4))
         g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
-        monkeypatch.setattr(terrain, "_workers", lambda: 3)
+        monkeypatch.setattr(geodata, "_workers", lambda: 3)
         for dem in (parse_ascii_grid(text), parse_ascii_grid(io.BytesIO(text.encode()))):
             assert dem.body is None
             zonal_mean_elevation(dem, g)
