@@ -127,10 +127,11 @@ def _parse_input(path: str, what: str, parse, mode: str = "r"):
             return parse(fh.read() if mode == "r" else fh)
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # the offset is from the start of the file
+    except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
+        offset = getattr(exc, "offset", 0) + exc.start  # exc.offset: where exc.object starts
         raise ParseError(f"{what} file {path}: not {exc.encoding} text: byte {byte:#04x} "
-                         f"at offset {exc.start} ({exc.reason})") from None
+                         f"at offset {offset} ({exc.reason})") from None
     except ParseError as exc:
         raise ParseError(f"{what} file {path}: {exc}") from None
 

@@ -18,6 +18,7 @@ import os
 import pickle
 import signal
 from array import array
+from collections import deque
 from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -176,8 +177,8 @@ class Raster:
 
     def reread(self, edges) -> Iterator[np.ndarray]:
         """As ``bands``, for ``edges`` ascending within 0 to nrows, read anew from
-        the file of ``body``; ValueError where ``bands`` would fall back to the
-        per-line parse, or if the path now leads to another file."""
+        the file of ``body``: ValueError unless each of its non-blank lines (split
+        at LF) is one row of ``ncols`` values, or if the path now leads to another file."""
         path, offset, stat = self.body
         with open(path, "rb") as fh:
             if not os.path.samestat(os.fstat(fh.fileno()), stat):
@@ -193,50 +194,55 @@ def data_mask(values: np.ndarray, nodata_value: float) -> np.ndarray:
     return (values != nodata_value) & np.isfinite(values)
 
 
-def _parse_values_per_line(text: str, expected: int) -> np.ndarray:
-    """Parse the value lines of an ASCII grid text one line at a time.
+def _lines(source) -> Iterator[str]:
+    """``str.splitlines(keepends=True)`` of the text of the binary file ``source``,
+    read from its start a line at a time; a byte that is not UTF-8 is the
+    UnicodeDecodeError of its line, whose ``offset`` is the line's in the file."""
+    source.seek(0)
+    for line in source:
+        try:
+            text = line.decode()
+        except UnicodeDecodeError as exc:
+            exc.offset = source.tell() - len(line)
+            raise
+        yield from text.splitlines(keepends=True)
 
-    Any row wrapping is accepted. A bad token raises ParseError with its
-    line and token position; a total other than ``expected`` raises a count
-    mismatch.
-    """
-    values = array("d")
-    n = len(_HEADER_KEYS)
-    for lineno, line in enumerate(text.splitlines()[n:], start=n + 1):
-        tokens = line.split()
+
+def _parse_values_per_line(source, expected: int) -> Iterator[list[float]]:
+    """The ``float()`` values of each grid body line of the binary file ``source``
+    in turn, read from its start a line at a time, however the rows are wrapped.
+    A bad token is a ParseError with its line and token position, and a total
+    other than ``expected`` a count mismatch at the end."""
+    lines, n, got = _lines(source), len(_HEADER_KEYS), 0
+    for lineno, line in enumerate(islice(lines, n, None), start=n + 1):
+        tokens, values = line.split(), []
         try:
             values.extend(map(float, tokens))
-        except ValueError:
-            for pos, token in enumerate(tokens, start=1):
-                try:
-                    float(token)
-                except ValueError:
-                    raise ParseError(f"line {lineno}, token {pos}: "
-                                     f"non-numeric token {token!r}") from None
-    if len(values) != expected:
-        raise ParseError(f"value count mismatch: expected {expected}, got {len(values)}")
-    return np.array(values, dtype=float)
+        except ValueError:  # extend kept the values before the bad token
+            deque(lines, 0)  # as with the whole text, a decode error comes first
+            raise ParseError(f"line {lineno}, token {len(values) + 1}: "
+                             f"non-numeric token {tokens[len(values)]!r}") from None
+        got += len(values)
+        yield values
+    if got != expected:
+        raise ParseError(f"value count mismatch: expected {expected}, got {got}")
 
 
-def _read_bands(rows, nrows: int, ncols: int, edges, text) -> Iterator[np.ndarray]:
+def _read_bands(rows, nrows: int, ncols: int, edges, source) -> Iterator[np.ndarray]:
     """Yield rows ``edges[k]:edges[k + 1]`` of a grid body for each k in turn.
 
     Each band is one ``np.loadtxt`` call over ``rows``, the non-blank body
-    lines from row ``edges[0]`` on; it must return whole rows of ``ncols``
-    values, and nothing may follow a band that ends at ``nrows``. Failing
-    that, the rest is sliced from the per-line parse of ``text()``, which
-    raises any error with its position (the bands so far had ``ncols``
-    values a line, so it reads the same values there); or, given no
-    ``text``, ValueError.
+    lines from row ``edges[0]`` on, and must be whole rows of ``ncols``
+    values, with nothing after row nrows. Else the rest is read by the
+    per-line parse of the binary file ``source``, or is a ValueError if none.
     """
-    # numpy's C reader gives the doubles float() gives, and refuses what only
-    # float() reads ("1_0", non-ASCII digits). Given max_rows, it allocates
-    # its result once, reads no line past it, and warns about empty input.
+    # numpy's C reader gives the doubles float() gives, splits a line where
+    # str.split() does, and refuses what only float() reads ("1_0", non-ASCII
+    # digits). Given max_rows it reads no line past it; it warns on no lines.
     done = 0
-    try:
+    with suppress(ValueError):  # a UnicodeDecodeError too: the per-line parse gives its offset
         for start, end in zip(edges[:-1], edges[1:]):
-            first = next(rows, None)
-            if first is None:
+            if (first := next(rows, None)) is None:
                 break
             band = np.loadtxt(chain([first], rows), dtype=float, comments=None, ndmin=2,
                               max_rows=end - start, encoding="ascii")
@@ -247,12 +253,14 @@ def _read_bands(rows, nrows: int, ncols: int, edges, text) -> Iterator[np.ndarra
         else:
             if edges[-1] < nrows or next(rows, None) is None:
                 return
-    except ValueError:
-        pass
-    if text is None:
+    if source is None:
         raise ValueError(f"the body is not {ncols} values a line from row {edges[done]} on")
-    values = _parse_values_per_line(text(), nrows * ncols).reshape(nrows, ncols)
-    yield from (values[a:b] for a, b in zip(edges[done:-1], edges[done + 1:]))
+    band = None  # not held while the rest is read
+    values = chain.from_iterable(_parse_values_per_line(source, nrows * ncols))
+    next(islice(values, edges[done] * ncols, edges[done] * ncols), None)  # the rows read
+    for start, end in zip(edges[done:-1], edges[done + 1:]):
+        yield np.fromiter(values, dtype=float, count=(end - start) * ncols).reshape(-1, ncols)
+    deque(values, 0)  # to the count mismatch of a longer body
 
 
 def parse_ascii_grid(source) -> Raster:
@@ -264,32 +272,22 @@ def parse_ascii_grid(source) -> Raster:
     the same way and ``values`` holds the rows. Header keys are
     case-insensitive. Errors carry the offending line (and token) position.
     """
-    if isinstance(source, str):  # only the UTF-8 bytes of the text reach the parse
-        raster = parse_ascii_grid(io.BytesIO(
-            "\n".join([*source.splitlines(), ""]).encode(errors="replace")))  # "?" for a surrogate
+    if isinstance(source, str):  # its UTF-8 bytes, "?" for a surrogate, are parsed
+        raster = parse_ascii_grid(io.BytesIO(source.encode(errors="replace")))
         (raster.values,) = raster.bands([0, raster.nrows])
         raster._stream = None  # lets the copy of the text go
         return raster
 
-    def text() -> str:
-        source.seek(0)
-        return source.read().decode()
-
     n = len(_HEADER_KEYS)
-    size = source.seek(0, os.SEEK_END)
-    source.seek(0)
-    head = [line.decode().splitlines() if line.isascii() else [] for line in islice(source, n)]
-    offset = source.tell()
-    odd = any(len(parts) != 1 for parts in head)
-    head = text().splitlines()[:n] if odd else [parts[0] for parts in head]
-    rows = (line for line in source if line.strip(_ASCII_SPACE))
+    size, lines = source.seek(0, os.SEEK_END), _lines(source)
+    head = list(islice(lines, n))
     if len(head) < n:
         raise ParseError(f"expected {n} header lines, file has only {len(head)}")
     header: dict[str, float] = {}
     for lineno, line in enumerate(head, start=1):
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: malformed header line {line!r}")
+            raise ParseError(f"line {lineno}: malformed header line {line.splitlines()[0]!r}")
         key, token = parts[0].lower(), parts[1]
         if key not in _HEADER_KEYS:
             raise ParseError(f"line {lineno}: unknown header key {parts[0]!r}")
@@ -304,18 +302,17 @@ def parse_ascii_grid(source) -> Raster:
         if not counts and key != "nodata_value" and not math.isfinite(header[key]):
             raise ParseError(f"line {lineno}: non-finite value {token!r} for {key!r}")
     ncols, nrows = header["ncols"], header["nrows"]
-    # A text holds at most one value per two characters. Given no rows, or
-    # more values than that, the per-line parse or the Raster checks fail.
-    stream = not odd and ncols >= 1 and nrows >= 1 and ncols * nrows <= size // 2 + 1
+    # A text holds at most one value per two characters: the body or Raster fail
+    if min(ncols, nrows) < 1 or ncols * nrows > size // 2 + 1:
+        deque(_parse_values_per_line(source, ncols * nrows), 0)
     try:
-        raster = Raster(*(header[k] for k in _HEADER_KEYS),
-                        None if stream else _parse_values_per_line(text(), ncols * nrows))
+        raster = Raster(*(header[k] for k in _HEADER_KEYS), None)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    if stream:
-        raster._stream = partial(_read_bands, rows, nrows, ncols, text=text)
-        if isinstance(getattr(source, "name", None), str):
-            raster.body = (source.name, offset, os.fstat(source.fileno()))
+    rows = (line for line in lines if not line.isspace())
+    raster._stream = partial(_read_bands, rows, nrows, ncols, source=source)
+    if isinstance(getattr(source, "name", None), str):
+        raster.body = (source.name, len("".join(head).encode()), os.fstat(source.fileno()))
     return raster
 
 
@@ -336,17 +333,28 @@ def write_ascii_grid(r: Raster) -> str:
 # Parcels and BFE zones (GeoJSON subset)
 # ---------------------------------------------------------------------------
 
+def _vertices(rings) -> np.ndarray | None:
+    """The positions of ``rings`` as one (n, size) float64 array, null as NaN; None
+    unless each is a list of ``size`` numbers, which str, true and false are not."""
+    try:
+        positions = list(chain.from_iterable(rings))
+        (size,) = set(map(len, positions)) or {2}  # no positions: (0, 2)
+        try:
+            xy = array("d", chain.from_iterable(positions))  # refuses a str
+        except TypeError:
+            xy = array("d", (math.nan if v is None else v for v in chain.from_iterable(positions)))
+        xy = np.asarray(xy)
+        if ((xy == 0) | (xy == 1)).any() and bool in map(type, chain.from_iterable(positions)):
+            return None
+        return xy.reshape(-1, size)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _ring(coords, where: str) -> np.ndarray:
     """A GeoJSON ring as an open (n, 2) float array of finite (x, y) vertices."""
-    try:
-        ring = np.array(coords, dtype=float)
-        if ((ring == 0) | (ring == 1)).any() and bool in map(type, chain.from_iterable(coords)):
-            raise TypeError  # JSON true or false, read as 1.0 or 0.0
-    except (TypeError, ValueError, OverflowError):
-        ring = None
-    if ring is not None and ring.size == 0:
-        ring = ring.reshape(0, 2)  # no positions: a short ring, not a malformed one
-    if ring is None or ring.ndim != 2 or ring.shape[1] < 2:
+    ring = _vertices([coords])
+    if ring is None or ring.shape[1] < 2:
         raise ParseError(f"{where}: malformed ring coordinates")
     ring = ring[:, :2]
     if not np.isfinite(ring).all():
@@ -363,31 +371,21 @@ def _member_vertices(members, n_members, ids):
 
     ``members[m]`` lists member m's rings of (x, y) positions and is named
     ``ids[m]`` in errors; feature k has the next ``n_members[k]`` members.
-    The result is that of ``_ring`` on every ring, concatenated, and a bad
-    ring raises the ParseError of the first one. Rings whose positions all
-    have the same number of coordinates, the usual case, are converted in
-    one numpy call.
+    The result is that of ``_ring`` on every ring, concatenated, converted at
+    once; a bad ring raises the ParseError of the first one.
     """
     ring_counts = np.array([len(rings) for rings in members], dtype=np.int64)
     rings = [ring for rings in members for ring in rings]
-    try:
+    xy = _vertices(rings)
+    if xy is not None and xy.shape[1] >= 2 and np.isfinite(xy[:, :2]).all():
         lengths = np.array([len(ring) for ring in rings], dtype=np.int64)
-        (dim,) = set(map(len, chain.from_iterable(rings)))  # one size for all positions
-        xy = np.fromiter(chain.from_iterable(chain.from_iterable(rings)), dtype=float,
-                         count=lengths.sum() * dim).reshape(-1, dim)
-        if ((xy == 0) | (xy == 1)).any() and bool in map(
-                type, chain.from_iterable(chain.from_iterable(rings))):
-            raise TypeError  # JSON true or false: _ring names the ring
-    except (TypeError, ValueError, OverflowError):
-        xy = None
-    if (xy is not None and xy.shape[1] >= 2 and (lengths >= 3).all()
-            and np.isfinite(xy[:, :2]).all()):
         last = np.cumsum(lengths) - 1
-        closed = (xy[last - lengths + 1, :2] == xy[last, :2]).all(axis=1)
-        if (lengths - closed >= 3).all():
-            keep = np.ones(len(xy), dtype=bool)
-            keep[last[closed]] = False
-            return xy[keep, :2], ring_counts, lengths - closed
+        if (lengths >= 3).all():
+            closed = (xy[last - lengths + 1, :2] == xy[last, :2]).all(axis=1)
+            if (lengths - closed >= 3).all():
+                keep = np.ones(len(xy), dtype=bool)
+                keep[last[closed]] = False
+                return xy[keep, :2], ring_counts, lengths - closed
     feature_of = np.repeat(np.arange(len(n_members)), n_members).tolist()
     rings = [_ring(ring, f"feature {idx}: parcel {pid!r}, ring {r}")
              for rings, idx, pid in zip(members, feature_of, ids)

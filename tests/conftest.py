@@ -135,6 +135,13 @@ def random_raster(rng: np.random.Generator) -> Raster:
     )
 
 
+def wrap_rows(rows, width: int, per_row: bool = True) -> list[str]:
+    """Value lines of up to ``width`` tokens from ``rows`` (lists of tokens): each
+    row on lines of its own if ``per_row``, else the tokens of all rows flowed on."""
+    runs = rows if per_row else [[token for row in rows for token in row]]
+    return [" ".join(run[k:k + width]) for run in runs for k in range(0, len(run), width)]
+
+
 def cell_map(values, g: GridSpec) -> dict[tuple[int, int], float]:
     """A row-major per-cell array as a {(i, j): v} map, NaN cells left out."""
     return {divmod(k, g.n_cols): v for k, v in enumerate(np.asarray(values).tolist())

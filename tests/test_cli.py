@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_left, wrap_rows
 from floodgrid import cli, eda, geodata
 from floodgrid.cli import (
     EXIT_CONFIG_ERROR,
@@ -291,6 +292,40 @@ class TestAssessCommand:
         dem.write_bytes(end.join(lines[:6] + wrapped).encode() + b"\n\n")
         assert self.run(coastal_fixture, "--out", str(coastal_fixture / "out2")) == EXIT_OK
         assert read_outputs(coastal_fixture / "out2") == plain
+
+    @pytest.mark.parametrize("width, per_row", [(42, True), (9, True), (10, False)],
+                             ids=["two lines a row", "ten lines a row", "ten values a line"])
+    def test_wrapped_dem_keeps_the_bytes_split_and_unsplit(self, coastal_fixture, monkeypatch,
+                                                          width, per_row):
+        dem = coastal_fixture / "dem.asc"
+        rng = np.random.default_rng(width)
+        raster = Raster(84, 42, 0.0, 0.0, 7.0, -9999.0, rng.uniform(0, 12, (42, 84)).round(2))
+        lines = write_ascii_grid(raster).splitlines()
+        dem.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(geodata, "_workers", lambda: 1)
+        assert self.run(coastal_fixture) == EXIT_OK
+        plain = read_outputs(coastal_fixture / "out")
+        # 84 values a row: 2 lines of 42, 10 lines of 9 or fewer, or flowed on at 10 a line
+        rows = [line.split() for line in lines[6:]]
+        dem.write_text("\n".join(lines[:6] + wrap_rows(rows, width, per_row)) + "\n")
+        for workers in (1, 3):
+            monkeypatch.setattr(geodata, "_workers", lambda: workers)
+            out = coastal_fixture / f"out{workers}"
+            assert self.run(coastal_fixture, "--out", str(out)) == EXIT_OK
+            assert read_outputs(out) == plain
+        assert_no_child_left()
+
+    def test_undecodable_byte_deep_in_a_wrapped_dem_names_its_offset(self, coastal_fixture,
+                                                                     capsys):
+        dem = coastal_fixture / "dem.asc"
+        lines = dem.read_text().splitlines()
+        body = " ".join(lines[6:]).split()
+        data = "\n".join(lines[:6] + wrap_rows([body], 10)).encode() + b"\n"
+        at = data.index(b" ", len(data) * 3 // 4)
+        dem.write_bytes(data[:at] + b"\xe9" + data[at + 1:])  # Latin-1 for a separator
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert (f"error: DEM file {dem}: not utf-8 text: byte 0xe9 at offset {at} "
+                "(invalid continuation byte)\n" in capsys.readouterr().err)
 
     def test_overflowing_dem_extent_names_file(self, coastal_fixture, capsys):
         dem = coastal_fixture / "dem.asc"
@@ -607,6 +642,17 @@ CRASHING_INPUTS = {
                                     EXIT_PARSE_ERROR, "feature 0: properties must be an object"),
     "number as BFE zone properties": ("bfe.geojson", ("features", 0, "properties"), 5,
                                       EXIT_PARSE_ERROR, "feature 0: properties must be an object"),
+    # RFC 7946 positions are numbers, though float() reads a numeric string
+    "numeric string as parcel vertex": ("parcels.geojson",
+                                        ("features", 0, "geometry", "coordinates", 0, 1),
+                                        ["20", "0"], EXIT_PARSE_ERROR,
+                                        "feature 0: parcel 'A', ring 0: malformed ring "
+                                        "coordinates"),
+    "numeric string as BFE zone vertex": ("bfe.geojson",
+                                          ("features", 0, "geometry", "coordinates", 0, 1),
+                                          [40, "0.0"], EXIT_PARSE_ERROR,
+                                          "feature 0, polygon 0, ring 0: malformed ring "
+                                          "coordinates"),
     "MultiPolygon of no members": ("parcels.geojson", ("features", 0, "geometry"),
                                    {"type": "MultiPolygon", "coordinates": []}, EXIT_PARSE_ERROR,
                                    "feature 0: empty geometry coordinates"),

@@ -326,11 +326,12 @@ class TestStreamedBody:
                 got = streamed_means(path, g)
                 streamed = {k: n + spy[k] - before[k] for k, n in streamed.items()}
                 assert as_bits(got) == as_bits(zonal_mean_elevation(dem, g))
-        # rows of ncols tokens numpy reads stay on the band path; wrapped or
-        # split rows and tokens only float() reads fall back to the per-line
-        # loop (messy bodies break lines with \r, \x0b and \x0c)
+        # rows of ncols tokens numpy reads stay on the band path, whatever
+        # ends their lines (messy bodies break lines with \r, \x0b and \x0c
+        # too); wrapped rows and tokens only float() reads fall back to the
+        # per-line loop
         assert streamed["loadtxt"] > 0
-        assert (streamed["per_line"] > 0) == (rewrap or messy or extra == FLOAT_ONLY)
+        assert (streamed["per_line"] > 0) == (rewrap or extra == FLOAT_ONLY)
 
     @pytest.mark.parametrize("g", [GridSpec(0.0, 0.0, 98.0, 2, 2),  # rows 2 and 3 of 3
                                    GridSpec(1e4, 1e4, 98.0, 2, 2)])  # off the raster
@@ -361,6 +362,29 @@ class TestStreamedBody:
             path.read_text(encoding="utf-8")
         with pytest.raises(UnicodeDecodeError):
             streamed_means(path, g)
+
+    @pytest.mark.parametrize("rewrap", [False, True])
+    def test_decode_error_deep_in_the_body_keeps_its_offset(self, tmp_path, rewrap):
+        rng = np.random.default_rng(3)
+        tokens = [f"{v:.3f}" for v in rng.uniform(-50, 50, 6 * 40)]
+        data = (MINIMAL_GRID.replace("ncols 2\nnrows 2", "ncols 6\nnrows 40")
+                .replace("1 2\n3 4\n", grid_body(rng, tokens, 6, rewrap, False))).encode()
+        at = data.index(b" ", len(data) * 3 // 4)
+        path = tmp_path / "dem.asc"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(UnicodeDecodeError) as info:
+            streamed_means(path, GridSpec(0.0, 0.0, 98.0, 6, 40))
+        # the offset of exc.object in the file, if not 0, is its ``offset``
+        exc = info.value
+        assert (getattr(exc, "offset", 0) + exc.start, exc.object[exc.start]) == (at, 0xff)
+
+    def test_decode_error_comes_before_a_bad_token(self, tmp_path):
+        # as in a read of the whole text, whichever comes first in the file
+        path = tmp_path / "dem.asc"
+        three_rows = MINIMAL_GRID.replace("nrows 2", "nrows 3")
+        path.write_bytes(three_rows.replace("1 2\n3 4\n", "1 x\n3 4\n5 \xff\n").encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            streamed_means(path, GridSpec(0.0, 0.0, 98.0, 2, 3))
 
 
 SQUARE_FEATURE = {
@@ -524,12 +548,26 @@ class TestParcels:
 
     @pytest.mark.parametrize("ring", [[[0, 0], [1], [1, 1]], [0, 1, 2], "abcd",
                                       [[0, 0], "xy", [1, 1]], [[0, 0], [True, 0], [1, 1]],
-                                      [[0, 0, False], [2, 0, 0], [1, 1, 0]]])
+                                      [[0, 0, False], [2, 0, 0], [1, 1, 0]],
+                                      [[0, 0], ["0.5", "0"], [1, 1]], [[0, 0], [1, "1e3"], [1, 1]],
+                                      [[0, 0, "5"], [2, 0, 0], [1, 1, 0]]])
     def test_malformed_coordinates_rejected(self, ring):
         bad = dict(SQUARE_FEATURE, geometry={"type": "Polygon", "coordinates": [ring]})
         with pytest.raises(ParseError,
                            match="^feature 1: parcel 'p1', ring 0: malformed ring coordinates$"):
             parse_parcels(fc(SQUARE_FEATURE, bad))
+
+    def test_numeric_string_vertex_names_the_member_and_ring(self):
+        square = SQUARE_FEATURE["geometry"]["coordinates"]
+        feature = {
+            "type": "Feature",
+            "geometry": {"type": "MultiPolygon", "coordinates": [
+                square, square + [[[2, 2], ["3", 2], [3, 3], [2, 2]]]]},
+            "properties": {"parcel_id": "m", "current_assessment": 5, "land_area": 9},
+        }
+        with pytest.raises(ParseError, match=r"^feature 2: parcel 'm#1', ring 1: malformed ring "
+                                             r"coordinates$"):
+            parse_parcels(fc(SQUARE_FEATURE, SQUARE_FEATURE, feature))
 
     def test_first_bad_feature_wins(self):
         short = dict(SQUARE_FEATURE, geometry={
@@ -625,6 +663,11 @@ class TestBfeZones:
                                            "'static_bfe'"),
         ([[[0, 0], [1, False], [1, 1]]], 7, "feature 0, polygon 0, ring 0: malformed ring "
                                             "coordinates"),
+        # numeric strings are no numbers either
+        ([[[0, 0], ["0.5", "0"], [1, 1]]], 7, "feature 0, polygon 0, ring 0: malformed ring "
+                                              "coordinates"),
+        ([[[0, 0], [9, 0], [9, 9]], [[1, 1], [2, 1], [2, "2"]]], 7,
+         "feature 0, polygon 0, ring 1: malformed ring coordinates"),
     ])
     def test_booleans_rejected(self, coordinates, static_bfe, message):
         feature = {

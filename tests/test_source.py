@@ -68,3 +68,19 @@ def test_unread_private_names_are_found():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Line numbers of the ``assert`` statements of ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_statements_are_found():
+    assert assert_lines("x = 1\nassert x\ndef f():\n    assert x, 'no'\n") == [2, 4]
+    assert assert_lines("assertion = 1\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    # invariants are real exceptions: python -O strips assert statements
+    assert assert_lines(path.read_text()) == []

@@ -16,6 +16,7 @@ from conftest import (
     cell_map,
     points_in_polygon,
     random_raster,
+    wrap_rows,
 )
 from floodgrid import geodata, terrain
 from floodgrid.geodata import BfeZone, ParseError, Raster, format_number, parse_ascii_grid
@@ -125,31 +126,42 @@ class TestZonalMeanBands:
 
 class TestStreamedDemMemory:
     """Streaming a DEM file into the zonal sums holds about one fishnet row
-    of samples at a time, however many rows the DEM has."""
+    of samples at a time, however many rows the DEM has and however its rows
+    are laid out over lines."""
 
     NCOLS, BAND = 256, 32  # DEM columns, and DEM rows per fishnet row
 
-    def peak_bytes(self, path, nrows):
+    def peak_bytes(self, path, nrows, error=None):
         g = GridSpec(0.0, 0.0, float(self.BAND), self.NCOLS // self.BAND, nrows // self.BAND)
         tracemalloc.start()
         try:
             with open(path, "rb") as fh:
-                zonal_mean_elevation(parse_ascii_grid(fh), g)
+                if error is None:
+                    zonal_mean_elevation(parse_ascii_grid(fh), g)
+                else:
+                    with pytest.raises(ParseError, match=error):
+                        zonal_mean_elevation(parse_ascii_grid(fh), g)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_peak_does_not_grow_with_the_rows(self, tmp_path):
+    def check_peaks(self, tmp_path, width, bad_last_token=False):
+        """The bounds, for DEMs of 256 and 1024 rows with each row on lines of
+        ``width`` values, and a bad token as the last one if so asked."""
         rng = np.random.default_rng(17)
         peaks = {}
         for nrows in (256, 1024):
             values = rng.integers(-500, 5000, (nrows, self.NCOLS)) / 10
             values[rng.random(values.shape) < 0.01] = -9999
+            rows = [list(map(str, row)) for row in values.tolist()]
+            error = None
+            if bad_last_token:
+                rows[-1][-1] = "x"
+                error = f"line {6 + nrows}, token {self.NCOLS}: non-numeric token 'x'"
             path = tmp_path / f"dem{nrows}.asc"
             path.write_text(f"ncols {self.NCOLS}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\n"
-                            "cellsize 1\nnodata_value -9999\n"
-                            + "\n".join(" ".join(map(str, row)) for row in values.tolist()))
-            peaks[nrows] = self.peak_bytes(path, nrows)
+                            "cellsize 1\nnodata_value -9999\n" + "\n".join(wrap_rows(rows, width)))
+            peaks[nrows] = self.peak_bytes(path, nrows, error)
         # a few index words per DEM row (row centers and their fishnet rows)
         # may grow; a DEM row of samples is 2 KiB of float64, and of text more
         assert peaks[1024] - peaks[256] <= 64 * (1024 - 256)
@@ -157,6 +169,17 @@ class TestStreamedDemMemory:
         # are three bands of float64, plus masks and a fixed allowance
         band = self.BAND * self.NCOLS * 8
         assert max(peaks.values()) <= 3.5 * band + 64 * 1024
+
+    def test_peak_does_not_grow_with_the_rows(self, tmp_path):
+        self.check_peaks(tmp_path, self.NCOLS)
+
+    # 256 = 2 * 128 = 9 * 26 + 22: a row on 2 lines, or on 10 of unequal length
+    @pytest.mark.parametrize("width", [128, 26], ids=["two lines a row", "ten lines a row"])
+    def test_wrapped_rows_stream_too(self, tmp_path, width):
+        self.check_peaks(tmp_path, width)
+
+    def test_bad_last_token_streams_too(self, tmp_path):
+        self.check_peaks(tmp_path, self.NCOLS, bad_last_token=True)
 
 
 def dem_file_text(rows, end="\n", between=()):
@@ -247,6 +270,33 @@ class TestSplitBody:
         got = self.check(monkeypatch, path, g)
         assert got == expected if expected else isinstance(got, bytes)
         assert forks == [False] * 3  # a run failed, so this process read them all
+
+    @pytest.mark.parametrize("width, per_row", [(14, True), (3, True), (10, False)],
+                             ids=["two lines a row", "ten lines a row", "ten values a line"])
+    def test_wrapped_rows_give_the_means_of_one_row_a_line(self, tmp_path, monkeypatch, forks,
+                                                           width, per_row):
+        rows = self.tokens(np.random.default_rng(width), 9, 28)  # 28 = 9 * 3 + 1
+        path, plain = tmp_path / "dem.asc", tmp_path / "plain.asc"
+        plain.write_text(dem_file_text(rows))
+        lines = dem_file_text(rows).splitlines()
+        path.write_text("\n".join(lines[:6] + wrap_rows(rows, width, per_row)) + "\n")
+        assert parse_ascii_grid(path.read_text()) == parse_ascii_grid(plain.read_text())
+        g = make_fishnet((0.0, 0.0, 28.0, 9.0), 2.0)
+        expected = self.outcome(monkeypatch, plain, g, 1)
+        assert self.check(monkeypatch, path, g) == expected
+        assert forks == [False] * 3  # a line is no row, so this process read them all
+
+    def test_rows_on_the_line_of_the_last_header_line(self, tmp_path, monkeypatch, forks):
+        rows = self.tokens(np.random.default_rng(11), 4, 3)
+        head = "\r".join(dem_file_text(rows).splitlines()[:6]) + "\r"  # one line to LF
+        path = tmp_path / "dem.asc"
+        g = make_fishnet((0.0, 0.0, 3.0, 4.0), 1.0)
+        # the body starts after the header's last line break, not after its LF
+        path.write_text(head + "x\n" + "\n".join(map(" ".join, rows)) + "\n", newline="")
+        assert self.check(monkeypatch, path, g) == "line 7, token 1: non-numeric token 'x'"
+        path.write_text(head + "\n".join(map(" ".join, rows)) + "\n", newline="")
+        assert isinstance(self.check(monkeypatch, path, g), bytes)
+        assert forks == [False] * 3 + [True] * 3
 
     def test_a_child_that_dies_is_a_failed_run(self, tmp_path, monkeypatch, forks):
         path = tmp_path / "dem.asc"
