@@ -19,10 +19,9 @@ import pickle
 import signal
 from array import array
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -125,10 +124,9 @@ class Raster:
 
     ``values`` is row-major with the first row northernmost. Cells equal to
     ``nodata_value`` (exact comparison) or non-finite carry no elevation.
-    ``parse_ascii_grid`` of a binary file leaves ``values`` None: ``bands``
-    reads the rows from the file. If the file has a name, ``body`` is its
-    path, the byte offset of the first row and its ``os.stat_result``, and
-    ``reread`` reads rows anew from there.
+    ``parse_ascii_grid`` of a binary file leaves ``values`` None: ``bands`` reads
+    the rows from the file on each call, and if the file has a name, ``reread``
+    from the path and ``os.stat_result`` in ``body``.
     """
 
     ncols: int
@@ -138,8 +136,8 @@ class Raster:
     cellsize: float
     nodata_value: float
     values: np.ndarray | None
-    _stream: Callable | None = field(default=None, init=False, repr=False)
-    body: tuple[str, int, os.stat_result] | None = field(default=None, init=False, repr=False)
+    _file: tuple | None = field(default=None, init=False, repr=False)  # (file, body offset)
+    body: tuple[str, os.stat_result] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.ncols < 1 or self.nrows < 1:
@@ -172,21 +170,20 @@ class Raster:
         """Rows ``edges[k]:edges[k + 1]`` of ``values`` for each k in turn, where
         ``edges`` ascend from 0 to nrows; a raster read from a file reads them here."""
         if self.values is None:
-            return self._stream(edges)
+            return _read_bands(*self._file, self.nrows, self.ncols, edges, strict=False)
         return (self.values[a:b] for a, b in zip(edges[:-1], edges[1:]))
 
     def reread(self, edges) -> Iterator[np.ndarray]:
-        """As ``bands``, for ``edges`` ascending within 0 to nrows, read anew from
-        the file of ``body``: ValueError unless each of its non-blank lines (split
-        at LF) is one row of ``ncols`` values, or if the path now leads to another file."""
-        path, offset, stat = self.body
+        """As ``bands``, for ``edges`` ascending within 0 to nrows, read anew from the path
+        in ``body``: ValueError if it now leads to another file, or unless each non-blank
+        line (split at LF) is one row of ``ncols`` values. No per-line parse: a part of a
+        split skips the lines before its rows trusting each is one row, which only the
+        part owning them checks, so one failed part sends every band to this process."""
+        path, stat = self.body
         with open(path, "rb") as fh:
             if not os.path.samestat(os.fstat(fh.fileno()), stat):
                 raise ValueError(f"{path} is no longer the file read")
-            fh.seek(offset)
-            rows = (line for line in fh if line.strip(_ASCII_SPACE))
-            next(islice(rows, edges[0], edges[0]), None)  # skips the rows before edges[0]
-            yield from _read_bands(rows, self.nrows, self.ncols, edges, None)
+            yield from _read_bands(fh, self._file[1], self.nrows, self.ncols, edges, strict=True)
 
 
 def data_mask(values: np.ndarray, nodata_value: float) -> np.ndarray:
@@ -228,17 +225,20 @@ def _parse_values_per_line(source, expected: int) -> Iterator[list[float]]:
         raise ParseError(f"value count mismatch: expected {expected}, got {got}")
 
 
-def _read_bands(rows, nrows: int, ncols: int, edges, source) -> Iterator[np.ndarray]:
-    """Yield rows ``edges[k]:edges[k + 1]`` of a grid body for each k in turn.
+def _read_bands(source, offset, nrows: int, ncols: int, edges, strict) -> Iterator[np.ndarray]:
+    """Yield rows ``edges[k]:edges[k + 1]`` of the grid body at byte ``offset``
+    of the binary file ``source`` for each k in turn.
 
-    Each band is one ``np.loadtxt`` call over ``rows``, the non-blank body
-    lines from row ``edges[0]`` on, and must be whole rows of ``ncols``
-    values, with nothing after row nrows. Else the rest is read by the
-    per-line parse of the binary file ``source``, or is a ValueError if none.
+    Each band is one ``np.loadtxt`` call over the body's non-blank lines,
+    split at LF, after the first ``edges[0]``, and must be whole rows of
+    ``ncols`` values, with nothing after row nrows. Else the rest is read by
+    the per-line parse of ``source``, or is a ValueError if ``strict``.
     """
     # numpy's C reader gives the doubles float() gives, splits a line where
-    # str.split() does, and refuses what only float() reads ("1_0", non-ASCII
-    # digits). Given max_rows it reads no line past it; it warns on no lines.
+    # str.split() does, and refuses a lone \r and what only float() reads ("1_0",
+    # non-ASCII digits). Given max_rows it reads no line past it; it warns on no lines.
+    source.seek(offset)  # the rows before edges[0] are skipped on the first next()
+    rows = islice((line for line in source if line.strip(_ASCII_SPACE)), edges[0], None)
     done = 0
     with suppress(ValueError):  # a UnicodeDecodeError too: the per-line parse gives its offset
         for start, end in zip(edges[:-1], edges[1:]):
@@ -253,7 +253,7 @@ def _read_bands(rows, nrows: int, ncols: int, edges, source) -> Iterator[np.ndar
         else:
             if edges[-1] < nrows or next(rows, None) is None:
                 return
-    if source is None:
+    if strict:
         raise ValueError(f"the body is not {ncols} values a line from row {edges[done]} on")
     band = None  # not held while the rest is read
     values = chain.from_iterable(_parse_values_per_line(source, nrows * ncols))
@@ -275,7 +275,7 @@ def parse_ascii_grid(source) -> Raster:
     if isinstance(source, str):  # its UTF-8 bytes, "?" for a surrogate, are parsed
         raster = parse_ascii_grid(io.BytesIO(source.encode(errors="replace")))
         (raster.values,) = raster.bands([0, raster.nrows])
-        raster._stream = None  # lets the copy of the text go
+        raster._file = None  # lets the copy of the text go
         return raster
 
     n = len(_HEADER_KEYS)
@@ -309,10 +309,9 @@ def parse_ascii_grid(source) -> Raster:
         raster = Raster(*(header[k] for k in _HEADER_KEYS), None)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    rows = (line for line in lines if not line.isspace())
-    raster._stream = partial(_read_bands, rows, nrows, ncols, source=source)
+    raster._file = (source, len("".join(head).encode()))
     if isinstance(getattr(source, "name", None), str):
-        raster.body = (source.name, len("".join(head).encode()), os.fstat(source.fileno()))
+        raster.body = (source.name, os.fstat(source.fileno()))
     return raster
 
 

@@ -17,6 +17,8 @@ geometry permits it (0.01 slope).
 import json
 import math
 import time
+import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,13 +348,56 @@ def test_c6_finite_inputs_give_finite_monotone_totals(data):
 
     states = build_cell_states(g, apportion_many(parcels, g), zonal_mean_elevation(dem, g),
                                assign_bfe(g, zones))
+    assert_finite_monotone_totals(states, curve, slr, g.cell_size)
+
+
+def assert_finite_monotone_totals(states, curve, slr, cell_size):
     for basis in ("parcel", "cell"):
-        results = sweep(states, curve, slr, area_basis=basis, cell_area=g.cell_size ** 2)
+        results = sweep(states, curve, slr, area_basis=basis, cell_area=cell_size ** 2)
         damage = [r.total_damage for r in results]
         area = [r.total_flooded_area for r in results]
         assert all(math.isfinite(v) for v in damage + area)
         assert damage == sorted(damage)
         assert area == sorted(area)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_c6_huge_inputs_give_finite_monotone_totals_or_a_value_error(data):
+    """As above, with DEM corners, parcel and zone vertices, assessments and
+    BFEs of up to 1e300 in magnitude: the totals are finite and never
+    decrease, or the library refuses the input with a ValueError of its own
+    (a degenerate bbox or parcel, an apportioned value that is not finite)."""
+    def coordinate(lo, hi):
+        return data.draw(st.one_of(finite(lo, hi), finite(-1e300, 1e300)))
+
+    ncols, nrows = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    cs = data.draw(finite(1.0, 20.0))
+    samples = st.one_of(finite(-1e4, 1e4), st.just(-9999.0))
+    values = data.draw(st.lists(samples, min_size=ncols * nrows, max_size=ncols * nrows))
+    try:
+        dem = Raster(ncols, nrows, coordinate(-1e5, 1e5), coordinate(-1e5, 1e5), cs, -9999.0,
+                     np.array(values))
+        g = make_fishnet(dem.bbox(), data.draw(finite(0.5, 3.0)) * cs)
+        xmin, ymin, xmax, ymax = dem.bbox()
+
+        def rect():
+            x, y = coordinate(xmin - cs, xmax), coordinate(ymin - cs, ymax)
+            w, h = (data.draw(st.one_of(finite(0.05 * cs, 3 * cs), finite(0.05 * cs, 1e300)))
+                    for _ in range(2))
+            return [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+
+        parcels = ParcelTable([polygon(f"p{k}", rect(), data.draw(finite(0.0, 1e300)))
+                               for k in range(data.draw(st.integers(1, 5)))])
+        zones = [BfeZone([rect()], data.draw(finite(-1e300, 1e300)))
+                 for _ in range(data.draw(st.integers(0, 3)))]
+        slr = [0.0] + sorted(data.draw(st.lists(finite(0.01, 30.0), max_size=4, unique=True)))
+        states = build_cell_states(g, apportion_many(parcels, g), zonal_mean_elevation(dem, g),
+                                   assign_bfe(g, zones))
+    except ValueError as exc:  # raised in floodgrid, not by numpy or Python under it
+        assert Path(traceback.extract_tb(exc.__traceback__)[-1].filename).parent.name == "floodgrid"
+        return
+    assert_finite_monotone_totals(states, LINEAR_CURVE, slr, g.cell_size)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,8 @@ DEM_ERRORS = [
     (GRID.replace("cellsize 98", "cellsize 1e308"),
      "raster extent (0.0, 0.0, inf, inf) is not finite"),
     (GRID.replace("cellsize 98", "cellsize 0"), "cellsize must be positive, got 0.0"),
+    (GRID.replace("ncols 2\nnrows 2", "ncols 0\nnrows 5").replace("1 2\n3 4\n", ""),
+     "raster dimensions must be >= 1, got 0x5"),
     (GRID.replace("xllcorner 0", "xllcorner 1e20"), "degenerate bbox (1e+20, 0.0, 1e+20, 196.0)"),
     ("ncols 2\nnrows 2\n", "expected 6 header lines, file has only 2"),
     (GRID.replace("3 4", "3 oops"), "line 8, token 2: non-numeric token 'oops'"),
@@ -607,7 +609,8 @@ FILE_WHAT = {"dem.asc": "DEM", "parcels.geojson": "parcels", "bfe.geojson": "BFE
 ASSESSMENT = ("features", 0, "properties", "current_assessment")
 
 # file, item path in its JSON (None: the whole file), new value, exit code,
-# and what the error line must say after the file (or, for config, the key)
+# and what the error line must say after the file (or, for config, the key);
+# an input that runs (EXIT_OK) must give finite totals and no error line
 CRASHING_INPUTS = {
     "huge assessment": ("parcels.geojson", ASSESSMENT, HUGE, EXIT_PARSE_ERROR,
                         "feature 0: non-finite value 1000"),
@@ -656,6 +659,12 @@ CRASHING_INPUTS = {
     "MultiPolygon of no members": ("parcels.geojson", ("features", 0, "geometry"),
                                    {"type": "MultiPolygon", "coordinates": []}, EXIT_PARSE_ERROR,
                                    "feature 0: empty geometry coordinates"),
+    # finite, if huge: a parcel spread thin, a value of 300 digits, a flood 1e300 ft deep
+    "1e300 parcel vertex": ("parcels.geojson", ("features", 0, "geometry", "coordinates", 0, 1),
+                            [1e300, 0], EXIT_OK, None),
+    "1e300 assessment": ("parcels.geojson", ASSESSMENT, 1e300, EXIT_OK, None),
+    "1e300 static_bfe": ("bfe.geojson", ("features", 0, "properties", "static_bfe"), 1e300,
+                         EXIT_OK, None),
     # sums too large to map, and a grid too large to index
     "tiny cell_size": ("run.json", ("cell_size",), 1e-5, EXIT_CONFIG_ERROR,
                        "error: cell_size 1e-05 gives 4000000x4000000 cells, too many to hold"),
@@ -676,6 +685,11 @@ def test_crashing_input_is_one_error_line(tiny_fixture, capsys, case):
         path.write_text(json.dumps(doc))
     assert main(["assess", "--config", str(tiny_fixture / "run.json")]) == code
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    if code == EXIT_OK:
+        rows = (tiny_fixture / "out" / "report.csv").read_text().splitlines()[1:]
+        assert errors == [] and rows
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:3])
+        return
     assert len(errors) == 1
     if code == EXIT_CONFIG_ERROR:
         assert message in errors[0]

@@ -177,6 +177,14 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="length mismatch"):
             ols_fit([1, 2, 3], [1, 2])
 
+    def test_fewer_than_three_observations_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 3 observations, got 2$"):
+            ols_fit([1, 2], [1, 2])
+
+    def test_constant_y_is_explained_exactly(self):
+        # no variance to explain and none left over
+        assert ols_fit([1, 2, 3], [2.0, 2.0, 2.0]) == (0.0, 2.0, 1.0)
+
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(73)
         for _ in range(100):

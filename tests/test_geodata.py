@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import Feature, parcel_rings, random_raster
 from floodgrid import geodata
 from floodgrid.geodata import (
+    BfeZone,
     DamageCurve,
     ParcelTable,
     ParseError,
@@ -55,6 +56,10 @@ class TestAsciiGrid:
         ]:
             with pytest.raises(ParseError, match=f"value count mismatch: {got}"):
                 parse_ascii_grid(text)
+
+    def test_constructor_value_count_mismatch(self):
+        with pytest.raises(ValueError, match="^value count mismatch: expected 4, got 3$"):
+            Raster(2, 2, 0.0, 0.0, 1.0, -9999.0, np.zeros(3))
 
     def test_nodata_cells_masked(self):
         text = MINIMAL_GRID.replace("1 2", "-9999 2")
@@ -243,8 +248,9 @@ class TestBodyParseDifferential:
         tokens = [random_token(rng) for _ in range(12)]
         header = "ncols 4\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 1\nnodata_value -9\n"
         for body, per_line_calls in [
-            # rows of equal length go through loadtxt, whatever the whitespace
-            (grid_body(rng, tokens, 4, False, messy), 0),
+            # rows of equal length go through loadtxt, whatever the whitespace,
+            # unless a lone \r, \x0b or \x0c breaks them (messy bodies do)
+            (grid_body(rng, tokens, 4, False, messy), int(messy)),
             # wrapped rows of unequal length, and a token only float() reads
             (" ".join(tokens[:5]) + "\n" + " ".join(tokens[5:]) + "\n", 1),
             (grid_body(rng, tokens[:8], 4, False, messy) + " ".join(tokens[8:11]) + " 1_0\n", 1),
@@ -309,7 +315,7 @@ class TestStreamedBody:
     @pytest.mark.parametrize("rewrap", [False, True])
     @pytest.mark.parametrize("messy", [False, True])
     @pytest.mark.parametrize("seed, extra", enumerate([(), NON_FINITE, FLOAT_ONLY]))
-    def test_matches_text_parse(self, tmp_path, spy, rewrap, messy, seed, extra):
+    def test_matches_text_parse(self, tmp_path, monkeypatch, spy, rewrap, messy, seed, extra):
         rng = np.random.default_rng([rewrap, messy, seed, 9])
         path = tmp_path / "dem.asc"
         streamed = {"loadtxt": 0, "per_line": 0}
@@ -322,16 +328,36 @@ class TestStreamedBody:
             path.write_bytes(text.encode())
             dem = parse_ascii_grid(text)
             for g in stream_grids(rng, ncols, nrows):
-                before = dict(spy)
-                got = streamed_means(path, g)
-                streamed = {k: n + spy[k] - before[k] for k, n in streamed.items()}
-                assert as_bits(got) == as_bits(zonal_mean_elevation(dem, g))
-        # rows of ncols tokens numpy reads stay on the band path, whatever
-        # ends their lines (messy bodies break lines with \r, \x0b and \x0c
-        # too); wrapped rows and tokens only float() reads fall back to the
+                for workers in (1, 2):  # in one process, and split where it can be
+                    monkeypatch.setattr(geodata, "_workers", lambda: workers)
+                    before = dict(spy)
+                    got = streamed_means(path, g)
+                    streamed = {k: n + spy[k] - before[k] for k, n in streamed.items()}
+                    assert as_bits(got) == as_bits(zonal_mean_elevation(dem, g))
+        # rows of ncols tokens numpy reads, one to a line split at LF, stay on
+        # the band path; wrapped rows, rows broken by a lone \r, \x0b or \x0c
+        # (messy bodies), and tokens only float() reads fall back to the
         # per-line loop
         assert streamed["loadtxt"] > 0
-        assert (streamed["per_line"] > 0) == (rewrap or extra == FLOAT_ONLY)
+        assert (streamed["per_line"] > 0) == (rewrap or messy or extra == FLOAT_ONLY)
+
+    def test_bands_are_read_again_on_a_second_pass(self, tmp_path, monkeypatch, spy):
+        monkeypatch.setattr(geodata, "_workers", lambda: 1)
+        rng = np.random.default_rng(13)
+        tokens = [f"{v:.3f}" for v in rng.uniform(-50, 50, 6 * 9)]
+        text = MINIMAL_GRID.replace("ncols 2\nnrows 2", "ncols 6\nnrows 9").replace(
+            "1 2\n3 4\n", grid_body(rng, tokens, 6, False, False))
+        path = tmp_path / "dem.asc"
+        path.write_text(text)
+        g = GridSpec(0.0, 0.0, 196.0, 3, 5)
+        with open(path, "rb") as fh:
+            dem = parse_ascii_grid(fh)
+            first = zonal_mean_elevation(dem, g)
+            assert spy["per_line"] == 0
+            # from the file again, with numpy, not from rows the first pass used up
+            assert as_bits(zonal_mean_elevation(dem, g)) == as_bits(first)
+            assert spy["per_line"] == 0
+        assert as_bits(first) == as_bits(zonal_mean_elevation(parse_ascii_grid(text), g))
 
     @pytest.mark.parametrize("g", [GridSpec(0.0, 0.0, 98.0, 2, 2),  # rows 2 and 3 of 3
                                    GridSpec(1e4, 1e4, 98.0, 2, 2)])  # off the raster
@@ -677,6 +703,16 @@ class TestBfeZones:
         }
         with pytest.raises(ParseError, match=f"^{message}$"):
             parse_bfe_zones(fc(feature))
+
+    @pytest.mark.parametrize("rings, static_bfe, message", [
+        ([], 1.0, "BFE zone outer ring has fewer than 3 vertices"),
+        ([[(0.0, 0.0), (1.0, 0.0)]], 1.0, "BFE zone outer ring has fewer than 3 vertices"),
+        ([[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]], float("nan"),
+         "static_bfe must be finite, got nan"),
+    ])
+    def test_constructor_validates_too(self, rings, static_bfe, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BfeZone(rings=rings, static_bfe=static_bfe)
 
     def test_multipolygon_zone_splits_in_order(self):
         feature = {

@@ -286,6 +286,19 @@ class TestSplitBody:
         assert self.check(monkeypatch, path, g) == expected
         assert forks == [False] * 3  # a line is no row, so this process read them all
 
+    def test_a_part_whose_lines_are_not_its_rows_is_no_part(self, tmp_path, monkeypatch, forks):
+        # Only row 0 is wrapped. The second part skips as many lines as the
+        # first has rows, so it reads each of its bands a row early, and only
+        # its last check sees it: a part that fell back would keep those bands.
+        rows = self.tokens(np.random.default_rng(12), 8, 6)
+        lines = dem_file_text(rows).splitlines()
+        path = tmp_path / "dem.asc"
+        path.write_text("\n".join(lines[:6] + wrap_rows(rows[:1], 4) + lines[7:]) + "\n")
+        g = make_fishnet((0.0, 0.0, 6.0, 8.0), 1.0)  # a band per row
+        expected = self.outcome(monkeypatch, path, g, 1)
+        assert self.outcome(monkeypatch, path, g, 2) == expected
+        assert forks == [False]
+
     def test_rows_on_the_line_of_the_last_header_line(self, tmp_path, monkeypatch, forks):
         rows = self.tokens(np.random.default_rng(11), 4, 3)
         head = "\r".join(dem_file_text(rows).splitlines()[:6]) + "\r"  # one line to LF
