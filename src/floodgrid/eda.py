@@ -16,7 +16,6 @@ import math
 import re
 from array import array
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -262,9 +261,9 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
 def scatter_export(t: np.ndarray) -> str:
     """Plot-ready CSV of the filtered records: parcel_id, shape_area, area_cost.
 
-    Parts of at least SCATTER_PART_ROWS rows, one per CPU, are rendered by
-    this process and forked children (``geodata._forked``) and joined in
-    order, or all here should the split fail: the bytes are the same. A row
+    One ``geodata._forked`` call renders parts of at least SCATTER_PART_ROWS
+    rows, one per CPU, in this process and forked children, joined in order,
+    or all here should it not split or fail: the bytes are the same. A row
     is one str.format, unless an id is not a str or holds one of _QUOTED;
     then csv.writer writes every row.
     """
@@ -283,9 +282,8 @@ def scatter_export(t: np.ndarray) -> str:
         csv.writer(buf, lineterminator="\n").writerows(zip(*cells))
         return buf.getvalue()
 
-    runs = [partial(rows, a, b) for a, b in geodata._parts(len(ids), SCATTER_PART_ROWS)]
-    parts = geodata._forked(runs) if len(runs) > 1 else None
-    return "parcel_id,shape_area,area_cost\n" + "".join(parts or [rows(0, len(ids))])
+    parts = geodata._forked(rows, len(ids), SCATTER_PART_ROWS) or [rows(0, len(ids))]
+    return "parcel_id,shape_area,area_cost\n" + "".join(parts)
 
 
 def run_eda(table: np.ndarray) -> tuple[EdaReport, np.ndarray]:

@@ -3,8 +3,8 @@
 Covers ESRI ASCII grid rasters, the GeoJSON subset used for parcels and
 base-flood-elevation zones, damage-curve tables, and the scenario report
 CSV. All coordinates are planar feet; no reprojection is performed. Work
-that a reader or writer splits between forked processes goes through
-``_forked`` here.
+split between forked processes, here or in another module, is one
+``_forked`` call.
 """
 
 from __future__ import annotations
@@ -62,34 +62,31 @@ def _workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _parts(n: int, least: int = 1) -> list[tuple[int, int]]:
-    """range(n) as contiguous (start, stop) parts in order: one per ``_workers()``,
-    but no more than give each ``least`` items, and one at the least."""
-    k = max(1, min(_workers(), n // least))
+def _forked(run, n: int, least: int = 1) -> list | None:
+    """The values of ``run(a, b)`` over contiguous parts [a, b) of range(n), in order:
+    one per ``_workers()`` but none of fewer than ``least`` items, the first run here,
+    each later one in a forked child that pipes its value back pickled. None, with no
+    fork or run, for fewer than two parts; None if a child's run raises or the child dies,
+    if the first run raises OSError or ValueError, or if a fork fails; no child outlives it."""
+    k = min(_workers(), n // least)
+    if k < 2:
+        return None
     bounds = [n * r // k for r in range(k + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _forked(runs) -> list | None:
-    """Call ``runs[0]()`` here while each later run is called in a forked child
-    that sends its value back, pickled, through a pipe of its own: the values in
-    run order. None if a child's run raises or the child dies, if ``runs[0]``
-    raises OSError or ValueError, or if a fork fails; no child outlives the call."""
     pids, pipes = [], []
     try:
-        for run in runs[1:]:
+        for a, b in zip(bounds[1:], bounds[2:]):
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             with open(w, "wb") as fh:  # this process keeps only the read end
                 if (pid := os.fork()) == 0:  # a child never returns into the caller
                     try:
-                        pickle.dump(run(), fh)
+                        pickle.dump(run(a, b), fh)
                         fh.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)
             pids.append(pid)
-        values = [runs[0]()]
+        values = [run(0, bounds[1])]
         for pipe in pipes:
             data = pipe.read()
             status = os.waitpid(pids[0], 0)[1]
@@ -332,16 +329,24 @@ def write_ascii_grid(r: Raster) -> str:
 # Parcels and BFE zones (GeoJSON subset)
 # ---------------------------------------------------------------------------
 
+def _coordinate(v) -> float:
+    """``v + 0.0``, TypeError for a str: null as NaN, an integer too large for a float inf."""
+    try:
+        return math.nan if v is None else v + 0.0
+    except OverflowError:
+        return math.inf
+
+
 def _vertices(rings) -> np.ndarray | None:
-    """The positions of ``rings`` as one (n, size) float64 array, null as NaN; None
-    unless each is a list of ``size`` numbers, which str, true and false are not."""
+    """The positions of ``rings`` as one (n, size) float64 array read by ``_coordinate``;
+    None unless each is a list of ``size`` numbers, which str, true and false are not."""
     try:
         positions = list(chain.from_iterable(rings))
         (size,) = set(map(len, positions)) or {2}  # no positions: (0, 2)
         try:
             xy = array("d", chain.from_iterable(positions))  # refuses a str
-        except TypeError:
-            xy = array("d", (math.nan if v is None else v for v in chain.from_iterable(positions)))
+        except (TypeError, OverflowError):
+            xy = array("d", map(_coordinate, chain.from_iterable(positions)))
         xy = np.asarray(xy)
         if ((xy == 0) | (xy == 1)).any() and bool in map(type, chain.from_iterable(positions)):
             return None

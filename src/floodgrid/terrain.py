@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -48,11 +47,10 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     The sums run over bands of the DEM rows that fall in one fishnet row,
     so each cell is summed within one band, in row-major order, exactly as
     one bincount over the whole raster would. A body streamed from a named
-    file is split into contiguous runs of bands, one per
-    ``geodata._workers()``, each read anew from the file: this process sums
-    the first, and a forked child each other (``geodata._forked``). Should
-    any of them fail, all bands are summed here from ``dem.bands``, so the
-    means and any error do not depend on the count.
+    file is one ``geodata._forked`` call over the bands: this process and
+    forked children each sum a contiguous run of them, read anew from the
+    file. Should that not split or any part fail, all bands are summed here
+    from ``dem.bands``, so the means and any error do not depend on the count.
     """
     cs = dem.cellsize
     centers_x = dem.xllcorner + (np.arange(dem.ncols) + 0.5) * cs
@@ -75,8 +73,8 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
         raise MemoryError(f"cannot map the sums of {g.n_cells} cells") from None
     sums, counts = acc
 
-    def add(bands, k0=0):
-        for k, band in enumerate(bands, start=k0):
+    def add(a, b, read=dem.reread):  # bands a to b - 1, as read() gives them
+        for k, band in enumerate(read(edges[a:b + 1]), start=a):
             lo = ii[edges[k]] * g.n_cols
             if lo < 0:
                 continue  # outside the grid; a streamed band is checked all the same
@@ -86,11 +84,9 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
             sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
             counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
 
-    parts = geodata._parts(len(edges) - 1) if dem.body else [(0, len(edges) - 1)]
-    runs = [partial(add, dem.reread(edges[a:b + 1]), a) for a, b in parts]
     # add() sets all the cells of a band, so a failed split leaves nothing behind
-    if len(runs) == 1 or geodata._forked(runs) is None:
-        add(dem.bands(edges))
+    if not (dem.body and geodata._forked(add, len(edges) - 1)):
+        add(0, len(edges) - 1, dem.bands)
     return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 
 

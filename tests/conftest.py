@@ -43,14 +43,16 @@ def parcel_rings(table, k: int) -> list[list[tuple[float, float]]]:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Per call of geodata._forked: True where every process ran its part,
-    False where it failed and the caller did all the work itself."""
+    """Per call of geodata._forked that cuts two parts or more: True where every
+    process ran its part, False where it failed and the caller did all the work
+    itself. A call of one part forks nothing and is not recorded."""
     calls = []
     forked = geodata._forked
 
-    def spy(runs):
-        values = forked(runs)
-        calls.append(values is not None)
+    def spy(run, n, least=1):
+        values = forked(run, n, least)
+        if min(geodata._workers(), n // least) > 1:
+            calls.append(values is not None)
         return values
     monkeypatch.setattr(geodata, "_forked", spy)
     return calls

@@ -656,6 +656,12 @@ CRASHING_INPUTS = {
                                           [40, "0.0"], EXIT_PARSE_ERROR,
                                           "feature 0, polygon 0, ring 0: malformed ring "
                                           "coordinates"),
+    "huge parcel vertex": ("parcels.geojson", ("features", 0, "geometry", "coordinates", 0, 1),
+                           [HUGE, 0], EXIT_PARSE_ERROR,
+                           "feature 0: parcel 'A', ring 0: non-finite ring coordinates"),
+    "huge BFE zone vertex": ("bfe.geojson", ("features", 0, "geometry", "coordinates", 0, 1),
+                             [40, -HUGE], EXIT_PARSE_ERROR,
+                             "feature 0, polygon 0, ring 0: non-finite ring coordinates"),
     "MultiPolygon of no members": ("parcels.geojson", ("features", 0, "geometry"),
                                    {"type": "MultiPolygon", "coordinates": []}, EXIT_PARSE_ERROR,
                                    "feature 0: empty geometry coordinates"),

@@ -384,8 +384,9 @@ class TestScatterSplit:
         for rows, splits in ((39, 0), (40, 1)):
             assert self.outcome(monkeypatch, t[:rows], 8) == self.written(t[:rows])
             assert len(forks) == splits
-        assert geodata._parts(40, 20) == [(0, 20), (20, 40)]
-        assert geodata._parts(0, 20) == [(0, 0)]
+        monkeypatch.setattr(geodata, "_workers", lambda: 3)
+        assert geodata._forked(lambda a, b: (a, b), 40, 20) == [(0, 20), (20, 40)]
+        assert geodata._forked(lambda a, b: (a, b), 39, 20) is None
 
     def test_a_child_that_dies_is_rendered_here(self, monkeypatch, forks):
         t = self.records(self.IDS["non-ascii"])

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import os
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Feature, parcel_rings, random_raster
+from conftest import Feature, assert_no_child_left, parcel_rings, random_raster
 from floodgrid import geodata
 from floodgrid.geodata import (
     BfeZone,
@@ -36,6 +37,21 @@ MINIMAL_GRID = (
     "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 98\nnodata_value -9999\n"
     "1 2\n3 4\n"
 )
+
+
+class TestForked:
+    def test_fewer_than_two_parts_fork_nothing(self, monkeypatch):
+        fork, forked, runs = os.fork, [], []
+        monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+        for workers, n, least in ((1, 10, 1), (4, 39, 20), (4, 0, 1)):
+            monkeypatch.setattr(geodata, "_workers", lambda: workers)
+            assert geodata._forked(lambda a, b: runs.append((a, b)), n, least) is None
+        assert forked == [] and runs == []
+        assert_no_child_left()
+        # and a split forks one child per part after the first
+        assert geodata._forked(lambda a, b: (a, b), 7) == [(0, 1), (1, 3), (3, 5), (5, 7)]
+        assert len(forked) == 3
+        assert_no_child_left()
 
 
 class TestAsciiGrid:

@@ -84,3 +84,41 @@ def test_assert_statements_are_found():
 def test_no_assert_statement(path):
     # invariants are real exceptions: python -O strips assert statements
     assert assert_lines(path.read_text()) == []
+
+
+SPAWNING = ("os.fork", "multiprocessing", "concurrent.futures", "subprocess")
+
+
+def fork_sites(source: str) -> list[str]:
+    """Where ``source`` may start a process: ``name: os.fork`` for each os.fork
+    read in the module-level function or class ``name`` (``<module>`` outside
+    one), and ``import m`` for each import of ``m``, a name in or under SPAWNING."""
+    sites = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and node.attr == "fork" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "os":
+                sites.append(f"{getattr(stmt, 'name', '<module>')}: os.fork")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                sites += [f"import {m}" for m in (prefix + a.name for a in node.names)
+                          if any(m == s or m.startswith(s + ".") for s in SPAWNING)]
+    return sites
+
+
+def test_fork_sites_are_found():
+    source = ("import os, subprocess\nfrom concurrent import futures\nfrom os import fork\n"
+              "import multiprocessing.pool as mp\npid = os.fork()\n"
+              "def f():\n    def g():\n        return os.fork()\n    return g\n"
+              "class C:\n    run = os.fork\n")
+    assert fork_sites(source) == [
+        "import subprocess", "import concurrent.futures", "import os.fork",
+        "import multiprocessing.pool", "<module>: os.fork", "f: os.fork", "C: os.fork"]
+    assert fork_sites("import os, subprocesses\nos.forkpty\nfork = os.getpid()\n") == []
+
+
+def test_every_fork_is_in_forked():
+    # a split forks through geodata._forked alone, which keeps no child past the call
+    sites = {p.stem: fork_sites(p.read_text()) for p in SRC.glob("*.py")}
+    assert {module: found for module, found in sites.items() if found} \
+        == {"geodata": ["_forked: os.fork"]}
