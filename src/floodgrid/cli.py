@@ -15,8 +15,10 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 from .damage import load_default_curve
@@ -136,11 +138,14 @@ def _parse_input(path: str, what: str, parse, mode: str = "r"):
         raise ParseError(f"{what} file {path}: {exc}") from None
 
 
-def run_assessment(config: RunConfig) -> dict[str, str]:
-    """Execute the full pipeline, returning output filename -> content.
+def run_assessment(config: RunConfig) -> Iterator[tuple[str, str]]:
+    """Execute the full pipeline, returning (output filename, content) pairs.
 
-    Outputs are rendered fully in memory so a failure never leaves partial
-    files behind.
+    Everything that can fail (parsing, the sweep's checks, the report) runs
+    before this returns. Each flood GeoJSON is rendered only when its pair
+    is taken, so ``_write_outputs`` never holds all the documents at once;
+    its staging into temp files is what keeps a failed run from replacing
+    outputs.
     """
     config.validate()
 
@@ -181,37 +186,36 @@ def run_assessment(config: RunConfig) -> dict[str, str]:
     results = sweep(states, curve, config.slr_list, area_basis=config.area_basis,
                     cell_area=config.cell_size ** 2)
 
-    outputs = {
-        "report.csv": write_report(results),
-        "cells.csv": cell_states_csv(g, states),
-    }
-    for r, doc in zip(results, flooded_cells_geojson(g, results)):
-        outputs[f"flood_{format_number(r.slr)}.geojson"] = doc
-    return outputs
+    names = ["report.csv", "cells.csv",
+             *(f"flood_{format_number(r.slr)}.geojson" for r in results)]
+    return zip(names, chain([write_report(results), cell_states_csv(g, states)],
+                            flooded_cells_geojson(g, results)))
 
 
-def _write_outputs(output_dir: str, outputs: dict[str, str]) -> None:
-    """Write each output (file name -> text) into ``output_dir`` as UTF-8.
+def _write_outputs(output_dir: str, outputs: Iterable[tuple[str, str]]) -> None:
+    """Write each output, a (file name, text) pair, into ``output_dir`` as UTF-8.
 
     Every output is written to a temp file there before any is renamed into
     place, so a failed write replaces none; temp files never outlive the
-    call. An OSError is a ConfigError naming the directory.
+    call. The pairs are taken one at a time, so a lazy ``outputs`` (as
+    ``run_assessment`` returns) is rendered as it is written. An OSError is
+    a ConfigError naming the directory.
     """
     out = Path(output_dir)
-    staged = []
+    staged = []  # (name, temp file)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, content in outputs.items():
+        for name, content in outputs:
             fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.")
-            staged.append(tmp)
+            staged.append((name, tmp))
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(content)
-        for name, tmp in zip(outputs, staged):
+        for name, tmp in staged:
             os.replace(tmp, out / name)
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {output_dir}: {exc}") from None
     finally:
-        for tmp in staged:
+        for _, tmp in staged:
             with suppress(OSError):  # gone once renamed
                 os.unlink(tmp)
 
@@ -270,10 +274,10 @@ def main(argv=None) -> int:
                 raise
             except ValueError as exc:  # too few records, or a degenerate fit
                 raise EmptyInputError(str(exc)) from None
-            _write_outputs(args.out, {
-                "eda_report.json": report.to_json(),
-                "scatter.csv": scatter_export(kept),
-            })
+            _write_outputs(args.out, [
+                ("eda_report.json", report.to_json()),
+                ("scatter.csv", scatter_export(kept)),
+            ])
     except (ValueError, OverflowError, EmptyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # else a ParseError, or input found bad past parsing (a degenerate parcel, an overflow)

@@ -225,6 +225,8 @@ def ols_fit(x, y) -> tuple[float, float, float]:
     """
     x, y, slope, intercept, resid = _fit(x, y)
     ss_res = _dot(resid, resid, "residual sum of squares")
+    if y.min() == y.max():  # nothing to explain, whatever y - mean(y) rounds to
+        return slope, intercept, 1.0
     dy = y - y.mean()
     ss_tot = _dot(dy, dy, "total sum of squares")
     if ss_tot == 0:

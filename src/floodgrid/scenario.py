@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +67,15 @@ def incremental_deltas(totals: list[float]) -> list[float | None]:
     return deltas
 
 
-def _sequential_totals(x: np.ndarray) -> np.ndarray:
-    """Row sums added strictly left to right, as a ``total += v`` loop would.
+def _sequential_total(x: np.ndarray, dry: bool) -> float:
+    """The wet cells' values ``x`` added strictly left to right, as the row of
+    every cell would be: each dry cell adds +0.0, so when some cell is ``dry``
+    the sum starts at +0.0 (and an all -0.0 sum comes out +0.0).
 
     ``np.sum`` adds pairwise and can differ in the last bit.
     """
-    return np.add.accumulate(x, axis=1)[:, -1]
+    with np.errstate(over="ignore"):
+        return float(np.add.accumulate(np.concatenate(([0.0] if dry else [], x)))[-1])
 
 
 def check_scenarios(slr_list, area_basis: str) -> None:
@@ -96,12 +100,15 @@ def sweep(
     area_basis: str = "parcel",
     cell_area: float = 0.0,
 ) -> list[ScenarioResult]:
-    """Run the scenario list (base first) in one pass and attach percent deltas.
+    """Run the scenario list (base first) and attach percent deltas.
 
     A cell floods when its depth is positive; a missing elevation or BFE
     (NaN) never floods. A flooded cell contributes its whole exposed parcel
     area (or, under the ``cell`` basis, the full cell area) once, plus its
-    damage. Totals add cells in row-major order.
+    damage. Totals add cells in row-major order. Scenarios run one at a
+    time, each holding one depth per grid cell while it runs and keeping
+    only its flooded cells, so memory grows with the wet cells, not with
+    scenarios times cells.
 
     The arguments must pass ``check_scenarios``. Totals are checked for
     monotonicity in the rise: more water can never flood less. A total that
@@ -111,14 +118,20 @@ def sweep(
     if area_basis == "cell" and cell_area <= 0:
         raise ValueError("cell basis requires a positive cell_area")
 
-    slr = np.asarray(slr_list, dtype=float)
-    depth = flood_depth(states.bfe, slr[:, None], states.mean_elevation)
-    flooded = depth > 0
-    damage = cell_damage(states.exposed_value, depth, curve)
-    area = np.where(flooded, states.exposed_area if area_basis == "parcel" else cell_area, 0.0)
-    with np.errstate(over="ignore"):
-        total_damage = _sequential_totals(damage)
-        total_area = _sequential_totals(area)
+    results = []
+    for s in slr_list:
+        depth = flood_depth(states.bfe, s, states.mean_elevation)
+        cells = np.flatnonzero(depth > 0)
+        dry = cells.size < depth.size
+        depth = depth[cells]
+        damage = cell_damage(states.exposed_value[cells], depth, curve)
+        area = (states.exposed_area[cells] if area_basis == "parcel"
+                else np.full(cells.size, cell_area))
+        results.append(ScenarioResult(s, _sequential_total(damage, dry),
+                                      _sequential_total(area, dry),
+                                      cells=cells, depths=depth, damages=damage))
+    total_damage = np.array([r.total_damage for r in results])
+    total_area = np.array([r.total_flooded_area for r in results])
     bad = ~(np.isfinite(total_damage) & np.isfinite(total_area))
     if bad.any():
         raise ValueError(f"totals of scenario slr {slr_list[np.argmax(bad)]} are not finite")
@@ -128,21 +141,9 @@ def sweep(
     if not np.all(total_area[1:] >= total_area[:-1]):
         raise RuntimeError("flooded area decreased with rising sea level")
 
-    cost_deltas = incremental_deltas(total_damage.tolist())
-    area_deltas = incremental_deltas(total_area.tolist())
-    results = []
-    for k, s in enumerate(slr_list):
-        cells = np.flatnonzero(flooded[k])
-        results.append(ScenarioResult(
-            slr=s,
-            total_damage=float(total_damage[k]),
-            total_flooded_area=float(total_area[k]),
-            cost_pct_delta=cost_deltas[k],
-            area_pct_delta=area_deltas[k],
-            cells=cells,
-            depths=depth[k, cells],
-            damages=damage[k, cells],
-        ))
+    for r, cost, area in zip(results, incremental_deltas(total_damage.tolist()),
+                             incremental_deltas(total_area.tolist())):
+        r.cost_pct_delta, r.area_pct_delta = cost, area
     return results
 
 
@@ -151,8 +152,8 @@ def _json_number(v) -> str:
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
-def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> list[str]:
-    """One GeoJSON FeatureCollection of flooded cells per scenario, for map rendering.
+def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> Iterator[str]:
+    """Yield one GeoJSON FeatureCollection of flooded cells per scenario, for map rendering.
 
     One square polygon per flooded cell with properties slr, depth, damage
     (damage rounded to cents at serialization). The bytes are those of
@@ -160,24 +161,24 @@ def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> list[st
     ring is rendered once per call from json spellings of the cell_rect
     corners, then spliced into a fixed feature template with the scenario's
     ``slr`` (json-spelled, so int and float keep their form), ``depth`` and
-    ``round(damage, 2)``.
+    ``round(damage, 2)``. A document is rendered only when it is asked for,
+    so the rings and one document are all that is held at a time.
     """
     xs = [json.dumps(g.origin_x + j * g.cell_size) for j in range(g.n_cols + 1)]
     ys = [json.dumps(g.origin_y + i * g.cell_size) for i in range(g.n_rows + 1)]
-    every = np.concatenate([np.empty(0, np.int64), *(r.cells for r in results)])
     # the union by bincount: np.unique's first call imports numpy.ma (~10 ms)
-    cells = np.flatnonzero(np.bincount(every, minlength=g.n_cells))
+    cells = np.flatnonzero(np.bincount(
+        np.concatenate([np.empty(0, np.int64), *(r.cells for r in results)]), minlength=g.n_cells))
     corners = ((xs[j], ys[i], xs[j + 1], ys[i + 1])
                for i, j in (divmod(k, g.n_cols) for k in cells.tolist()))
     heads = ['{"type":"Feature","geometry":{"type":"Polygon","coordinates":'
              f'[[[{x0},{y0}],[{x1},{y0}],[{x1},{y1}],[{x0},{y1}],[{x0},{y0}]]]}},'
              '"properties":{"slr":' for x0, y0, x1, y1 in corners]
-    docs = []
     for r in results:
         slr = json.dumps(r.slr)
-        features = [f'{heads[k]}{slr},"depth":{_json_number(depth)},'
-                    f'"damage":{_json_number(round(dmg, 2))}}}}}'
-                    for k, depth, dmg in zip(np.searchsorted(cells, r.cells).tolist(),
-                                             r.depths.tolist(), r.damages.tolist())]
-        docs.append('{"type":"FeatureCollection","features":[' + ",".join(features) + "]}\n")
-    return docs
+        yield ('{"type":"FeatureCollection","features":['
+               + ",".join(f'{heads[k]}{slr},"depth":{_json_number(depth)},'
+                          f'"damage":{_json_number(round(dmg, 2))}}}}}'
+                          for k, depth, dmg in zip(np.searchsorted(cells, r.cells).tolist(),
+                                                   r.depths.tolist(), r.damages.tolist()))
+               + "]}\n")

@@ -22,6 +22,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -791,6 +792,41 @@ def test_failed_write_replaces_no_output(tiny_fixture, capsys, monkeypatch):
     monkeypatch.undo()
     assert main(command_args(tiny_fixture, "assess")) == EXIT_OK
     assert read_outputs(out) != before  # the new curve does change the outputs
+
+
+class TestOutputMemory:
+    """``run_assessment`` renders each flood GeoJSON as ``_write_outputs``
+    writes it, so a run holds about one document at a time, not one per
+    scenario."""
+
+    WET = 28 * 42  # the zone's 7-ft cells, every one flooded by its 20-ft BFE
+
+    def peak_bytes(self, fixture: Path, n_scenarios: int) -> int:
+        config = RunConfig.from_file(str(fixture / "run.json"))
+        config.slr_list = [0.25 * k for k in range(n_scenarios)]
+        tracemalloc.start()
+        try:
+            cli._write_outputs(str(fixture / f"out{n_scenarios}"), cli.run_assessment(config))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_holds_about_one_document(self, coastal_fixture):
+        bfe = coastal_fixture / "bfe.geojson"
+        bfe.write_text(bfe.read_text().replace('"static_bfe": 8.0', '"static_bfe": 20.0'))
+        run = coastal_fixture / "run.json"
+        run.write_text(run.read_text().replace('"cell_size": 98.0', '"cell_size": 7.0'))
+        peaks = {n: self.peak_bytes(coastal_fixture, n) for n in (4, 40)}
+        docs = sorted((coastal_fixture / "out40").glob("flood_*.geojson"))
+        assert len(docs) == 40
+        assert {len(json.loads(p.read_text())["features"]) for p in docs} == {self.WET}
+        doc = max(p.stat().st_size for p in docs)
+        # each added scenario keeps its result, a cell index, depth and
+        # damage per wet cell, but not its document (~190 bytes a cell)
+        assert peaks[40] - peaks[4] <= 36 * 32 * self.WET
+        # beyond the results: the rings, the document being rendered, its
+        # pieces and the one before it
+        assert peaks[40] <= 40 * 32 * self.WET + 6 * doc
 
 
 def test_eda_reads_and_writes_utf8_whatever_the_locale(tmp_path):

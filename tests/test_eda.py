@@ -184,6 +184,9 @@ class TestOlsFit:
     def test_constant_y_is_explained_exactly(self):
         # no variance to explain and none left over
         assert ols_fit([1, 2, 3], [2.0, 2.0, 2.0]) == (0.0, 2.0, 1.0)
+        # a mean that does not round to the value leaves residue in y - mean(y)
+        assert ols_fit([1, 2, 3], [0.1] * 3)[2] == 1.0
+        assert ols_fit([1, 2, 3], [2.0] * 3)[2] == 1.0
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(73)

@@ -2,11 +2,13 @@
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from floodgrid.geodata import DamageCurve, Raster
+from floodgrid.damage import cell_damage
+from floodgrid.geodata import DamageCurve, Raster, write_report
 from floodgrid.grid import GridSpec, cell_rect
 from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.scenario import (
@@ -15,9 +17,11 @@ from floodgrid.scenario import (
     incremental_deltas,
     sweep,
 )
-from floodgrid.terrain import CellArrays, build_cell_states, zonal_mean_elevation
+from floodgrid.terrain import CellArrays, build_cell_states, flood_depth, zonal_mean_elevation
 
 LINEAR = DamageCurve([(0.0, 0.0), (10.0, 1.0)])
+# a valid curve whose first fraction is -0.0: a cell under 1 ft deep loses -0.0
+NEGATIVE_ZERO = DamageCurve([(1.0, -0.0), (2.0, 0.5)])
 
 TABLE1_COSTS = [106302284.38, 120128690.11, 134354291.56, 148673644.61]
 TABLE1_AREAS = [49073440.0, 51916752.0, 54985504.0, 58003842.0]
@@ -219,12 +223,104 @@ class TestSweep:
             sweep(states, LINEAR, [0.0, 1.0, 7.0])
 
 
+def dense_sweep(states, curve, slr_list, area_basis="parcel", cell_area=0.0):
+    """The sweep as (scenario, cell) arrays, each dry entry +0.0 and each row
+    added left to right: the reference for ``sweep``'s wet cells only pass."""
+    depth = flood_depth(states.bfe, np.asarray(slr_list, dtype=float)[:, None],
+                        states.mean_elevation)
+    flooded = depth > 0
+    damage = cell_damage(states.exposed_value, depth, curve)
+    area = np.where(flooded, states.exposed_area if area_basis == "parcel" else cell_area, 0.0)
+    totals = [np.add.accumulate(x, axis=1)[:, -1].tolist() for x in (damage, area)]
+    return [ScenarioResult(s, d, a, cd, ad, cells=np.flatnonzero(f), depths=dep[f],
+                           damages=dmg[f])
+            for s, d, a, cd, ad, f, dep, dmg in zip(slr_list, *totals,
+                                                    *map(incremental_deltas, totals),
+                                                    flooded, depth, damage)]
+
+
+def exact(r: ScenarioResult):
+    """Every field of ``r``: floats by repr, arrays by dtype and bytes."""
+    return (repr(r.slr), repr(r.total_damage), repr(r.total_flooded_area),
+            repr(r.cost_pct_delta), repr(r.area_pct_delta),
+            *((a.dtype.str, a.tobytes()) for a in (r.cells, r.depths, r.damages)))
+
+
+def random_states(seed, n=200):
+    rng = np.random.default_rng(seed)
+    elev, bfe = rng.uniform(0, 6, n), rng.uniform(0, 6, n)
+    elev[rng.random(n) < 0.1] = np.nan
+    bfe[rng.random(n) < 0.1] = np.nan
+    return CellArrays(elev, bfe, rng.uniform(0, 1e6, n), rng.uniform(0, 1e4, n))
+
+
+class TestSparseSweep:
+    """``sweep`` works on each scenario's wet cells only; it must give the
+    dense arithmetic's results bit for bit, signed zeros included."""
+
+    CASES = {
+        "parcel basis, NaN elevations and BFEs": (random_states(1), LINEAR, {}),
+        "cell basis, NaN elevations and BFEs": (random_states(2), LINEAR,
+                                                {"area_basis": "cell", "cell_area": 9_604.0}),
+        "no wet cell": (cell_arrays([9.0] * 5, [1.0, None, 2.0, 0.0, 1.5], [1e5] * 5,
+                                    [10.0] * 5), LINEAR, {}),
+        "every cell wet": (cell_arrays([0.0, 1.0, 2.0], [5.0] * 3, [1e5, 2e5, 3e5],
+                                       [1.0, 2.0, 3.0]), LINEAR, {}),
+        "-0.0 damages, one cell dry": (cell_arrays([4.5, 4.75, 9.0], [5.0] * 3, [1e5] * 3,
+                                                   [100.0] * 3), NEGATIVE_ZERO, {}),
+        "-0.0 damages, every cell wet": (cell_arrays([4.5, 4.75], [5.0] * 2, [1e5] * 2,
+                                                     [100.0] * 2), NEGATIVE_ZERO, {}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_dense_sweep(self, case):
+        states, curve, kwargs = self.CASES[case]
+        slr_list = [0.0, 0.25, 0.5, 2.0, 3.0] if curve is LINEAR else [0.0, 0.25]
+        got = sweep(states, curve, slr_list, **kwargs)
+        assert [exact(r) for r in got] == \
+               [exact(r) for r in dense_sweep(states, curve, slr_list, **kwargs)]
+
+    def test_negative_zero_damage_beside_a_dry_cell_reports_zero(self):
+        # a dry cell adds +0.0 to the total, so the wet cells' -0.0 sums to +0.0
+        states = cell_arrays([4.5, 9.0], [5.0, 5.0], [1e5, 1e5], [100.0, 100.0])
+        assert write_report(sweep(states, NEGATIVE_ZERO, [0.0, 0.25])) == (
+            "scenario,total_flooding_usd,total_area_flooded_sqft,cost_pct_delta,area_pct_delta\n"
+            "0,0.00,100,,\n"
+            "0.25,0.00,100,0.00,0.00\n")
+
+
+class TestSweepMemory:
+    """Each scenario holds its depth over the grid only while it runs and
+    keeps its wet cells alone, so on a dry grid the sweep's peak does not
+    grow with the scenarios."""
+
+    N = 20_000
+
+    def peak_bytes(self, n_scenarios):
+        states = CellArrays(np.full(self.N, 50.0), np.zeros(self.N), np.full(self.N, 1e5),
+                            np.full(self.N, 100.0))
+        tracemalloc.start()
+        try:
+            results = sweep(states, LINEAR, [float(k) for k in range(n_scenarios)])
+            assert all(r.cells.size == 0 for r in results)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_dry_grid_peak_does_not_grow_with_the_scenarios(self):
+        peaks = {n: self.peak_bytes(n) for n in (2, 40)}
+        # a kept result is the dataclass and three empty arrays
+        assert peaks[40] - peaks[2] <= 38 * 2048
+        # a scenario's bfe + slr, its depths and its wet mask, plus an allowance
+        assert max(peaks.values()) <= 3 * 8 * self.N + 64 * 1024
+
+
 class TestFloodedCellsGeojson:
     def test_structure_and_properties(self):
         g = GridSpec(0, 0, 98, 2, 2)
         states = one_cell_states()
         res = run_one(states, 1.0)
-        doc = json.loads(flooded_cells_geojson(g, [res])[0])
+        doc = json.loads(list(flooded_cells_geojson(g, [res]))[0])
         assert doc["type"] == "FeatureCollection"
         assert len(doc["features"]) == 1
         feat = doc["features"][0]
@@ -238,7 +334,7 @@ class TestFloodedCellsGeojson:
     def test_empty_scenario(self):
         g = GridSpec(0, 0, 98, 2, 2)
         res = run_one(one_cell_states(bfe=5.0, elev=7.0), 0.0)
-        doc = json.loads(flooded_cells_geojson(g, [res])[0])
+        doc = json.loads(list(flooded_cells_geojson(g, [res]))[0])
         assert doc["features"] == []
 
     def test_zero_exposure_flooded_cell_included(self):
@@ -246,15 +342,15 @@ class TestFloodedCellsGeojson:
         states = one_cell_states(value=0.0, area=0.0)
         res = run_one(states, 0.0)
         assert res.total_flooded_area == 0.0
-        doc = json.loads(flooded_cells_geojson(g, [res])[0])
+        doc = json.loads(list(flooded_cells_geojson(g, [res]))[0])
         assert len(doc["features"]) == 1
 
     def test_one_document_per_scenario(self):
         g = GridSpec(0, 0, 98, 1, 1)
         results = sweep(one_cell_states(bfe=5.0, elev=6.0), LINEAR, [0.0, 1.0, 2.0])
-        docs = flooded_cells_geojson(g, results)
+        docs = list(flooded_cells_geojson(g, results))
         assert [len(json.loads(d)["features"]) for d in docs] == [0, 0, 1]
-        assert flooded_cells_geojson(g, []) == []
+        assert list(flooded_cells_geojson(g, [])) == []
 
 
 def dict_geojson(g: GridSpec, result: ScenarioResult) -> str:
@@ -289,7 +385,7 @@ class TestGeojsonBytes:
     ]
 
     def assert_same(self, g, results):
-        docs = flooded_cells_geojson(g, results)
+        docs = list(flooded_cells_geojson(g, results))
         assert docs == [dict_geojson(g, r) for r in results]
 
     @pytest.mark.parametrize("g", GRIDS)
@@ -323,7 +419,7 @@ class TestGeojsonBytes:
         res = ScenarioResult(1.0, 0.0, 0.0, cells=cells,
                              depths=np.array([np.inf, 2.0, 1e308]),
                              damages=np.array([5.0, np.inf, np.nan]))
-        doc = flooded_cells_geojson(g, [res])[0]
+        doc = list(flooded_cells_geojson(g, [res]))[0]
         assert '"depth":Infinity' in doc
         assert '"damage":Infinity' in doc and '"damage":NaN' in doc
         self.assert_same(g, [res])
@@ -345,7 +441,7 @@ class TestGeojsonBytes:
                               depths=np.array([0.25]), damages=np.array([7.0]))
         self.assert_same(g, [empty, full, empty])
         empty_doc = '{"type":"FeatureCollection","features":[]}\n'
-        assert flooded_cells_geojson(g, [empty]) == [empty_doc]
+        assert list(flooded_cells_geojson(g, [empty])) == [empty_doc]
 
 
 
