@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, fields
@@ -138,14 +137,14 @@ def _parse_input(path: str, what: str, parse, mode: str = "r"):
         raise ParseError(f"{what} file {path}: {exc}") from None
 
 
-def run_assessment(config: RunConfig) -> Iterator[tuple[str, str]]:
-    """Execute the full pipeline, returning (output filename, content) pairs.
+def run_assessment(config: RunConfig) -> Iterator[tuple[str, Iterable[str]]]:
+    """Execute the full pipeline, returning (output filename, chunks of its text) pairs.
 
     Everything that can fail (parsing, the sweep's checks, the report) runs
-    before this returns. Each flood GeoJSON is rendered only when its pair
-    is taken, so ``_write_outputs`` never holds all the documents at once;
-    its staging into temp files is what keeps a failed run from replacing
-    outputs.
+    before this returns. The rows of ``cells.csv`` and each flood GeoJSON
+    are rendered only as ``_write_outputs`` takes them, so it never holds
+    all of ``cells.csv`` or all the documents at once; its staging into
+    temp files is what keeps a failed run from replacing outputs.
     """
     config.validate()
 
@@ -188,28 +187,28 @@ def run_assessment(config: RunConfig) -> Iterator[tuple[str, str]]:
 
     names = ["report.csv", "cells.csv",
              *(f"flood_{format_number(r.slr)}.geojson" for r in results)]
-    return zip(names, chain([write_report(results), cell_states_csv(g, states)],
+    return zip(names, chain([[write_report(results)], cell_states_csv(g, states)],
                             flooded_cells_geojson(g, results)))
 
 
-def _write_outputs(output_dir: str, outputs: Iterable[tuple[str, str]]) -> None:
-    """Write each output, a (file name, text) pair, into ``output_dir`` as UTF-8.
+def _write_outputs(output_dir: str, outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each output, a (file name, chunks of its text) pair, into ``output_dir`` as UTF-8.
 
-    Every output is written to a temp file there before any is renamed into
-    place, so a failed write replaces none; temp files never outlive the
-    call. The pairs are taken one at a time, so a lazy ``outputs`` (as
-    ``run_assessment`` returns) is rendered as it is written. An OSError is
-    a ConfigError naming the directory.
+    Each output goes to a new temp file there, whose mode the umask sets, and
+    none is renamed into place before all are written, so a failed write
+    replaces none; temp files never outlive the call. The pairs and chunks are
+    taken one at a time, so a lazy ``outputs`` (as ``run_assessment`` returns)
+    is rendered as it is written. An OSError is a ConfigError naming the directory.
     """
     out = Path(output_dir)
     staged = []  # (name, temp file)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, content in outputs:
-            fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.")
-            staged.append((name, tmp))
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(content)
+        for name, chunks in outputs:
+            tmp = out / f".{name}.{os.urandom(16).hex()}"
+            with open(tmp, "x", encoding="utf-8", newline="") as fh:
+                staged.append((name, tmp))  # only once it exists: a taken name is not ours
+                fh.writelines(chunks)
         for name, tmp in staged:
             os.replace(tmp, out / name)
     except OSError as exc:
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
             except ValueError as exc:  # too few records, or a degenerate fit
                 raise EmptyInputError(str(exc)) from None
             _write_outputs(args.out, [
-                ("eda_report.json", report.to_json()),
+                ("eda_report.json", [report.to_json()]),
                 ("scatter.csv", scatter_export(kept)),
             ])
     except (ValueError, OverflowError, EmptyInputError) as exc:

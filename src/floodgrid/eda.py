@@ -260,14 +260,14 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
     return lm, lm > CHI2_1DF_5PCT
 
 
-def scatter_export(t: np.ndarray) -> str:
+def scatter_export(t: np.ndarray) -> list[str]:
     """Plot-ready CSV of the filtered records: parcel_id, shape_area, area_cost.
 
-    One ``geodata._forked`` call renders parts of at least SCATTER_PART_ROWS
-    rows, one per CPU, in this process and forked children, joined in order,
-    or all here should it not split or fail: the bytes are the same. A row
-    is one str.format, unless an id is not a str or holds one of _QUOTED;
-    then csv.writer writes every row.
+    Its chunks: the header line, then parts of at least SCATTER_PART_ROWS
+    rows, one per CPU, rendered by one ``geodata._forked`` call in this process
+    and forked children, or all here in one part should it not split or fail:
+    the bytes are the same. A row is one str.format, unless an id is not a
+    str or holds one of _QUOTED; then csv.writer writes every row.
     """
     ids = t["parcel_id"].tolist()
     shape, cost = t["shape_area"], area_cost(t)
@@ -285,7 +285,7 @@ def scatter_export(t: np.ndarray) -> str:
         return buf.getvalue()
 
     parts = geodata._forked(rows, len(ids), SCATTER_PART_ROWS) or [rows(0, len(ids))]
-    return "parcel_id,shape_area,area_cost\n" + "".join(parts)
+    return ["parcel_id,shape_area,area_cost\n", *parts]
 
 
 def run_eda(table: np.ndarray) -> tuple[EdaReport, np.ndarray]:

@@ -409,7 +409,7 @@ def _property_error(idx: int, pid: str, raw) -> ParseError:
 
 def _number(value, what: str, where: str) -> float:
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):  # JSON true, false and strings are not numbers
             raise TypeError
         number = float(value)
     except OverflowError:  # an integer too large for a float
@@ -456,16 +456,16 @@ class ParcelTable:
         try:
             for idx, (pid, polygons, assessment, land_area, base_flood) in enumerate(features):
                 pid = str(pid)
+                raw = (assessment, land_area, base_flood)
                 try:
-                    values = [float(assessment), float(land_area), float(base_flood)]
+                    values = list(map(float, raw))
                     ok = (values[0] >= 0 and values[1] >= 0 and all(map(math.isfinite, values))
-                          # JSON true and false are not numbers
-                          and bool not in (type(assessment), type(land_area), type(base_flood)))
+                          # JSON true, false and strings are not numbers
+                          and {bool, str}.isdisjoint(map(type, raw)))
                 except (TypeError, ValueError, OverflowError):
                     ok = False
                 if not ok:
-                    raise _property_error(idx, pid if len(polygons) == 1 else f"{pid}#0",
-                                          (assessment, land_area, base_flood))
+                    raise _property_error(idx, pid if len(polygons) == 1 else f"{pid}#0", raw)
                 if len(polygons) == 1:
                     ids.append(pid)
                 else:
@@ -633,7 +633,7 @@ class DamageCurve:
         pairs = []
         for i, pair in enumerate(self.breakpoints):
             try:
-                if bool in map(type, pair):  # JSON true and false are not numbers
+                if not {bool, str}.isdisjoint(map(type, pair)):  # not JSON numbers
                     raise TypeError
                 d, f = map(float, pair)
             except OverflowError:  # an integer too large for a float

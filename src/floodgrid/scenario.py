@@ -152,8 +152,8 @@ def _json_number(v) -> str:
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
-def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> Iterator[str]:
-    """Yield one GeoJSON FeatureCollection of flooded cells per scenario, for map rendering.
+def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> Iterator[tuple[str, ...]]:
+    """Yield per scenario a GeoJSON FeatureCollection of flooded cells as (head, body, tail).
 
     One square polygon per flooded cell with properties slr, depth, damage
     (damage rounded to cents at serialization). The bytes are those of
@@ -176,9 +176,9 @@ def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> Iterato
              '"properties":{"slr":' for x0, y0, x1, y1 in corners]
     for r in results:
         slr = json.dumps(r.slr)
-        yield ('{"type":"FeatureCollection","features":['
-               + ",".join(f'{heads[k]}{slr},"depth":{_json_number(depth)},'
-                          f'"damage":{_json_number(round(dmg, 2))}}}}}'
-                          for k, depth, dmg in zip(np.searchsorted(cells, r.cells).tolist(),
-                                                   r.depths.tolist(), r.damages.tolist()))
-               + "]}\n")
+        yield ('{"type":"FeatureCollection","features":[',
+               ",".join(f'{heads[k]}{slr},"depth":{_json_number(depth)},'
+                        f'"damage":{_json_number(round(dmg, 2))}}}}}'
+                        for k, depth, dmg in zip(np.searchsorted(cells, r.cells).tolist(),
+                                                 r.depths.tolist(), r.damages.tolist())),
+               "]}\n")

@@ -9,6 +9,7 @@ Each is one row-major array over the grid, NaN where unknown.
 from __future__ import annotations
 
 import mmap
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,12 +166,11 @@ def build_cell_states(
     return CellArrays(mean_elevation=elevations, bfe=bfes, exposed_value=value, exposed_area=area)
 
 
-def cell_states_csv(g: GridSpec, states: CellArrays) -> str:
-    """Dump cell states as CSV, row-major; absent elevations/BFEs are empty."""
+def cell_states_csv(g: GridSpec, states: CellArrays) -> Iterator[str]:
+    """Yield cells.csv line by line, header first, row-major; absent elevations/BFEs are empty."""
     elev, bfe = (("" if s == "nan" else s for s in format_numbers(column))
                  for column in (states.mean_elevation, states.bfe))
     rows = zip(elev, bfe, states.exposed_value.tolist(), format_numbers(states.exposed_area))
-    lines = ["row,col,mean_elevation,bfe,exposed_value,exposed_area"]
-    lines += (f"{k // g.n_cols},{k % g.n_cols},{e},{b},{value:.2f},{area}"
-              for k, (e, b, value, area) in enumerate(rows))
-    return "\n".join(lines) + "\n"
+    yield "row,col,mean_elevation,bfe,exposed_value,exposed_area\n"
+    for k, (e, b, value, area) in enumerate(rows):
+        yield f"{k // g.n_cols},{k % g.n_cols},{e},{b},{value:.2f},{area}\n"

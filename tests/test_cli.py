@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,8 @@ from floodgrid.cli import (
     main,
 )
 from floodgrid.geodata import Raster, write_ascii_grid
+from floodgrid.grid import GridSpec
+from floodgrid.terrain import CellArrays, cell_states_csv
 
 
 def rect_feature(pid, x0, y0, x1, y1, value, land=None):
@@ -666,6 +669,21 @@ CRASHING_INPUTS = {
     "MultiPolygon of no members": ("parcels.geojson", ("features", 0, "geometry"),
                                    {"type": "MultiPolygon", "coordinates": []}, EXIT_PARSE_ERROR,
                                    "feature 0: empty geometry coordinates"),
+    # RFC 8259 numbers, though float() reads a numeric string
+    "numeric string assessment": ("parcels.geojson", ASSESSMENT, "100", EXIT_PARSE_ERROR,
+                                  "feature 0: non-numeric value '100' for property "
+                                  "'current_assessment' of parcel 'A'"),
+    "numeric string land_area": ("parcels.geojson", ("features", 0, "properties", "land_area"),
+                                 "1e2", EXIT_PARSE_ERROR, "feature 0: non-numeric value '1e2' "
+                                 "for property 'land_area' of parcel 'A'"),
+    "numeric string base_flood": ("parcels.geojson", ("features", 0, "properties", "base_flood"),
+                                  "2", EXIT_PARSE_ERROR, "feature 0: non-numeric value '2' for "
+                                  "property 'base_flood' of parcel 'A'"),
+    "numeric string static_bfe": ("bfe.geojson", ("features", 0, "properties", "static_bfe"),
+                                  "7.5", EXIT_PARSE_ERROR,
+                                  "feature 0: non-numeric value '7.5' for property 'static_bfe'"),
+    "numeric string in curve pair": ("curve.json", (0,), ["0", 0], EXIT_PARSE_ERROR,
+                                     "entry 0: non-numeric pair ['0', 0]"),
     # finite, if huge: a parcel spread thin, a value of 300 digits, a flood 1e300 ft deep
     "1e300 parcel vertex": ("parcels.geojson", ("features", 0, "geometry", "coordinates", 0, 1),
                             [1e300, 0], EXIT_OK, None),
@@ -776,15 +794,16 @@ def test_failed_write_replaces_no_output(tiny_fixture, capsys, monkeypatch):
     out = tiny_fixture / "out"
     before = read_outputs(out)
     (tiny_fixture / "curve.json").write_text("[[0, 0], [5, 1]]")
-    mkstemp, calls = tempfile.mkstemp, []
+    creates = []
 
-    def second_call_fails(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
-            raise OSError(28, "No space left on device")
-        return mkstemp(*args, **kwargs)
+    def second_create_fails(file, mode="r", *args, **kwargs):
+        if mode == "x":  # the creation of a staged output
+            creates.append(file)
+            if len(creates) == 2:
+                raise OSError(28, "No space left on device")
+        return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(tempfile, "mkstemp", second_call_fails)
+    monkeypatch.setattr(cli, "open", second_create_fails, raising=False)
     assert main(command_args(tiny_fixture, "assess")) == EXIT_CONFIG_ERROR
     assert error_lines(capsys.readouterr().err) == [
         f"error: cannot write output directory {out}: [Errno 28] No space left on device"]
@@ -827,6 +846,38 @@ class TestOutputMemory:
         # beyond the results: the rings, the document being rendered, its
         # pieces and the one before it
         assert peaks[40] <= 40 * 32 * self.WET + 6 * doc
+
+
+def test_cells_csv_is_written_a_line_at_a_time(tmp_path):
+    # full-precision values (~57 bytes a line): what the peak holds is the
+    # columns as Python numbers (~150 bytes a cell), not the joined text
+    g = GridSpec(0, 0, 14, 350, 70)
+    rng = np.random.default_rng(0)
+    n = g.n_cells
+    states = CellArrays(rng.uniform(0, 60, n), np.round(rng.uniform(2, 9, n), 1),
+                        rng.uniform(0, 1e6, n), rng.uniform(0, 196, n))
+    tracemalloc.start()
+    try:
+        cli._write_outputs(str(tmp_path), [("cells.csv", cell_states_csv(g, states))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (tmp_path / "cells.csv").stat().st_size
+
+
+@pytest.mark.parametrize("command", ["assess", "eda"])
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_modes_follow_the_umask(tiny_fixture, command, umask, mode):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tiny_fixture / "modes"
+    run = subprocess.run([sys.executable, "-m", "floodgrid.cli",
+                          *command_args(tiny_fixture, command), "--out", str(out)],
+                         env=dict(os.environ, PYTHONPATH=src), umask=umask,
+                         capture_output=True, timeout=60)
+    assert run.returncode == EXIT_OK, run.stderr
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert len(modes) == (4 if command == "assess" else 2)  # and no temp file
+    assert set(modes.values()) == {mode}
 
 
 def test_eda_reads_and_writes_utf8_whatever_the_locale(tmp_path):

@@ -290,24 +290,24 @@ class TestBreuschPagan:
 
 class TestScatterExport:
     def test_empty_input(self):
-        assert scatter_export(table()) == "parcel_id,shape_area,area_cost\n"
+        assert "".join(scatter_export(table())) == "parcel_id,shape_area,area_cost\n"
 
     def test_rows_in_input_order(self):
         rs = table(record("a"), record("b", shape=2_500.0), record("c", shape=7_500.0))
-        out = scatter_export(rs).strip().split("\n")
+        out = "".join(scatter_export(rs)).strip().split("\n")
         assert len(out) == 4
         assert out[1].startswith("a,")
         assert out[2] == "b,2500,50000"
 
     def test_full_precision_round_trip(self):
         r = record("p", assessment=123_456.789, land=3_333.31, shape=1_234.567)
-        line = scatter_export(r).strip().split("\n")[1]
+        line = "".join(scatter_export(r)).strip().split("\n")[1]
         _, shape_s, cost_s = line.split(",")
         assert float(shape_s) == r["shape_area"][0]
         assert float(cost_s) == area_cost(r)[0]
 
     def test_ids_are_quoted_as_csv(self):
-        out = scatter_export(table(record("x,1"), record('say "hi"')))
+        out = "".join(scatter_export(table(record("x,1"), record('say "hi"'))))
         assert out.split("\n")[1:3] == ['"x,1",5000,100000', '"say ""hi""",5000,100000']
 
     def test_column_renderer_is_format_number(self):
@@ -367,7 +367,7 @@ class TestScatterSplit:
     def outcome(monkeypatch, t, workers) -> bytes:
         monkeypatch.setattr(geodata, "_workers", lambda: workers)
         try:
-            return scatter_export(t).encode()
+            return "".join(scatter_export(t)).encode()
         finally:
             assert_no_child_left()
 
@@ -815,7 +815,7 @@ class TestPerRecordReference:
         report, kept = run_eda(read_attribute_table(text))
         assert report.counts == ref_counts
         assert report.to_json() == ref_report
-        assert scatter_export(kept) == ref_scatter
+        assert "".join(scatter_export(kept)) == ref_scatter
         # the ties sit on the failing side of every strict filter
         assert ref_counts["min_assessment"] < ref_counts["input"]
         assert ref_counts["outlier_removal"] >= 3

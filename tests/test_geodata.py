@@ -486,7 +486,7 @@ class TestParcels:
             parse_parcels(fc(bad))
 
     @pytest.mark.parametrize("name", ["current_assessment", "land_area", "base_flood"])
-    @pytest.mark.parametrize("raw", [float("nan"), float("inf"), float("-inf"), "nan"])
+    @pytest.mark.parametrize("raw", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_property_rejected(self, name, raw):
         bad = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], **{name: raw}))
         with pytest.raises(ParseError, match=f"feature 1: non-finite value .* {name!r}"):
@@ -508,8 +508,17 @@ class TestParcels:
                            match=f"^feature 1: non-numeric value {raw} for property {name!r}"):
             parse_parcels(fc(SQUARE_FEATURE, bad))
 
+    @pytest.mark.parametrize("name", ["current_assessment", "land_area", "base_flood"])
+    @pytest.mark.parametrize("raw", ["100", "1e2", "7.5", "nan"])
+    def test_numeric_string_property_rejected(self, name, raw):
+        # RFC 8259 has numbers for these, though float() reads the string
+        bad = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], **{name: raw}))
+        with pytest.raises(ParseError, match=f"^feature 1: non-numeric value '{raw}' for "
+                                             f"property {name!r} of parcel 'p1'$"):
+            parse_parcels(fc(SQUARE_FEATURE, bad))
+
     def test_base_flood_parsed_when_present(self):
-        good = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], base_flood="7.5"))
+        good = dict(SQUARE_FEATURE, properties=dict(SQUARE_FEATURE["properties"], base_flood=7.5))
         assert parse_parcels(fc(good)).base_flood.tolist() == [7.5]
 
     def test_short_ring_rejected(self):
@@ -703,6 +712,8 @@ class TestBfeZones:
     @pytest.mark.parametrize("coordinates, static_bfe, message", [
         ([[[0, 0], [1, 0], [1, 1]]], True, "feature 0: non-numeric value True for property "
                                            "'static_bfe'"),
+        ([[[0, 0], [1, 0], [1, 1]]], "7.5", "feature 0: non-numeric value '7.5' for property "
+                                            "'static_bfe'"),
         ([[[0, 0], [1, False], [1, 1]]], 7, "feature 0, polygon 0, ring 0: malformed ring "
                                             "coordinates"),
         # numeric strings are no numbers either
@@ -783,6 +794,13 @@ class TestDamageCurveParsing:
         with pytest.raises(ParseError,
                            match=r"^entry 0: non-numeric pair \[False, False\]$"):
             parse_damage_curve("[[false, false], [true, true]]")
+
+    @pytest.mark.parametrize("text, pair", [('[[0, 0], ["5", 1]]', "['5', 1]"),
+                                            ('[[0, 0], [5, "1"]]', "[5, '1']")])
+    def test_numeric_strings_rejected(self, text, pair):
+        with pytest.raises(ParseError) as exc:
+            parse_damage_curve(text)
+        assert str(exc.value) == f"entry 1: non-numeric pair {pair}"
 
     def test_constructor_validates_too(self):
         with pytest.raises(ValueError):

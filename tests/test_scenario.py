@@ -320,7 +320,7 @@ class TestFloodedCellsGeojson:
         g = GridSpec(0, 0, 98, 2, 2)
         states = one_cell_states()
         res = run_one(states, 1.0)
-        doc = json.loads(list(flooded_cells_geojson(g, [res]))[0])
+        doc = json.loads("".join(list(flooded_cells_geojson(g, [res]))[0]))
         assert doc["type"] == "FeatureCollection"
         assert len(doc["features"]) == 1
         feat = doc["features"][0]
@@ -334,7 +334,7 @@ class TestFloodedCellsGeojson:
     def test_empty_scenario(self):
         g = GridSpec(0, 0, 98, 2, 2)
         res = run_one(one_cell_states(bfe=5.0, elev=7.0), 0.0)
-        doc = json.loads(list(flooded_cells_geojson(g, [res]))[0])
+        doc = json.loads("".join(list(flooded_cells_geojson(g, [res]))[0]))
         assert doc["features"] == []
 
     def test_zero_exposure_flooded_cell_included(self):
@@ -342,13 +342,13 @@ class TestFloodedCellsGeojson:
         states = one_cell_states(value=0.0, area=0.0)
         res = run_one(states, 0.0)
         assert res.total_flooded_area == 0.0
-        doc = json.loads(list(flooded_cells_geojson(g, [res]))[0])
+        doc = json.loads("".join(list(flooded_cells_geojson(g, [res]))[0]))
         assert len(doc["features"]) == 1
 
     def test_one_document_per_scenario(self):
         g = GridSpec(0, 0, 98, 1, 1)
         results = sweep(one_cell_states(bfe=5.0, elev=6.0), LINEAR, [0.0, 1.0, 2.0])
-        docs = list(flooded_cells_geojson(g, results))
+        docs = ["".join(d) for d in flooded_cells_geojson(g, results)]
         assert [len(json.loads(d)["features"]) for d in docs] == [0, 0, 1]
         assert list(flooded_cells_geojson(g, [])) == []
 
@@ -385,8 +385,8 @@ class TestGeojsonBytes:
     ]
 
     def assert_same(self, g, results):
-        docs = list(flooded_cells_geojson(g, results))
-        assert docs == [dict_geojson(g, r) for r in results]
+        docs = list(flooded_cells_geojson(g, results))  # each rendered after all are taken
+        assert ["".join(doc) for doc in docs] == [dict_geojson(g, r) for r in results]
 
     @pytest.mark.parametrize("g", GRIDS)
     @pytest.mark.parametrize("slr_list", [[0, 1, 2], [0.0, 0.5, 1.25, 3.0]])
@@ -419,7 +419,7 @@ class TestGeojsonBytes:
         res = ScenarioResult(1.0, 0.0, 0.0, cells=cells,
                              depths=np.array([np.inf, 2.0, 1e308]),
                              damages=np.array([5.0, np.inf, np.nan]))
-        doc = list(flooded_cells_geojson(g, [res]))[0]
+        doc = "".join(list(flooded_cells_geojson(g, [res]))[0])
         assert '"depth":Infinity' in doc
         assert '"damage":Infinity' in doc and '"damage":NaN' in doc
         self.assert_same(g, [res])
@@ -441,7 +441,7 @@ class TestGeojsonBytes:
                               depths=np.array([0.25]), damages=np.array([7.0]))
         self.assert_same(g, [empty, full, empty])
         empty_doc = '{"type":"FeatureCollection","features":[]}\n'
-        assert list(flooded_cells_geojson(g, [empty])) == [empty_doc]
+        assert ["".join(d) for d in flooded_cells_geojson(g, [empty])] == [empty_doc]
 
 
 
