@@ -5,13 +5,15 @@ elevation statistics, depth-damage costing, sea-level-rise scenario
 sweeps, and exploratory data analysis with regression diagnostics.
 """
 
-from .damage import cell_damage, evaluate_curve, load_default_curve
 from .geodata import (
     BfeZone,
     DamageCurve,
     ParcelTable,
     ParseError,
     Raster,
+    cell_damage,
+    evaluate_curve,
+    load_default_curve,
     parse_ascii_grid,
     parse_bfe_zones,
     parse_damage_curve,

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
-from .damage import load_default_curve
 from .eda import read_attribute_table, run_eda, scatter_export
 from .geodata import (
     ParseError,
     format_number,
+    load_default_curve,
     load_json,
     parse_ascii_grid,
     parse_bfe_zones,

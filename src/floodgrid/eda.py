@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import re
-from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,28 +104,22 @@ def _read_rows(reader) -> np.ndarray:
     fields, or a field float() refuses or reads as non-finite, is a
     ParseError naming ``reader.line_num``, the line on which the row ends.
     """
-    ids = []
-    numbers = array("d")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(TABLE_HEADER):
-            raise ParseError(f"line {reader.line_num}: expected {len(TABLE_HEADER)} fields, "
-                             f"got {len(row)}")
-        try:
-            values = list(map(float, row[1:]))
-        except ValueError:
-            raise ParseError(f"line {reader.line_num}: non-numeric field in {row!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise ParseError(f"line {reader.line_num}: non-finite field in {row!r}")
-        numbers.extend(values)
-        ids.append(row[0])
-    values = np.frombuffer(numbers, dtype=float).reshape(-1, len(TABLE_HEADER) - 1)
-    table = np.empty(len(ids), dtype=TABLE_DTYPE)
-    table["parcel_id"] = ids
-    for k, name in enumerate(TABLE_HEADER[1:]):
-        table[name] = values[:, k]
-    return table
+    def rows():
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(TABLE_HEADER):
+                raise ParseError(f"line {reader.line_num}: expected {len(TABLE_HEADER)} fields, "
+                                 f"got {len(row)}")
+            try:
+                values = tuple(map(float, row[1:]))
+            except ValueError:
+                raise ParseError(f"line {reader.line_num}: non-numeric field in {row!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"line {reader.line_num}: non-finite field in {row!r}")
+            yield (row[0], *values)
+
+    return np.fromiter(rows(), dtype=TABLE_DTYPE)
 
 
 def area_cost(t: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Readers and writers for the external data formats.
 
 Covers ESRI ASCII grid rasters, the GeoJSON subset used for parcels and
-base-flood-elevation zones, damage-curve tables, and the scenario report
-CSV. All coordinates are planar feet; no reprojection is performed. Work
-split between forked processes, here or in another module, is one
-``_forked`` call.
+base-flood-elevation zones, damage-curve tables (also evaluated here), and
+the scenario report CSV. All coordinates are planar feet; no reprojection
+is performed. Work split between forked processes, here or in another
+module, is one ``_forked`` call.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from collections import deque
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
+from importlib import resources
 from itertools import chain, islice
 
 import numpy as np
@@ -667,6 +668,47 @@ def parse_damage_curve(text: str) -> DamageCurve:
         return DamageCurve(raw)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def evaluate_curve(curve: DamageCurve, depth):
+    """Damage fraction at ``depth`` by linear interpolation between breakpoints.
+
+    Elementwise over arrays. Depths below the first breakpoint clamp to the
+    first fraction, above the last to the last fraction. Each depth is
+    interpolated as f0 + ((x - d0) / (d1 - d0)) * (f1 - f0) on the first
+    segment whose right end reaches it; ``np.interp`` rounds differently.
+    """
+    d = np.array([p[0] for p in curve.breakpoints])
+    f = np.array([p[1] for p in curve.breakpoints])
+    x = np.asarray(depth, dtype=float)
+    k = np.clip(np.searchsorted(d, x), 1, len(d) - 1)
+    d0, d1, f0, f1 = d[k - 1], d[k], f[k - 1], f[k]
+    # depths off the curve's ends are replaced below; on a segment narrower
+    # than they are far away (say 1e-308 wide), their ratio would overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f0 + ((x - d0) / (d1 - d0)) * (f1 - f0)
+    return np.where(x <= d[0], f[0], np.where(x >= d[-1], f[-1], out))[()]
+
+
+def cell_damage(exposed_value, depth, curve: DamageCurve):
+    """Damage cost (USD) at the given flood depth, elementwise.
+
+    Zero where the cell is dry (depth <= 0, or NaN); otherwise curve
+    fraction times exposed value. Fractions lie in [0, 1], so a cell never
+    loses more than what it holds.
+    """
+    return np.where(depth > 0, evaluate_curve(curve, depth) * exposed_value, 0.0)[()]
+
+
+def load_default_curve() -> DamageCurve:
+    """Packaged placeholder curve.
+
+    UNCALIBRATED: the shape loosely mimics published depth-damage curves and
+    exists so the pipeline runs out of the box. Real assessments should
+    supply a calibrated curve file.
+    """
+    text = resources.files("floodgrid").joinpath("data/default_curve.json").read_text()
+    return parse_damage_curve(text)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .damage import cell_damage
-from .geodata import DamageCurve
+from .geodata import DamageCurve, cell_damage
 from .grid import GridSpec
 from .terrain import CellArrays, flood_depth
 
@@ -111,8 +110,8 @@ def sweep(
     scenarios times cells.
 
     The arguments must pass ``check_scenarios``. Totals are checked for
-    monotonicity in the rise: more water can never flood less. A total that
-    overflows raises ValueError.
+    monotonicity in the rise: more water can never flood less. A flood
+    depth or a total that overflows raises ValueError.
     """
     check_scenarios(slr_list, area_basis)
     if area_basis == "cell" and cell_area <= 0:
@@ -120,10 +119,14 @@ def sweep(
 
     results = []
     for s in slr_list:
-        depth = flood_depth(states.bfe, s, states.mean_elevation)
+        with np.errstate(over="ignore"):
+            depth = flood_depth(states.bfe, s, states.mean_elevation)
         cells = np.flatnonzero(depth > 0)
         dry = cells.size < depth.size
         depth = depth[cells]
+        if not np.isfinite(depth).all():  # finite inputs whose difference overflows
+            k = cells[np.argmin(np.isfinite(depth))]
+            raise ValueError(f"flood depth of cell {k} at slr {s} is not finite")
         damage = cell_damage(states.exposed_value[cells], depth, curve)
         area = (states.exposed_area[cells] if area_basis == "parcel"
                 else np.full(cells.size, cell_area))

@@ -43,7 +43,8 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
 
     A DEM sample belongs to the fishnet cell containing its center point;
     NODATA and non-finite samples are excluded. Cells with no samples are
-    NaN. A grid too large for its sums to be mapped is a MemoryError.
+    NaN. A grid too large for its sums to be mapped is a MemoryError, and a
+    cell whose finite samples sum past the float range a ParseError.
 
     The sums run over bands of the DEM rows that fall in one fishnet row,
     so each cell is summed within one band, in row-major order, exactly as
@@ -88,6 +89,10 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     # add() sets all the cells of a band, so a failed split leaves nothing behind
     if not (dem.body and geodata._forked(add, len(edges) - 1)):
         add(0, len(edges) - 1, dem.bands)
+    bad = ~np.isfinite(sums)
+    if bad.any():  # finite samples whose sum overflows
+        i, j = divmod(int(np.argmax(bad)), g.n_cols)
+        raise geodata.ParseError(f"elevation sum of cell ({i}, {j}) is not finite")
     return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
 
 

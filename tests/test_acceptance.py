@@ -39,12 +39,12 @@ from conftest import (
 )
 from floodgrid import geodata
 from floodgrid.cli import EXIT_OK, main
-from floodgrid.damage import cell_damage
 from floodgrid.eda import CHI2_1DF_5PCT, breusch_pagan, ols_fit
 from floodgrid.geodata import (
     DamageCurve,
     ParcelTable,
     Raster,
+    cell_damage,
     parse_ascii_grid,
     write_ascii_grid,
     write_report,

@@ -690,6 +690,10 @@ CRASHING_INPUTS = {
     "1e300 assessment": ("parcels.geojson", ASSESSMENT, 1e300, EXIT_OK, None),
     "1e300 static_bfe": ("bfe.geojson", ("features", 0, "properties", "static_bfe"), 1e300,
                          EXIT_OK, None),
+    # finite DEM samples whose sum overflows: the four of fishnet cell (1, 0) are 1e308
+    "overflowing DEM cell sum": ("dem.asc", None, write_ascii_grid(Raster(
+        4, 4, 0.0, 0.0, 10.0, -9999.0, np.kron([[1e308, 0.0], [0.0, 0.0]], np.ones((2, 2))))),
+        EXIT_PARSE_ERROR, "elevation sum of cell (1, 0) is not finite"),
     # sums too large to map, and a grid too large to index
     "tiny cell_size": ("run.json", ("cell_size",), 1e-5, EXIT_CONFIG_ERROR,
                        "error: cell_size 1e-05 gives 4000000x4000000 cells, too many to hold"),
@@ -721,6 +725,31 @@ def test_crashing_input_is_one_error_line(tiny_fixture, capsys, case):
     else:
         assert errors[0].startswith(f"error: {FILE_WHAT[name]} file {path}: {message}")
     assert not (tiny_fixture / "out").exists()
+
+
+def test_infinite_flood_depth_exits_1(tiny_fixture, capsys):
+    # every input is finite, but 1e308 of BFE over a -1e308 sample is an infinite depth
+    (tiny_fixture / "dem.asc").write_text(write_ascii_grid(Raster(
+        4, 2, 0.0, 0.0, 1.0, -9999.0, np.array([[-1e308, 0, 0, 0], [0, 0, 0, 0]]))))
+    bfe = tiny_fixture / "bfe.geojson"
+    bfe.write_text(bfe.read_text().replace('"static_bfe": 8.0', '"static_bfe": 1e+308'))
+    config = tiny_fixture / "run.json"
+    config.write_text(config.read_text().replace('"cell_size": 20.0', '"cell_size": 1'))
+    assert main(["assess", "--config", str(config)]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: flood depth of cell 4 at slr 0.0 is not finite"]
+    assert not (tiny_fixture / "out").exists()
+
+
+def test_readme_library_snippet_runs(tiny_fixture, monkeypatch, capsys):
+    """README's "Library" code block runs as written, in a directory of the tiny fixture."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tiny_fixture)
+    exec(code, {})
+    assert capsys.readouterr().out.startswith("1 ")  # the one parcel
+    assert sorted(p.name for p in tiny_fixture.glob("flood_*.geojson")) == \
+        [f"flood_{slr}.geojson" for slr in (0.0, 1.0, 2.0, 3.0)]
 
 
 def test_tiny_fixture_runs(tiny_fixture):
@@ -904,7 +933,7 @@ HOSTILE_TOKENS = [b"\xef\xbb\xbf", b"\x00", b"\xff", b"1e400", b"nan", b'"a\nb"'
 TOKEN = re.compile(rb"[^\s,]+")
 # exit 1 without a file: finite input whose values overflow, named as README "CLI" says
 VALUE_ERROR = re.compile(r"error: (apportioned value of parcel|exposure of cell|totals of scenario"
-                         r"|area cost of parcel) .* is not finite")
+                         r"|area cost of parcel|flood depth of cell) .* is not finite")
 
 
 def json_items(doc, keys=()):

@@ -1,10 +1,9 @@
-"""Depth-damage curve evaluation and capped cell costing."""
+"""Depth-damage curve evaluation and cell costing."""
 
 import numpy as np
 import pytest
 
-from floodgrid.damage import cell_damage, evaluate_curve, load_default_curve
-from floodgrid.geodata import DamageCurve
+from floodgrid.geodata import DamageCurve, cell_damage, evaluate_curve, load_default_curve
 
 LINEAR = DamageCurve([(0.0, 0.0), (10.0, 1.0)])
 

@@ -7,8 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from floodgrid.damage import cell_damage
-from floodgrid.geodata import DamageCurve, Raster, write_report
+from floodgrid.geodata import DamageCurve, Raster, cell_damage, write_report
 from floodgrid.grid import GridSpec, cell_rect
 from floodgrid.overlay import ATTRIBUTION_DTYPE
 from floodgrid.scenario import (
@@ -213,6 +212,13 @@ class TestSweep:
         curve.breakpoints = [(0.0, 1.0), (10.0, 0.0)]
         with pytest.raises(RuntimeError, match="damage decreased"):
             sweep(one_cell_states(), curve, [0.0, 1.0])
+
+    def test_decreasing_flooded_area_raises(self):
+        # the second cell floods only at the higher rise, and its negative
+        # exposed area (which build_cell_states never gives) shrinks the total
+        states = cell_arrays([7.0, 10.5], [10.0, 10.0], [0.0, 0.0], [1.0, -2.0])
+        with pytest.raises(RuntimeError, match="flooded area decreased"):
+            sweep(states, LINEAR, [0.0, 1.0])
 
 
     def test_overflowing_total_names_scenario(self):
