@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         else:
             try:  # the full table is freed once run_eda returns, before the scatter is rendered
                 report, kept = run_eda(_parse_input(args.table, "attribute table",
-                                                    read_attribute_table))
+                                                    read_attribute_table, "rb"))
             except ParseError:
                 raise
             except ValueError as exc:  # too few records, or a degenerate fit

@@ -31,10 +31,10 @@ TABLE_HEADER = ["parcel_id", "current_assessment", "land_area", "shape_area", "b
 # The attribute table as one structured array: a row per record, in file order.
 TABLE_DTYPE = np.dtype([("parcel_id", object)] + [(name, float) for name in TABLE_HEADER[1:]])
 
-# A body with no character but line breaks holds no rows.
-_CONTENT = re.compile(r"[^\r\n]")
+# A body with no byte but line breaks holds no rows.
+_CONTENT = re.compile(rb"[^\r\n]")
 # Whitespace to numpy's number reader but not to float()
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 # Fewest scatter rows a forked part renders: on 2 CPUs a part of fewer than
 # about 15 k rows is slower forked than rendered in this process.
@@ -58,16 +58,43 @@ class EdaReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def read_attribute_table(text: str) -> np.ndarray:
+def read_attribute_table(source) -> np.ndarray:
     """Parse the attribute CSV (fixed 5-column header) into a TABLE_DTYPE array.
 
-    A field may be of any length, as it may for numpy's reader. A row csv
-    cannot split, or a non-numeric or non-finite field, is a ParseError
-    naming the line on which its record ends.
+    ``source`` is a binary file open at its start, or the text, whose UTF-8
+    bytes ("?" for a surrogate) are read. A field may be of any length, as
+    it may for numpy's reader. A row csv cannot split, or a non-numeric or
+    non-finite field, is a ParseError naming the line on which its record
+    ends; bytes that are not UTF-8 are a UnicodeDecodeError first.
     """
+    if isinstance(source, str):
+        return read_attribute_table(io.BytesIO(source.encode(errors="replace")))
+    # numpy's C reader quotes as csv.reader does and gives the doubles float()
+    # gives. It refuses what only float() reads ("1_000", non-ASCII digits);
+    # the row loop over the whole decoded text, which words every error, reads
+    # those and what else numpy or the header check refuses. numpy warns on a
+    # body without rows and strips _SEPARATORS around a number, so neither
+    # reaches it; no multi-byte UTF-8 character holds a line break or
+    # _SEPARATORS byte, so both show in the bytes.
+    try:
+        line = source.readline()
+        header = next(csv.reader([line.decode()], strict=True), [])
+        if [h.strip() for h in header] == TABLE_HEADER and _rows_for_numpy(source):
+            source.seek(len(line))
+            fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            try:
+                table = np.loadtxt(fh, dtype=TABLE_DTYPE, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+            finally:
+                fh.detach()  # leaves source open for the row loop
+            if all(np.isfinite(table[name]).all() for name in TABLE_HEADER[1:]):
+                return table
+    except (ValueError, csv.Error):  # a UnicodeDecodeError too
+        pass
+    source.seek(0)
+    text = source.read().decode()
     limit = csv.field_size_limit(len(text) + 1)  # no field outgrows the text
-    fh = io.StringIO(text, newline="")  # a line may end in \n, \r\n or \r
-    reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))  # a line may end in \n, \r\n or \r
     try:
         header = next(reader, None)
         if header is None:
@@ -75,26 +102,21 @@ def read_attribute_table(text: str) -> np.ndarray:
         if [h.strip() for h in header] != TABLE_HEADER:
             raise ParseError(f"line 1: expected header {','.join(TABLE_HEADER)!r}, "
                              f"got {','.join(header)!r}")
-        # numpy's C reader quotes as csv.reader does and gives the doubles float()
-        # gives. It refuses what only float() reads ("1_000", non-ASCII digits),
-        # and the row loop, which words every error, reads those and any table
-        # with a non-finite field. numpy warns on a body without rows and strips
-        # _SEPARATORS around a number, so neither reaches it.
-        body = fh.tell()
-        if _CONTENT.search(text, body) and not any(c in text for c in _SEPARATORS):
-            try:
-                table = np.loadtxt(fh, dtype=TABLE_DTYPE, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1)
-                if all(np.isfinite(table[name]).all() for name in TABLE_HEADER[1:]):
-                    return table
-            except ValueError:
-                pass
-            fh.seek(body)
         return _read_rows(reader)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
     finally:
         csv.field_size_limit(limit)
+
+
+def _rows_for_numpy(source) -> bool:
+    """Whether the rest of ``source`` holds a byte that is no line break, and no _SEPARATORS."""
+    content = False
+    for chunk in iter(lambda: source.read(1 << 20), b""):
+        if any(byte in chunk for byte in _SEPARATORS):
+            return False
+        content = content or bool(_CONTENT.search(chunk))
+    return content
 
 
 def _read_rows(reader) -> np.ndarray:

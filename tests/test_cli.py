@@ -534,6 +534,29 @@ class TestEdaCommand:
                 f"{len(EDA_TABLE)} (invalid start byte)\n" in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_undecodable_byte_wins_over_an_earlier_bad_row(self, tmp_path, capsys):
+        data = EDA_TABLE.replace("g1,", "g1,x", 1).encode() + b"\xff"  # line 3 is non-numeric
+        table = tmp_path / "table.csv"
+        table.write_bytes(data)
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: attribute table file {table}: not utf-8 text: byte 0xff at offset "
+            f"{len(data) - 1} (invalid start byte)")
+        assert not (tmp_path / "o").exists()
+
+    def test_undecodable_byte_mid_body_names_its_offset_in_the_file(self, tmp_path, capsys):
+        data = EDA_TABLE.encode().replace(b"cheap,", b"ch\xffeap,")
+        offset = data.index(b"\xff")
+        table = tmp_path / "table.csv"
+        table.write_bytes(data)
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+            == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: attribute table file {table}: not utf-8 text: byte 0xff at offset "
+            f"{offset} (invalid start byte)")
+        assert not (tmp_path / "o").exists()
+
     def test_overflowing_area_cost_names_parcel(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
         table.write_text(EDA_TABLE + "huge,100000,1e-10,1e308,6\n")
@@ -742,14 +765,20 @@ def test_infinite_flood_depth_exits_1(tiny_fixture, capsys):
 
 
 def test_readme_library_snippet_runs(tiny_fixture, monkeypatch, capsys):
-    """README's "Library" code block runs as written, in a directory of the tiny fixture."""
+    """README's "Library" and EDA code blocks run as written, in a directory of the tiny fixture."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     code = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    eda_code = re.search(r"The EDA stage .*?```python\n(.*?)```", readme, re.S).group(1)
     monkeypatch.chdir(tiny_fixture)
     exec(code, {})
     assert capsys.readouterr().out.startswith("1 ")  # the one parcel
     assert sorted(p.name for p in tiny_fixture.glob("flood_*.geojson")) == \
         [f"flood_{slr}.geojson" for slr in (0.0, 1.0, 2.0, 3.0)]
+    (tiny_fixture / "parcels.csv").write_text(EDA_TABLE)
+    exec(eda_code, {})
+    out = capsys.readouterr().out
+    assert out.startswith("148000.0\n")  # the largest assessment, g14's
+    assert "parcel_id,shape_area,area_cost\ng0," in out
 
 
 def test_tiny_fixture_runs(tiny_fixture):
@@ -892,6 +921,27 @@ def test_cells_csv_is_written_a_line_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * (tmp_path / "cells.csv").stat().st_size
+
+
+def test_eda_table_is_read_without_holding_its_text(tmp_path):
+    # benchmark-shaped rows: numpy reads them from the file a line at a time,
+    # so the peak is about the table itself (~1.1x); holding the text and a
+    # 4-byte-a-character copy of it beside the table comes to ~3x
+    rng = np.random.default_rng(3)
+    columns = np.round(np.exp(rng.normal(9.0, 2.0, (4, 20_000))), 1).tolist()
+    path = tmp_path / "table.csv"
+    path.write_text(EDA_TABLE.split("\n")[0] + "\n" + "".join(
+        f"r{k:06d},{a!r},{b!r},{c!r},{d!r}\n" for k, (a, b, c, d) in enumerate(zip(*columns))))
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            table = eda.read_attribute_table(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = table.nbytes + sum(map(sys.getsizeof, table["parcel_id"]))
+    assert len(table) == 20_000
+    assert peak < 1.25 * own < path.stat().st_size + own
 
 
 @pytest.mark.parametrize("command", ["assess", "eda"])

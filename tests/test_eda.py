@@ -500,6 +500,10 @@ class TestReadAttributeTable:
         with pytest.raises(ParseError, match="line 4: non-finite field"):
             read_attribute_table(text)
 
+    def test_text_is_read_as_its_utf8_bytes(self):
+        text = self.GOOD.replace("\na,", "\n\xe9\ud800,")  # a lone surrogate reads as "?"
+        assert read_attribute_table(text)["parcel_id"].tolist() == ["\xe9?", "b"]
+
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             read_attribute_table("id,value\n1,2\n")
@@ -520,9 +524,10 @@ LONG_ID_CHARS = 140_000  # over csv.field_size_limit()'s default of 131072
 
 
 def table_outcome(text):
-    """read_attribute_table's result, its columns bit for bit, or its error."""
+    """read_attribute_table's result from the binary file of ``text``, its
+    columns bit for bit, or its error."""
     try:
-        t = read_attribute_table(text)
+        t = read_attribute_table(io.BytesIO(text.encode()))
     except (ParseError, csv.Error) as exc:
         return type(exc), str(exc)
     assert t.dtype == TABLE_DTYPE and t.ndim == 1
@@ -559,6 +564,8 @@ EDGE_TABLES = {
     "quoted comma": ('"lot 4, block 2",1,2,3,4\n', True),
     "quoted quote": ('"say ""hi""",1,2,3,4\n', True),
     "quoted newline": ('"a\nb",1,2,3,4\nc,1,2,3,inf\n', False),
+    # numpy reads a quoted line break on across the file's lines
+    "quoted line breaks": ('"a\nb",1,2,3,4\n"c\rd",1,2,3,4\n"e\r\n",1,2,3,4\n', True),
     "hash in id": ("a#b,1,2,3,4\n", True),
     "underscore digits": ("a,1_000,2,3,4\n", False),
     "arabic digits": ("a,\u0661\u0662,2,3,4\n", False),
@@ -568,6 +575,8 @@ EDGE_TABLES = {
     "whitespace-only line": ("a,1,2,3,4\n  \nb,1,2,3,4\n", False),
     "crlf": ("a,1,2,3,4\r\n\r\nb,1,2,3,4\r\n", True),
     "no final newline": ("a,1,2,3,4\nb,1,2,3,4", True),
+    "crlf, no final newline": ("a,1,2,3,4\r\nb,1,2,3,4", True),
+    "bare cr in body": ("a,1,2,3,4\rb,1,2,3,4\n", True),
     "empty id": (",1,2,3,4\n", True),
     "empty field": ("a,,2,3,4\n", False),
     "four fields": ("a,1,2,3\n", False),
@@ -589,14 +598,30 @@ EDGE_TABLES = {
     "signed zero and subnormals": ("a,-0,1e-320,5e-324,4\n", True),
 }
 
+# whole files whose header line is not HEADER_LINE, whether the row loop stays out
+EDGE_FILES = {
+    "crlf header": (HEADER_LINE.replace("\n", "\r\n") + "a,1,2,3,4\r\n", True),
+    "bare cr line breaks only": ((HEADER_LINE + "a,1,2,3,4\nb,1,2,3,4\n").replace("\n", "\r"),
+                                 False),
+    "bare cr after the header": (HEADER_LINE.replace("\n", "\r") + "a,1,2,3,4\n", False),
+    "header without line break": (HEADER_LINE.rstrip("\n"), False),
+    "quoted header": (HEADER_LINE.replace("parcel_id", '" parcel_id"') + "a,1,2,3,4\n", True),
+    "line break quoted in header": (HEADER_LINE.replace("base_flood", '"base_flood\n"')
+                                    + "a,1,2,3,4\n", False),
+    "header quote left open": (HEADER_LINE.replace("base_flood", '"base_flood')
+                               + 'x",1,2,3,4\n', True),  # a header error: no row loop
+    "utf-8 bom before header": ("\ufeff" + HEADER_LINE + "a,1,2,3,4\n", True),  # a header error
+}
+EDGE_CASES = {**{name: (HEADER_LINE + body, fast) for name, (body, fast) in EDGE_TABLES.items()},
+              **EDGE_FILES}
+
 
 class TestReaderOracle:
     """numpy's C reader against the row loop it replaced, which stays the reference."""
 
-    @pytest.mark.parametrize("name", EDGE_TABLES)
+    @pytest.mark.parametrize("name", EDGE_CASES)
     def test_edge_tables(self, name, row_loop_calls):
-        body, fast = EDGE_TABLES[name]
-        text = HEADER_LINE + body
+        text, fast = EDGE_CASES[name]
         expected = row_loop_outcome(text)
         row_loop_calls.clear()
         assert table_outcome(text) == expected
@@ -620,8 +645,8 @@ class TestReaderOracle:
                 fields[0] = '"' + fields[0].replace('"', '""') + '"'
             rows.append(",".join(fields))
             rows += [""] * data.draw(st.integers(0, 1))
-        end = data.draw(st.sampled_from(["\n", "\r\n"]))
-        text = HEADER_LINE + end.join(rows) + data.draw(st.sampled_from(["", end]))
+        end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = HEADER_LINE[:-1] + end + end.join(rows) + data.draw(st.sampled_from(["", end]))
         assert table_outcome(text) == row_loop_outcome(text)
 
     def test_benchmark_shaped_table_skips_the_row_loop(self, row_loop_calls):
@@ -675,7 +700,8 @@ class TestReaderOracle:
         text = HEADER_LINE + body
         assert table_outcome(text) == row_loop_outcome(text) == (ParseError, message)
 
-    @pytest.mark.parametrize("name", [name for name in EDGE_TABLES if name != "quoted newline"])
+    @pytest.mark.parametrize("name", [name for name in EDGE_TABLES
+                                      if name not in ("quoted newline", "quoted line breaks")])
     def test_bare_cr_line_ends_read_as_lf(self, name):
         text = (HEADER_LINE + EDGE_TABLES[name][0]).replace("\r\n", "\n")
         twin = text.replace("\n", "\r")
