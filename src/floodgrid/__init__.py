@@ -21,15 +21,8 @@ from .geodata import (
     write_ascii_grid,
     write_report,
 )
-from .grid import GridSpec, cell_rect, make_fishnet
-from .overlay import ATTRIBUTION_DTYPE, apportion_many
-from .scenario import ScenarioResult, flooded_cells_geojson, sweep
-from .terrain import (
-    CellArrays,
-    assign_bfe,
-    build_cell_states,
-    flood_depth,
-    zonal_mean_elevation,
-)
+from .overlay import ATTRIBUTION_DTYPE, GridSpec, apportion_many, cell_rect, make_fishnet
+from .terrain import (CellArrays, ScenarioResult, assign_bfe, build_cell_states, flood_depth,
+                      flooded_cells_geojson, sweep, zonal_mean_elevation)
 
 __version__ = "0.1.0"

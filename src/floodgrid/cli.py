@@ -32,10 +32,9 @@ from .geodata import (
     parse_parcels,
     write_report,
 )
-from .grid import make_fishnet
-from .overlay import apportion_many
-from .scenario import AREA_BASES, check_scenarios, flooded_cells_geojson, sweep
-from .terrain import assign_bfe, build_cell_states, cell_states_csv, zonal_mean_elevation
+from .overlay import apportion_many, make_fishnet
+from .terrain import (AREA_BASES, assign_bfe, build_cell_states, cell_states_csv,
+                      check_scenarios, flooded_cells_geojson, sweep, zonal_mean_elevation)
 
 logger = logging.getLogger(__name__)
 

@@ -156,8 +156,8 @@ class Raster:
         if not isinstance(other, Raster):
             return NotImplemented
         return (all(getattr(self, k) == getattr(other, k) for k in _HEADER_KEYS)
-                and (self.values is other.values  # both None when streamed
-                     or np.array_equal(self.values, other.values, equal_nan=True)))
+                and np.array_equal(*(next(r.bands([0, r.nrows])) for r in (self, other)),
+                                   equal_nan=True))
 
     def bbox(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) extent of the raster."""

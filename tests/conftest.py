@@ -11,8 +11,7 @@ import pytest
 
 from floodgrid import geodata
 from floodgrid.geodata import Raster
-from floodgrid.grid import GridSpec, cell_rect
-from floodgrid.overlay import SLIVER_MIN_AREA
+from floodgrid.overlay import SLIVER_MIN_AREA, GridSpec, cell_rect
 
 
 class Feature(NamedTuple):

@@ -49,10 +49,15 @@ from floodgrid.geodata import (
     write_ascii_grid,
     write_report,
 )
-from floodgrid.grid import GridSpec, make_fishnet
-from floodgrid.overlay import apportion_many
-from floodgrid.scenario import ScenarioResult, incremental_deltas, sweep
-from floodgrid.terrain import assign_bfe, build_cell_states, zonal_mean_elevation
+from floodgrid.overlay import GridSpec, apportion_many, make_fishnet
+from floodgrid.terrain import (
+    ScenarioResult,
+    assign_bfe,
+    build_cell_states,
+    incremental_deltas,
+    sweep,
+    zonal_mean_elevation,
+)
 from floodgrid.geodata import BfeZone
 
 LINEAR_CURVE = DamageCurve([(0.0, 0.0), (10.0, 1.0)])

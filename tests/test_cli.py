@@ -43,7 +43,7 @@ from floodgrid.cli import (
     main,
 )
 from floodgrid.geodata import Raster, write_ascii_grid
-from floodgrid.grid import GridSpec
+from floodgrid.overlay import GridSpec
 from floodgrid.terrain import CellArrays, cell_states_csv
 
 
@@ -494,6 +494,15 @@ class TestEdaCommand:
             "a,1,1,1,0\nb,2,1,1,0\n")
         assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
             == EXIT_EMPTY_INPUT
+
+    def test_constant_shape_area_is_exit_3(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("parcel_id,current_assessment,land_area,shape_area,base_flood\n"
+                         + "".join(f"g{k},{50_000 + 7_000 * k},4000,3900,6\n" for k in range(6)))
+        out = tmp_path / "o"
+        assert main(["eda", "--table", str(table), "--out", str(out)]) == EXIT_EMPTY_INPUT
+        assert "error: degenerate regressor (constant x)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_table_is_parse_error(self, tmp_path, capsys):
         table = tmp_path / "table.csv"

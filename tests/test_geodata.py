@@ -29,9 +29,8 @@ from floodgrid.geodata import (
     write_ascii_grid,
     write_report,
 )
-from floodgrid.grid import GridSpec
-from floodgrid.scenario import ScenarioResult, incremental_deltas
-from floodgrid.terrain import zonal_mean_elevation
+from floodgrid.overlay import GridSpec
+from floodgrid.terrain import ScenarioResult, incremental_deltas, zonal_mean_elevation
 
 MINIMAL_GRID = (
     "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 98\nnodata_value -9999\n"
@@ -889,7 +888,18 @@ def test_streamed_write_equals_text_write():
     rng = np.random.default_rng(5)
     for _ in range(20):
         text = write_ascii_grid(random_raster(rng))
-        assert write_ascii_grid(parse_ascii_grid(io.BytesIO(text.encode()))) == text
+        streamed = parse_ascii_grid(io.BytesIO(text.encode()))
+        assert write_ascii_grid(streamed) == text
+        assert streamed == parse_ascii_grid(text)
+
+
+def test_streamed_rasters_compare_by_their_samples():
+    header = "ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\nnodata_value -9999\n"
+    a, b = (parse_ascii_grid(io.BytesIO(f"{header}{body}\n".encode())) for body in ("1 2", "7 8"))
+    assert a.values is None and b.values is None
+    assert a != b
+    assert a == parse_ascii_grid(io.BytesIO(f"{header}1 2\n".encode()))
+    assert a == parse_ascii_grid(f"{header}1 2\n") != b
 
 
 @pytest.mark.parametrize("ncols, nrows", [(200, 100), (500, 400)])

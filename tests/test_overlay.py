@@ -21,9 +21,9 @@ from conftest import (
 )
 from floodgrid import overlay
 from floodgrid.geodata import ParcelTable
-from floodgrid.grid import GridSpec
 from floodgrid.overlay import (
     SLIVER_MIN_AREA,
+    GridSpec,
     _clip,
     apportion_many,
     ring_areas,

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from floodgrid.geodata import DamageCurve, Raster, cell_damage, write_report
-from floodgrid.grid import GridSpec, cell_rect
-from floodgrid.overlay import ATTRIBUTION_DTYPE
-from floodgrid.scenario import (
+from floodgrid.overlay import ATTRIBUTION_DTYPE, GridSpec, cell_rect
+from floodgrid.terrain import (
+    CellArrays,
     ScenarioResult,
+    build_cell_states,
+    flood_depth,
     flooded_cells_geojson,
     incremental_deltas,
     sweep,
+    zonal_mean_elevation,
 )
-from floodgrid.terrain import CellArrays, build_cell_states, flood_depth, zonal_mean_elevation
 
 LINEAR = DamageCurve([(0.0, 0.0), (10.0, 1.0)])
 # a valid curve whose first fraction is -0.0: a cell under 1 ft deep loses -0.0

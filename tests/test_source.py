@@ -32,6 +32,34 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def rebound_names(source: str) -> list[str]:
+    """Names that two top-level statements of ``source`` bind (a ``def``,
+    ``class``, assignment or import): Python keeps the later one silently."""
+    bound = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).split(".")[0] for a in stmt.names]
+    return sorted({name for name in bound if bound.count(name) > 1})
+
+
+def test_rebound_names_are_found():
+    source = ("import os\nimport os.path\nfrom a import b as c\nc = 1\n"
+              "def f():\n    x = 1\n    x = 2\nclass f:\n    pass\n"
+              "y, (z, w) = 1, (2, 3)\nw: int = 4\nif c:\n    y = 5\n")
+    assert rebound_names(source) == ["c", "f", "os", "w"]
+    assert rebound_names("import os\nimport json\nfrom . import a\nb = a\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_name_is_bound_twice(path):
+    assert rebound_names(path.read_text()) == []
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each private module-level function, class or constant
     of ``sources`` (module name -> source) that no other statement of any of

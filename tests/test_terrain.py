@@ -20,8 +20,7 @@ from conftest import (
 )
 from floodgrid import geodata, terrain
 from floodgrid.geodata import BfeZone, ParseError, Raster, format_number, parse_ascii_grid
-from floodgrid.grid import GridSpec, make_fishnet
-from floodgrid.overlay import ATTRIBUTION_DTYPE
+from floodgrid.overlay import ATTRIBUTION_DTYPE, GridSpec, make_fishnet
 from floodgrid.terrain import (
     CellArrays,
     assign_bfe,
