@@ -21,8 +21,8 @@ from .geodata import (
     write_ascii_grid,
     write_report,
 )
-from .overlay import ATTRIBUTION_DTYPE, GridSpec, apportion_many, cell_rect, make_fishnet
-from .terrain import (CellArrays, ScenarioResult, assign_bfe, build_cell_states, flood_depth,
-                      flooded_cells_geojson, sweep, zonal_mean_elevation)
+from .terrain import (ATTRIBUTION_DTYPE, CellArrays, GridSpec, ScenarioResult, apportion_many,
+                      assign_bfe, build_cell_states, cell_rect, flood_depth, flooded_cells_geojson,
+                      make_fishnet, sweep, zonal_mean_elevation)
 
 __version__ = "0.1.0"

@@ -32,9 +32,9 @@ from .geodata import (
     parse_parcels,
     write_report,
 )
-from .overlay import apportion_many, make_fishnet
-from .terrain import (AREA_BASES, assign_bfe, build_cell_states, cell_states_csv,
-                      check_scenarios, flooded_cells_geojson, sweep, zonal_mean_elevation)
+from .terrain import (AREA_BASES, apportion_many, assign_bfe, build_cell_states, cell_states_csv,
+                      check_scenarios, flooded_cells_geojson, make_fishnet, sweep,
+                      zonal_mean_elevation)
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +170,7 @@ def run_assessment(config: RunConfig) -> Iterator[tuple[str, Iterable[str]]]:
     if config.damage_curve_path:
         curve = _parse_input(config.damage_curve_path, "damage curve", parse_damage_curve)
     else:
-        logger.info("no damage curve configured; using the uncalibrated packaged default")
+        logger.info("no damage curve configured; using the uncalibrated built-in default")
         curve = load_default_curve()
 
     if not parcels:

@@ -22,12 +22,9 @@ from collections import deque
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import chain, islice
 
 import numpy as np
-
-from .overlay import _ragged, ring_areas
 
 
 class ParseError(ValueError):
@@ -422,6 +419,50 @@ def _number(value, what: str, where: str) -> float:
     return number
 
 
+def ring_areas(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Unsigned shoelace area of every ring in flat ``x``/``y``; 0 below 3 vertices.
+
+    Ring r is the next ``lengths[r]`` vertices, open: the edge back to its
+    vertex 0 is implied. Vertices are shifted to the ring's vertex 0 first,
+    because the cross products of raw county-scale coordinates cancel
+    catastrophically for small parcels. The cross products are added
+    strictly in vertex order, one vertex position at a time over all rings,
+    so every sum is bit-equal to a scalar ``total += term`` loop.
+    """
+    starts = np.cumsum(lengths) - lengths
+    first = np.repeat(starts, lengths)
+    nxt = np.arange(1, x.size + 1)
+    live = lengths > 0
+    nxt[(starts + lengths - 1)[live]] = starts[live]
+    # longest rings first, so the rings still running at position k are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    starts = starts[order]
+    running = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    total = np.zeros(lengths.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x[first]
+        dy = y - y[first]
+        term = dx * dy[nxt] - dx[nxt] * dy
+        for k, m in enumerate(running.tolist()):
+            total[:m] += term[starts[:m] + k]
+    area = np.empty(lengths.size)
+    area[order] = np.abs(0.5 * total)
+    area[lengths < 3] = 0.0
+    return area
+
+
+def _runs(counts: np.ndarray):
+    """(run, position in run) of every item when run m holds counts[m] items."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[m]`` up to ``starts[m] + lengths[m]``, in order."""
+    run, k = _runs(lengths)
+    return starts[run] + k
+
+
 class ParcelTable:
     """Parcels as columns: one row per polygon member, in stable parcel_id order.
 
@@ -701,14 +742,13 @@ def cell_damage(exposed_value, depth, curve: DamageCurve):
 
 
 def load_default_curve() -> DamageCurve:
-    """Packaged placeholder curve.
+    """Built-in placeholder curve.
 
     UNCALIBRATED: the shape loosely mimics published depth-damage curves and
     exists so the pipeline runs out of the box. Real assessments should
     supply a calibrated curve file.
     """
-    text = resources.files("floodgrid").joinpath("data/default_curve.json").read_text()
-    return parse_damage_curve(text)
+    return DamageCurve([(0, 0.0), (1, 0.15), (2, 0.22), (4, 0.3), (6, 0.4), (10, 0.6)])
 
 
 # ---------------------------------------------------------------------------

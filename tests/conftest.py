@@ -11,7 +11,7 @@ import pytest
 
 from floodgrid import geodata
 from floodgrid.geodata import Raster
-from floodgrid.overlay import SLIVER_MIN_AREA, GridSpec, cell_rect
+from floodgrid.terrain import SLIVER_MIN_AREA, GridSpec, cell_rect
 
 
 class Feature(NamedTuple):
@@ -210,7 +210,7 @@ def mc_cell_areas(rings, g: GridSpec, n_samples: int, rng: np.random.Generator):
 
 def shoelace_area(ring) -> float:
     """Signed area of a ring, positive counter-clockwise, summed one vertex at a
-    time about vertex 0: the scalar oracle for overlay.ring_areas."""
+    time about vertex 0: the scalar oracle for geodata.ring_areas."""
     if len(ring) < 3:
         raise ValueError(f"ring needs at least 3 vertices, got {len(ring)}")
     ox, oy = ring[0]

@@ -49,12 +49,14 @@ from floodgrid.geodata import (
     write_ascii_grid,
     write_report,
 )
-from floodgrid.overlay import GridSpec, apportion_many, make_fishnet
 from floodgrid.terrain import (
+    GridSpec,
     ScenarioResult,
+    apportion_many,
     assign_bfe,
     build_cell_states,
     incremental_deltas,
+    make_fishnet,
     sweep,
     zonal_mean_elevation,
 )

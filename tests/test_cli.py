@@ -43,8 +43,7 @@ from floodgrid.cli import (
     main,
 )
 from floodgrid.geodata import Raster, write_ascii_grid
-from floodgrid.overlay import GridSpec
-from floodgrid.terrain import CellArrays, cell_states_csv
+from floodgrid.terrain import CellArrays, GridSpec, cell_states_csv
 
 
 def rect_feature(pid, x0, y0, x1, y1, value, land=None):

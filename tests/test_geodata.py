@@ -29,8 +29,7 @@ from floodgrid.geodata import (
     write_ascii_grid,
     write_report,
 )
-from floodgrid.overlay import GridSpec
-from floodgrid.terrain import ScenarioResult, incremental_deltas, zonal_mean_elevation
+from floodgrid.terrain import GridSpec, ScenarioResult, incremental_deltas, zonal_mean_elevation
 
 MINIMAL_GRID = (
     "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 98\nnodata_value -9999\n"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from floodgrid.overlay import GridSpec, cell_rect, col_of, make_fishnet, row_of
+from floodgrid.terrain import GridSpec, cell_rect, col_of, make_fishnet, row_of
 
 
 def test_fishnet_exact_fit():

@@ -19,16 +19,15 @@ from conftest import (
     reference_apportion,
     shoelace_area,
 )
-from floodgrid import overlay
-from floodgrid.geodata import ParcelTable
-from floodgrid.overlay import (
+from floodgrid import terrain
+from floodgrid.geodata import ParcelTable, ring_areas
+from floodgrid.terrain import (
     SLIVER_MIN_AREA,
     GridSpec,
     _clip,
     apportion_many,
-    ring_areas,
+    build_cell_states,
 )
-from floodgrid.terrain import build_cell_states
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -392,9 +391,9 @@ class TestApportionMany:
                     for k in range(500)]
         table = ParcelTable(features)
         vertices = np.diff(table.vertex_offsets[table.ring_offsets])
-        _, columns = overlay._span(table.bbox[:, 0], table.bbox[:, 2], -1000.0, 10.0, 60)
-        _, rows_ = overlay._span(table.bbox[:, 1], table.bbox[:, 3], 500.0, 10.0, 60)
-        assert (vertices * columns * rows_).sum() > 3 * overlay.CHUNK_COPIES
+        _, columns = terrain._span(table.bbox[:, 0], table.bbox[:, 2], -1000.0, 10.0, 60)
+        _, rows_ = terrain._span(table.bbox[:, 1], table.bbox[:, 3], 500.0, 10.0, 60)
+        assert (vertices * columns * rows_).sum() > 3 * terrain.BATCH_ENTRIES
         singles = np.concatenate([one(f, g) for f in sorted(features)])
         assert apportion_many(table, g).tobytes() == singles.tobytes()
 
@@ -404,7 +403,7 @@ class TestApportionMany:
         table = ParcelTable(mixed_parcels(rng, g))
         whole = apportion_many(table, g).tobytes()
         for budget in (1, 40, 300):
-            monkeypatch.setattr(overlay, "CHUNK_COPIES", budget)
+            monkeypatch.setattr(terrain, "BATCH_ENTRIES", budget)
             assert apportion_many(table, g).tobytes() == whole
 
     def test_first_degenerate_parcel_wins(self):

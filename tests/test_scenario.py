@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from floodgrid.geodata import DamageCurve, Raster, cell_damage, write_report
-from floodgrid.overlay import ATTRIBUTION_DTYPE, GridSpec, cell_rect
 from floodgrid.terrain import (
+    ATTRIBUTION_DTYPE,
     CellArrays,
+    GridSpec,
     ScenarioResult,
     build_cell_states,
+    cell_rect,
     flood_depth,
     flooded_cells_geojson,
     incremental_deltas,

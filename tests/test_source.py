@@ -32,6 +32,42 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def floodgrid_imports(source: str) -> list[str]:
+    """The floodgrid modules ``source``, a module of the package, imports, sorted:
+    ``m`` for ``from . import m``, ``from .m import x``, ``import floodgrid.m``,
+    ``from floodgrid import m`` and ``from floodgrid.m import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            where = ".".join(filter(None, ["floodgrid" if node.level else "", node.module]))
+            paths = ([f"{where}.{alias.name}" for alias in node.names] if where == "floodgrid"
+                     else [where])
+        else:
+            continue
+        found |= {path.split(".")[1] for path in paths if path.startswith("floodgrid.")}
+    return sorted(found)
+
+
+def test_floodgrid_imports_are_found():
+    source = ("import os, floodgrid.eda\nfrom . import geodata, terrain as t\n"
+              "from .cli import main\nfrom floodgrid import grid\nimport floodgrid\n"
+              "from floodgrid.overlay import x\nfrom floodgridx import y\nimport numpy.floodgrid\n"
+              "def f():\n    from .scenario import z\n")
+    assert floodgrid_imports(source) == [
+        "cli", "eda", "geodata", "grid", "overlay", "scenario", "terrain"]
+    assert floodgrid_imports("from __future__ import annotations\nimport os.path\n") == []
+
+
+def test_modules_import_in_layers():
+    # geodata reads and writes the formats and imports no other module;
+    # only cli imports a module that imports another
+    assert {p.stem: floodgrid_imports(p.read_text()) for p in MODULES} == {
+        "geodata": [], "terrain": ["geodata"], "eda": ["geodata"],
+        "cli": ["eda", "geodata", "terrain"]}
+
+
 def rebound_names(source: str) -> list[str]:
     """Names that two top-level statements of ``source`` bind (a ``def``,
     ``class``, assignment or import): Python keeps the later one silently."""

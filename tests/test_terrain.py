@@ -20,13 +20,15 @@ from conftest import (
 )
 from floodgrid import geodata, terrain
 from floodgrid.geodata import BfeZone, ParseError, Raster, format_number, parse_ascii_grid
-from floodgrid.overlay import ATTRIBUTION_DTYPE, GridSpec, make_fishnet
 from floodgrid.terrain import (
+    ATTRIBUTION_DTYPE,
     CellArrays,
+    GridSpec,
     assign_bfe,
     build_cell_states,
     cell_states_csv,
     flood_depth,
+    make_fishnet,
     zonal_mean_elevation,
 )
 
@@ -384,6 +386,23 @@ class TestSplitBody:
         assert_no_child_left()
         assert forks == [False]
 
+    def test_closed_file_is_one_error_at_any_count(self, tmp_path, monkeypatch, forks):
+        # once the file is closed, no process may read the body anew by its path
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(self.tokens(np.random.default_rng(10), 6, 4)))
+        g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)  # a band per row
+        errors = []
+        for workers in (1, 3):
+            monkeypatch.setattr(geodata, "_workers", lambda: workers)
+            with open(path, "rb") as fh:
+                dem = parse_ascii_grid(fh)
+            with pytest.raises(ValueError) as exc:
+                zonal_mean_elevation(dem, g)
+            errors.append(str(exc.value))
+            assert_no_child_left()
+        assert errors == ["seek of closed file"] * 2
+        assert forks == []
+
     def test_text_and_unnamed_sources_stay_in_one_process(self, tmp_path, monkeypatch, forks):
         text = dem_file_text(self.tokens(np.random.default_rng(9), 6, 4))
         g = make_fishnet((0.0, 0.0, 4.0, 6.0), 1.0)
@@ -555,7 +574,7 @@ class TestAssignBfeScanline:
 
     @pytest.mark.parametrize("chunk", [1, 40, 1 << 16])
     def test_row_chunks(self, monkeypatch, chunk):
-        monkeypatch.setattr(terrain, "SCANLINE_CHUNK", chunk)
+        monkeypatch.setattr(terrain, "BATCH_ENTRIES", chunk)
         rng = np.random.default_rng(chunk)
         g = GridSpec(0.0, 0.0, 1.0, 25, 30)
         zones = [BfeZone(rings=[star_ring(rng, *rng.uniform(0, 30, 2), 3, 12, 40)],
