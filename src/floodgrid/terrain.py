@@ -147,8 +147,9 @@ def row_of(g: GridSpec, y) -> "int | np.ndarray":
 SLIVER_MIN_AREA = 1e-6
 
 # Entries of one transient batch array, whatever the batch size: ring vertices
-# times bbox cells clipped at once (a traced peak of about 6 MB), or scanline
-# rows times their zone edges plus grid columns.
+# times bbox cells clipped at once (a traced peak of about 6 MB), scanline
+# rows times their zone edges plus grid columns, or DEM rows read into the
+# zonal sums at once times the DEM's columns.
 BATCH_ENTRIES = 1 << 16
 
 # One row per (parcel, cell) attribution: the row-major cell index, the
@@ -312,11 +313,14 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
     NaN. A grid too large for its sums to be mapped is a MemoryError, and a
     cell whose finite samples sum past the float range a ParseError.
 
-    The sums run over bands of the DEM rows that fall in one fishnet row, so
-    each cell is summed within one band, in row-major order, exactly as one
-    bincount over the whole raster would. A body streamed from a named file
-    still open is one ``geodata._forked`` call over the bands: this process
-    and forked children each sum a contiguous run of them, read anew from the
+    The sums run over bands of the DEM rows that fall in one fishnet row, each
+    read in parts of at most ``BATCH_ENTRIES // ncols`` rows (at least one), so
+    memory does not grow with the cell size. Each cell is summed within one
+    band, in row-major order, exactly as one bincount over the whole raster
+    would: the band's first part starts its cells' sums at 0 and every part
+    carries them on sample by sample. A body streamed from a named file still
+    open is one ``geodata._forked`` call over whole bands: this process and
+    forked children each sum a contiguous run of them, read anew from the
     file. Should that not split or any part fail, all bands are summed here
     from ``dem.bands``, so the means and any error do not depend on the count.
     """
@@ -341,16 +345,28 @@ def zonal_mean_elevation(dem: Raster, g: GridSpec) -> np.ndarray:
         raise MemoryError(f"cannot map the sums of {g.n_cells} cells") from None
     sums, counts = acc
 
-    def add(a, b, read=dem.reread):  # bands a to b - 1, as read() gives them
-        for k, band in enumerate(read(edges[a:b + 1]), start=a):
-            lo = ii[edges[k]] * g.n_cols
+    step = max(1, BATCH_ENTRIES // dem.ncols)
+    # the fishnet column of each sample of the largest part, row-major
+    part_cols = np.broadcast_to(jj, (min(step, int(np.diff(edges).max())), jj.size)).ravel()
+
+    def add(a, b, read=dem.reread):  # bands a to b - 1, read() in parts of at most step rows
+        bands = zip(edges[a:b].tolist(), edges[a + 1:b + 1].tolist())
+        cuts = [*(r for e, f in bands for r in range(e, f, step)), int(edges[b])]
+        firsts = set(edges[a:b].tolist())
+        # cuts is one longer than the parts, so zip runs read() to its end and its checks
+        for start, part in zip(cuts, read(cuts)):
+            lo = ii[start] * g.n_cols
             if lo < 0:
                 continue  # outside the grid; a streamed band is checked all the same
-            block = band[:, c0:c1]
+            block, row = part[:, c0:c1], slice(lo, lo + g.n_cols)
             ok = data_mask(block, dem.nodata_value)
-            flat = np.broadcast_to(jj, block.shape)[ok]
-            sums[lo:lo + g.n_cols] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
-            counts[lo:lo + g.n_cols] = np.bincount(flat, minlength=g.n_cols)
+            if start in firsts:
+                sums[row] = counts[row] = 0
+            # add.at adds in index order, as one bincount over the band would; a sample left
+            # out adds -0.0, which changes no sum. Overflow is checked below.
+            with np.errstate(over="ignore"):
+                np.add.at(sums[row], part_cols[:block.size], np.where(ok, block, -0.0).ravel())
+            counts[row] += np.bincount(jj, weights=ok.sum(axis=0), minlength=g.n_cols)
 
     # add() sets all the cells of a band, so a failed split leaves nothing behind
     if not (dem.body and not dem._file[0].closed and geodata._forked(add, len(edges) - 1)):
@@ -571,11 +587,6 @@ def sweep(
     return results
 
 
-def _json_number(v) -> str:
-    """``v`` as json.dumps spells it: repr when finite, NaN/Infinity otherwise."""
-    return repr(v) if math.isfinite(v) else json.dumps(v)
-
-
 def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> Iterator[tuple[str, ...]]:
     """Yield per scenario a GeoJSON FeatureCollection of flooded cells as (head, body, tail).
 
@@ -584,8 +595,9 @@ def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> Iterato
     ``json.dumps(doc, separators=(",", ":"))`` on the nested dicts: each
     ring is rendered once per call from json spellings of the cell_rect
     corners, then spliced into a fixed feature template with the scenario's
-    ``slr`` (json-spelled, so int and float keep their form), ``depth`` and
-    ``round(damage, 2)``. A document is rendered only when it is asked for,
+    ``slr`` (json-spelled, so int and float keep their form) and the repr of
+    ``depth`` and ``round(damage, 2)``, as json spells a finite float (``sweep``
+    keeps both finite). A document is rendered only when it is asked for,
     so the rings and one document are all that is held at a time.
     """
     xs = [json.dumps(g.origin_x + j * g.cell_size) for j in range(g.n_cols + 1)]
@@ -601,8 +613,7 @@ def flooded_cells_geojson(g: GridSpec, results: list[ScenarioResult]) -> Iterato
     for r in results:
         slr = json.dumps(r.slr)
         yield ('{"type":"FeatureCollection","features":[',
-               ",".join(f'{heads[k]}{slr},"depth":{_json_number(depth)},'
-                        f'"damage":{_json_number(round(dmg, 2))}}}}}'
+               ",".join(f'{heads[k]}{slr},"depth":{depth!r},"damage":{round(dmg, 2)!r}}}}}'
                         for k, depth, dmg in zip(np.searchsorted(cells, r.cells).tolist(),
                                                  r.depths.tolist(), r.damages.tolist())),
                "]}\n")

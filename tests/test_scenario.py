@@ -423,15 +423,16 @@ class TestGeojsonBytes:
                                           damages=rng.uniform(0, 1e5, cells.size)))
         self.assert_same(g, results)
 
-    def test_non_finite_values(self):
+    def test_extreme_finite_values(self):
+        # sweep keeps depths and damages finite; the extremes are spelled as json does
         g = GridSpec(0, 0, 98, 3, 1)
         cells = np.array([0, 1, 2])
         res = ScenarioResult(1.0, 0.0, 0.0, cells=cells,
-                             depths=np.array([np.inf, 2.0, 1e308]),
-                             damages=np.array([5.0, np.inf, np.nan]))
+                             depths=np.array([1.7976931348623157e308, 2.0, 5e-324]),
+                             damages=np.array([5.0, 1e308, -0.0]))
         doc = "".join(list(flooded_cells_geojson(g, [res]))[0])
-        assert '"depth":Infinity' in doc
-        assert '"damage":Infinity' in doc and '"damage":NaN' in doc
+        assert '"depth":1.7976931348623157e+308' in doc and '"depth":5e-324' in doc
+        assert '"damage":1e+308' in doc and '"damage":-0.0' in doc
         self.assert_same(g, [res])
 
     def test_half_cent_damages(self):

@@ -413,6 +413,94 @@ class TestSplitBody:
         assert forks == []
 
 
+def whole_band_means(dem, g):
+    """Zonal means with one bincount per whole fishnet band of DEM rows: the
+    order of the additions before the bands were read in parts."""
+    jj = terrain.col_of(g, dem.xllcorner + (np.arange(dem.ncols) + 0.5) * dem.cellsize)
+    ii = terrain.row_of(g, dem.yllcorner + (dem.nrows - np.arange(dem.nrows) - 0.5)
+                        * dem.cellsize)
+    sums, counts = np.zeros(g.n_cells), np.zeros(g.n_cells)
+    for i in set(ii[ii >= 0].tolist()):
+        block = dem.values[ii == i][:, jj >= 0]
+        ok = geodata.data_mask(block, dem.nodata_value)
+        flat = np.broadcast_to(jj[jj >= 0], block.shape)[ok]
+        row = slice(i * g.n_cols, (i + 1) * g.n_cols)
+        sums[row] = np.bincount(flat, weights=block[ok], minlength=g.n_cols)
+        counts[row] = np.bincount(flat, minlength=g.n_cols)
+    return np.divide(sums, counts, out=np.full(g.n_cells, np.nan), where=counts > 0)
+
+
+class TestZonalMeanParts:
+    """A fishnet band read in parts of at most BATCH_ENTRIES // ncols DEM rows
+    gives the means of one bincount over the whole band, bit for bit, in
+    memory, streamed in one process and split between processes."""
+
+    NROWS, NCOLS, STEP = 40, 23, 3  # DEM rows and columns, DEM rows per part
+
+    def dem_values(self):
+        rng = np.random.default_rng(26)
+        # magnitudes from 1 to 1e7, so another order of the additions would show
+        values = rng.uniform(-1, 1, (self.NROWS, self.NCOLS)) * 10.0 ** rng.integers(0, 8, (
+            self.NROWS, self.NCOLS))
+        for bad in (-9999.0, np.nan, np.inf, -np.inf, -0.0):
+            values[rng.random(values.shape) < 0.04] = bad
+        values[:7, :4] = -0.0  # whole cells of -0.0, some with NODATA
+        values[2, 1] = -9999.0
+        return values
+
+    # cells of 2 or 3 DEM rows are read in one part, of 6 in k = 2, of 7 in k + 1 = 3
+    @pytest.mark.parametrize("rows", [2, 3, 6, 7])
+    def test_parts_give_the_means_of_whole_bands(self, tmp_path, monkeypatch, forks, rows):
+        values = self.dem_values()
+        dem = Raster(self.NCOLS, self.NROWS, 0.0, 0.0, 1.0, -9999.0, values)
+        # the grid sticks out of the DEM on every side, and its rows are not the DEM's
+        g = GridSpec(-1.0, -2.5, float(rows), math.ceil(25 / rows), math.ceil(45 / rows))
+        expected = whole_band_means(dem, g).tobytes()
+        monkeypatch.setattr(terrain, "BATCH_ENTRIES", self.STEP * self.NCOLS)
+
+        parts, bands = [], Raster.bands
+        monkeypatch.setattr(Raster, "bands", lambda r, edges: parts.append(edges) or bands(r, edges))
+        assert zonal_mean_elevation(dem, g).tobytes() == expected
+        (edges,) = parts
+        assert max(np.diff(edges)) == min(rows, self.STEP)
+
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text([list(map(repr, row)) for row in values.tolist()]))
+        for workers in (1, 3):
+            monkeypatch.setattr(geodata, "_workers", lambda: workers)
+            with open(path, "rb") as fh:
+                assert zonal_mean_elevation(parse_ascii_grid(fh), g).tobytes() == expected
+            assert_no_child_left()
+        assert forks == [True]
+
+
+class TestPartMemory:
+    """The zonal pass holds one part of at most BATCH_ENTRIES // ncols DEM
+    rows at a time, so its peak does not grow with the cell size."""
+
+    def test_peak_does_not_grow_with_the_cell_size(self, tmp_path, monkeypatch):
+        ncols, nrows = 1024, 100
+        rng = np.random.default_rng(50)
+        path = tmp_path / "dem.asc"
+        path.write_text(dem_file_text(np.round(rng.uniform(-50, 50, (nrows, ncols)), 2)
+                                      .astype(str).tolist()))
+        monkeypatch.setattr(terrain, "BATCH_ENTRIES", 2 * ncols)  # parts of two DEM rows
+        monkeypatch.setattr(geodata, "_workers", lambda: 1)
+        peaks = {}
+        for rows in (2, 50):
+            # two cells across, so the per-cell arrays stay small and what is read shows
+            g = GridSpec(0.0, 0.0, float(rows), 2, nrows // rows)
+            tracemalloc.start()
+            try:
+                with open(path, "rb") as fh:
+                    zonal_mean_elevation(parse_ascii_grid(fh), g)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a band of 50 DEM rows is 400 KiB of float64; two rows are 16 KiB
+        assert abs(peaks[50] - peaks[2]) <= 64 * 1024
+
+
 class TestAssignBfe:
     FULL = BfeZone(rings=[[(0.0, 0.0), (30.0, 0.0), (30.0, 30.0), (0.0, 30.0)]], static_bfe=9.0)
 
