@@ -31,6 +31,14 @@ class ParseError(ValueError):
     """Raised when an input file does not conform to its expected format."""
 
 
+# Entries of one transient batch array, whatever the batch size: ring vertices
+# times bbox cells clipped at once (a traced peak of about 6 MB), scanline
+# rows times their zone edges plus grid columns, or DEM rows read into the
+# zonal sums at once times the DEM's columns. A 64th of it is the parcel
+# members whose rings are flattened at once: some 8 k positions of 8-vertex rings.
+BATCH_ENTRIES = 1 << 16
+
+
 def format_number(x: float) -> str:
     """Shortest decimal rendering that parses back to the same float.
 
@@ -368,11 +376,12 @@ def _ring(coords, where: str) -> np.ndarray:
     return ring
 
 
-def _member_vertices(members, n_members, ids):
+def _member_vertices(members, n_members, ids, first: int):
     """Vertices, rings per member and vertices per ring of GeoJSON members.
 
-    ``members[m]`` lists member m's rings of (x, y) positions and is named
-    ``ids[m]`` in errors; feature k has the next ``n_members[k]`` members.
+    ``members`` are the members of features ``first`` on, feature k having
+    ``n_members[k]``, and ``members[m]`` lists member m's rings of (x, y)
+    positions; the last ``len(members)`` of ``ids`` name them in errors.
     The result is that of ``_ring`` on every ring, concatenated, converted at
     once; a bad ring raises the ParseError of the first one.
     """
@@ -388,9 +397,9 @@ def _member_vertices(members, n_members, ids):
                 keep = np.ones(len(xy), dtype=bool)
                 keep[last[closed]] = False
                 return xy[keep, :2], ring_counts, lengths - closed
-    feature_of = np.repeat(np.arange(len(n_members)), n_members).tolist()
+    feature_of = np.repeat(np.arange(first, len(n_members)), n_members[first:]).tolist()
     rings = [_ring(ring, f"feature {idx}: parcel {pid!r}, ring {r}")
-             for rings, idx, pid in zip(members, feature_of, ids)
+             for rings, idx, pid in zip(members, feature_of, ids[len(ids) - len(members):])
              for r, ring in enumerate(rings)]
     lengths = np.array([len(ring) for ring in rings], dtype=np.int64)
     return (np.concatenate(rings) if rings else np.empty((0, 2))), ring_counts, lengths
@@ -489,12 +498,15 @@ class ParcelTable:
     repeated closing vertex is dropped. A bad record is a ParseError naming
     ``feature N`` (its position) and the parcel: a non-numeric or non-finite
     property, a negative assessment or land area, or a malformed,
-    non-finite or short (< 3 vertices) ring.
+    non-finite or short (< 3 vertices) ring. The rings are flattened in
+    batches of ``BATCH_ENTRIES // 64`` members, so only one batch of the
+    records is held. The error is the first bad record's, its properties
+    checked before its rings.
     """
 
     def __init__(self, features):
-        ids, member_rings, n_members = [], [], []
-        props = array("d")
+        ids, n_members, members, parts = [], [], [], []  # members: those not yet flattened
+        props, done = array("d"), 0  # done: the features flattened
         try:
             for idx, (pid, polygons, assessment, land_area, base_flood) in enumerate(features):
                 pid = str(pid)
@@ -512,13 +524,17 @@ class ParcelTable:
                     ids.append(pid)
                 else:
                     ids += [f"{pid}#{k}" for k in range(len(polygons))]
-                member_rings += polygons
+                members += polygons
                 n_members.append(len(polygons))
                 props.extend(values)
+                if len(members) >= BATCH_ENTRIES // 64:
+                    parts.append(_member_vertices(members, n_members, ids, done))
+                    members, done = [], idx + 1
         except ParseError:
-            _member_vertices(member_rings, n_members, ids)  # an earlier bad ring comes first
+            _member_vertices(members, n_members, ids, done)  # an earlier bad ring comes first
             raise
-        xy, ring_counts, lengths = _member_vertices(member_rings, n_members, ids)
+        parts.append(_member_vertices(members, n_members, ids, done))
+        xy, ring_counts, lengths = map(np.concatenate, zip(*parts))
 
         area = ring_areas(xy[:, 0], xy[:, 1], lengths)
         outer = np.cumsum(ring_counts) - ring_counts
@@ -585,17 +601,77 @@ def load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def _features(text: str, required) -> Iterator[tuple[str, dict, list]]:
-    """``(where, properties, polygons)`` per feature of a GeoJSON FeatureCollection:
-    ``feature N``, an object holding each name in ``required`` (null reads as
-    none), and the raw ring lists (outer first) of each Polygon or MultiPolygon
-    member. A layout error is a ParseError, raised when its feature is reached."""
+def _document_features(text: str) -> list:
+    """The "features" list of the GeoJSON FeatureCollection ``text``, decoded whole:
+    an invalid document, then a root that is not a FeatureCollection, then one
+    without a features array, is the ParseError."""
     doc = load_json(text)
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError("root object is not a GeoJSON FeatureCollection")
     features = doc.get("features")
     if not isinstance(features, list):
         raise ParseError("FeatureCollection has no features array")
+    return features
+
+
+def _scanned_features(text: str) -> Iterator:
+    """The features of ``_document_features`` yielded one at a time as decoded, the other
+    root members decoded whole. Where that could differ, with an error or not, a ParseError
+    follows the last feature read: a root that is not an object, a repeated root key, a
+    non-array "features", a "type" other than "FeatureCollection", or text after the root."""
+    scan, space = json.JSONDecoder().scan_once, json.decoder.WHITESPACE.match
+    members, end, sep = {}, space(text).end(), "{"  # "{" opens the root, "," parts its members
+    try:
+        while text[end:end + 1] == sep:
+            sep, end = ",", space(text, end + 1).end()
+            if text[end:end + 1] != '"':
+                break
+            key, end = scan(text, end)
+            end = space(text, end).end()
+            if text[end:end + 1] != ":" or key in members:
+                break
+            end = space(text, end + 1).end()
+            if key != "features" or text[end:end + 1] != "[":
+                members[key], end = scan(text, end)
+            else:
+                members[key], end = [], space(text, end + 1).end()
+                if text[end:end + 1] != "]":
+                    while True:
+                        feature, end = scan(text, end)
+                        yield feature
+                        end = space(text, end).end()
+                        if text[end:end + 1] != ",":
+                            break
+                        end = space(text, end + 1).end()
+                    if text[end:end + 1] != "]":
+                        break
+                end += 1
+            end = space(text, end).end()
+        else:
+            if (text[end:end + 1] == "}" and space(text, end + 1).end() == len(text)
+                    and isinstance(members.get("features"), list)
+                    and members.get("type") == "FeatureCollection"):
+                return
+    except StopIteration:  # no JSON value where one must start
+        pass
+    raise ParseError("not a plain FeatureCollection document")
+
+
+def _read_features(text: str, build):
+    """``build`` of ``_scanned_features(text)``; where that raises a ValueError (a ParseError
+    among them) or RecursionError, that of ``_document_features(text)``, result or error."""
+    try:
+        return build(_scanned_features(text))
+    except (ValueError, RecursionError):
+        pass  # out of the handler first, so the error's frames let their batch go
+    return build(_document_features(text))
+
+
+def _features(features, required) -> Iterator[tuple[str, dict, list]]:
+    """``(where, properties, polygons)`` per raw GeoJSON feature of ``features``:
+    ``feature N``, an object holding each name in ``required`` (null reads as
+    none), and the raw ring lists (outer first) of each Polygon or MultiPolygon
+    member. A layout error is a ParseError, raised when its feature is reached."""
     for idx, feature in enumerate(features):
         where = f"feature {idx}"
         if not isinstance(feature, dict):
@@ -630,18 +706,28 @@ def parse_parcels(text: str) -> ParcelTable:
     optional, defaulting to 0). A MultiPolygon feature yields one row per
     member polygon with ids suffixed ``#k``; members share the feature's
     assessment pool via a common group geometric area.
+
+    The features are decoded one at a time and their rings flattened in
+    batches, so the peak holds the text, the table and one batch. An invalid
+    or irregular document is decoded again whole, and its error is the one
+    of the whole decoded document.
     """
-    # the collector would only traverse the large, acyclic decoded document
+    # the collector would only traverse the decoded features, which hold no cycles
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return ParcelTable((props["parcel_id"], polygons, props["current_assessment"],
-                            props["land_area"], props.get("base_flood", 0.0))
-                           for _, props, polygons in _features(
-                               text, ("parcel_id", "current_assessment", "land_area")))
+        return _read_features(text, _parcel_table)
     finally:
         if enabled:
             gc.enable()
+
+
+def _parcel_table(features) -> ParcelTable:
+    """The ParcelTable of the raw GeoJSON parcel ``features``."""
+    return ParcelTable((props["parcel_id"], polygons, props["current_assessment"],
+                        props["land_area"], props.get("base_flood", 0.0))
+                       for _, props, polygons in _features(
+                           features, ("parcel_id", "current_assessment", "land_area")))
 
 
 def parse_bfe_zones(text: str) -> list[BfeZone]:
@@ -649,10 +735,16 @@ def parse_bfe_zones(text: str) -> list[BfeZone]:
 
     Features need polygon geometry and a ``static_bfe`` property. MultiPolygon
     members become separate zones in member order, preserving input order
-    overall (first containing zone wins downstream).
+    overall (first containing zone wins downstream). The document is decoded
+    as by ``parse_parcels``.
     """
+    return _read_features(text, _bfe_zones)
+
+
+def _bfe_zones(features) -> list[BfeZone]:
+    """The BfeZones of the raw GeoJSON zone ``features``, in order."""
     zones: list[BfeZone] = []
-    for where, props, polygons in _features(text, ("static_bfe",)):
+    for where, props, polygons in _features(features, ("static_bfe",)):
         bfe = _number(props["static_bfe"], "property 'static_bfe'", where)
         for p, rings in enumerate(polygons):
             # _ring and _number leave nothing for BfeZone to reject

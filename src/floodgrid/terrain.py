@@ -41,8 +41,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import geodata
-from .geodata import (BfeZone, DamageCurve, Raster, _ragged, _runs, cell_damage, data_mask,
-                      format_numbers, ring_areas)
+from .geodata import (BATCH_ENTRIES, BfeZone, DamageCurve, Raster, _ragged, _runs, cell_damage,
+                      data_mask, format_numbers, ring_areas)
 
 logger = logging.getLogger(__name__)
 
@@ -145,12 +145,6 @@ def row_of(g: GridSpec, y) -> "int | np.ndarray":
 # Clipped slivers below this area (sq ft) are dropped; below float noise for
 # county-scale coordinates.
 SLIVER_MIN_AREA = 1e-6
-
-# Entries of one transient batch array, whatever the batch size: ring vertices
-# times bbox cells clipped at once (a traced peak of about 6 MB), scanline
-# rows times their zone edges plus grid columns, or DEM rows read into the
-# zonal sums at once times the DEM's columns.
-BATCH_ENTRIES = 1 << 16
 
 # One row per (parcel, cell) attribution: the row-major cell index, the
 # parcel's clipped area in that cell and the assessed value apportioned to it.

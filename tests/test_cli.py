@@ -14,6 +14,7 @@ parcels placed so per-cell damages are hand-computable:
 import contextlib
 import csv
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -587,13 +588,18 @@ class TestEdaCommand:
 
 def test_traced_layer_names_are_bound_in_cli():
     """perfbench/child.py times the layers by name in floodgrid.cli; a renamed
-    layer would silently read 0 there."""
+    layer would silently read 0 there, and so would a layer that became a
+    generator, whose call returns before its work is done."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     spec = importlib.util.spec_from_file_location("perfbench_child", path)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
     assert child.LAYER_CALLS
     assert [name for name in child.LAYER_CALLS if not hasattr(cli, name)] == []
+    # the two renderers are lazy on purpose: cli.write times their rendering
+    assert {name for name in child.LAYER_CALLS
+            if inspect.isgeneratorfunction(getattr(cli, name))} \
+        == {"cell_states_csv", "flooded_cells_geojson"}
 
 
 # A 4x4 DEM under a 2x2 fishnet: one parcel, one BFE zone, a linear curve;

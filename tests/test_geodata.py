@@ -756,6 +756,214 @@ class TestBfeZones:
         assert all(z.static_bfe == 7.0 for z in zones)
 
 
+TABLE_COLUMNS = ("x", "y", "ring_offsets", "vertex_offsets", "area", "denominator", "bbox",
+                 "current_assessment", "land_area", "base_flood")
+ZONE_SQUARE = dict(SQUARE_FEATURE, properties={**SQUARE_FEATURE["properties"], "static_bfe": 7.5})
+# two members, the first with a hole; positions with an elevation, rings left open
+HOLED_MULTI = {
+    "type": "Feature",
+    "properties": {"parcel_id": "m", "current_assessment": 5000, "land_area": 200,
+                   "static_bfe": 3, "base_flood": 1.25},
+    "geometry": {"type": "MultiPolygon", "coordinates": [
+        [[[0, 0], [10, 0], [10, 10], [0, 10], [0, 0]], [[2, 2, 1], [4, 2, 1], [4, 4, 1]]],
+        [[[20, 0], [30, 0], [30, 10], [20, 10]]]]},
+}
+TRIANGLE = {
+    "type": "Feature",
+    "properties": {"parcel_id": "t", "current_assessment": 0.5, "land_area": 1e3,
+                   "static_bfe": -2, "note": {"owner": ["a", {"b": None}]}},
+    "geometry": {"type": "Polygon", "coordinates": [[[1e6, 1e5], [1e6 + 3, 1e5], [1e6, 1e5 + 4]]]},
+}
+SHORT = dict(ZONE_SQUARE, geometry={"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [0, 0]]]})
+NEGATIVE = dict(ZONE_SQUARE, properties={**ZONE_SQUARE["properties"], "land_area": -1})
+COLLECTION = {"type": "FeatureCollection", "features": [ZONE_SQUARE, HOLED_MULTI, TRIANGLE]}
+# each parser with the record walk its whole-document path runs
+PARSERS = ((parse_parcels, geodata._parcel_table), (parse_bfe_zones, geodata._bfe_zones))
+
+
+def spaced(value, ws) -> str:
+    """``value`` as JSON text with ``ws()`` before and after every key and value."""
+    if isinstance(value, dict):
+        parts = [f"{ws()}{json.dumps(k)}{ws()}:{ws()}{spaced(v, ws)}{ws()}"
+                 for k, v in value.items()]
+        return "{" + (",".join(parts) or ws()) + "}"
+    if isinstance(value, list):
+        return "[" + (",".join(f"{ws()}{spaced(v, ws)}{ws()}" for v in value) or ws()) + "]"
+    return json.dumps(value)
+
+
+def members_text(*members: str) -> str:
+    """A root object of the given ``"key": value`` members, written as they are."""
+    return "{" + ", ".join(members) + "}"
+
+
+def features_member(*features) -> str:
+    return '"features": ' + json.dumps(list(features))
+
+
+TYPE = '"type": "FeatureCollection"'
+
+
+class TestStreamedDecode:
+    """The parsers decode a document one feature at a time, and fall back to
+    decoding it whole where that could differ: the result or the error text
+    is that of the whole decoded document, read by the same feature walk."""
+
+    @pytest.fixture
+    def wholes(self, monkeypatch):
+        """Counts the whole-document decodes of the parsers."""
+        calls, whole = [], geodata._document_features
+        monkeypatch.setattr(geodata, "_document_features",
+                            lambda text: calls.append(1) or whole(text))
+        return calls
+
+    @staticmethod
+    def outcome(parse, text):
+        """The table's id list and column bytes, or the zones' values and ring
+        bytes, or the ParseError text."""
+        try:
+            result = parse(text)
+        except ParseError as exc:
+            return str(exc)
+        if isinstance(result, ParcelTable):
+            return [result.parcel_id.tolist()] + [getattr(result, k).tobytes()
+                                                  for k in TABLE_COLUMNS]
+        return [(zone.static_bfe, [ring.tobytes() for ring in zone.rings]) for zone in result]
+
+    def check(self, texts, wholes, streamed: bool):
+        """Each parser on each text gives what its whole-document path called
+        directly gives, and decodes the text whole only where not ``streamed``."""
+        for parse, build in PARSERS:
+            for text in texts:
+                expected = self.outcome(lambda t: build(geodata._document_features(t)), text)
+                wholes.clear()  # of the call just made
+                assert self.outcome(parse, text) == expected, text
+                assert wholes == ([] if streamed else [1]), text
+
+    def test_type_after_the_features(self, wholes):
+        self.check([members_text(features_member(ZONE_SQUARE, HOLED_MULTI), TYPE)],
+                   wholes, streamed=True)
+
+    def test_other_members_hold_nested_objects(self, wholes):
+        crs = {"type": "name", "properties": {"name": "EPSG:2248", "deep": [{"a": [[], {}]}]}}
+        self.check([members_text('"bbox": [0, 0, 30, 10]', f'"crs": {json.dumps(crs)}', TYPE,
+                                 features_member(TRIANGLE), '"name": {"features": [1]}'),
+                    members_text('"feat\\u0075res": ' + json.dumps([TRIANGLE]), TYPE)],
+                   wholes, streamed=True)
+
+    @pytest.mark.parametrize("ws", ["", " ", "\t", "\n", "\r", " \t\n\r"])
+    def test_whitespace_at_each_structural_position(self, wholes, ws):
+        docs = [COLLECTION, {"features": [], "type": "FeatureCollection"}]
+        self.check([ws + spaced(doc, lambda: ws) + ws for doc in docs], wholes, streamed=True)
+
+    def test_mixed_whitespace(self, wholes):
+        rng = np.random.default_rng(27)
+        choices = ["", " ", "\t", "\n", "\r", "\r\n \t"]
+        self.check([spaced(COLLECTION, lambda: choices[rng.integers(len(choices))])
+                    for _ in range(20)], wholes, streamed=True)
+
+    def test_empty_features_array(self, wholes):
+        self.check([fc(), members_text('"features": [\n]', TYPE)], wholes, streamed=True)
+
+    @pytest.mark.parametrize("text", [
+        # the last of a repeated key wins, as json.loads has it
+        members_text(TYPE, features_member(ZONE_SQUARE), features_member(TRIANGLE)),
+        members_text('"type": "Feature"', features_member(TRIANGLE), TYPE),
+        members_text(TYPE, features_member(TRIANGLE), '"type": "Feature"'),
+        members_text(features_member(), TYPE, features_member(HOLED_MULTI)),
+        members_text(features_member(TRIANGLE), TYPE, '"features": null'),
+    ])
+    def test_repeated_keys(self, wholes, text):
+        self.check([text], wholes, streamed=False)
+
+    @pytest.mark.parametrize("text", [
+        "", "[]", '"FeatureCollection"', "{}", "}", members_text(TYPE),
+        members_text('"type": "Feature"', features_member(TRIANGLE)),
+        members_text(TYPE, '"features": {}'), members_text(TYPE, '"features": 5') + ",",
+        # valid features, so only the layout can fail
+        members_text(TYPE, features_member(TRIANGLE)[:-1] + ", ]"),
+        members_text(TYPE, features_member(TRIANGLE)[:-1] + " " + json.dumps(TRIANGLE) + "]"),
+        "{" + TYPE + ", " + features_member(TRIANGLE) + ", }", '{1: 2}', '{"type" 1}',
+    ])
+    def test_irregular_layouts(self, wholes, text):
+        self.check([text], wholes, streamed=False)
+
+    def test_truncation_at_every_byte(self, wholes):
+        text = json.dumps(COLLECTION)
+        self.check([text[:k] for k in range(len(text))], wholes, streamed=False)
+
+    def test_nesting_past_the_recursion_limit_inside_a_feature(self, wholes):
+        deep = dict(TRIANGLE, properties={**TRIANGLE["properties"], "deep": "@"})
+        text = fc(ZONE_SQUARE, deep).replace('"@"', "[" * 100_000 + "]" * 100_000)
+        self.check([text], wholes, streamed=False)
+        assert "invalid JSON: maximum recursion depth exceeded" in self.outcome(parse_parcels, text)
+        self.check([fc(ZONE_SQUARE, deep).replace('"@"', "[" * 50 + "]" * 50)], wholes,
+                   streamed=True)
+
+    @pytest.mark.parametrize("text", ["\ufeff" + fc(ZONE_SQUARE), fc(ZONE_SQUARE) + " x",
+                                      fc(ZONE_SQUARE) + "{}", fc(ZONE_SQUARE) + "\n]"])
+    def test_bom_and_trailing_data(self, wholes, text):
+        self.check([text], wholes, streamed=False)
+        assert self.outcome(parse_parcels, text).startswith("invalid JSON: ")
+
+    def test_a_later_json_error_beats_a_bad_feature(self, wholes):
+        for bad in (SHORT, NEGATIVE, {"type": "Feature"}):
+            text = fc(ZONE_SQUARE, bad, TRIANGLE)[:-1]  # the root is not closed
+            self.check([text], wholes, streamed=False)
+            assert self.outcome(parse_parcels, text).startswith("invalid JSON: Expecting ")
+
+    def test_a_bad_ring_beats_a_bad_property_in_a_later_batch(self, wholes, monkeypatch):
+        monkeypatch.setattr(geodata, "BATCH_ENTRIES", 2 * 64)  # batches of two members
+        text = fc(ZONE_SQUARE, SHORT, ZONE_SQUARE, ZONE_SQUARE, ZONE_SQUARE, NEGATIVE)
+        self.check([text], wholes, streamed=False)
+        assert self.outcome(parse_parcels, text) == \
+            "feature 1: parcel 'p1', ring 0: ring with < 3 vertices"
+
+    @pytest.mark.parametrize("members", [1, 2, 3])
+    def test_batches_give_the_table_or_error_of_one(self, monkeypatch, members):
+        # the second and fifth features need _ring's per-ring path, the others not
+        good = [ZONE_SQUARE, HOLED_MULTI, TRIANGLE, ZONE_SQUARE, HOLED_MULTI, TRIANGLE]
+        texts = [fc(*good), fc(*good, SHORT, NEGATIVE), fc(*good[:4], NEGATIVE, SHORT)]
+        one = [self.outcome(parse_parcels, text) for text in texts]
+        assert one[1:] == ["feature 6: parcel 'p1', ring 0: ring with < 3 vertices",
+                           "feature 4: parcel 'p1': negative land area"]
+        monkeypatch.setattr(geodata, "BATCH_ENTRIES", members * 64)
+        assert [self.outcome(parse_parcels, text) for text in texts] == one
+
+
+class TestParseMemory:
+    """parse_parcels holds one decoded feature and one batch of rings at a time:
+    what it takes beyond what ParcelTable takes for the same records held in
+    memory does not grow with the feature count."""
+
+    @staticmethod
+    def transient(build, arg) -> int:
+        """The traced peak of ``build(arg)`` less what its result keeps."""
+        tracemalloc.start()
+        try:
+            build(arg)  # what it returns is still held when the memory is read
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - kept
+
+    def test_decode_peak_does_not_grow_with_the_feature_count(self):
+        def ring(k):
+            x, y = k % 100 * 20.0, k // 100 * 20.0
+            return [[x, y], [x + 10, y], [x + 10, y + 10], [x, y + 10], [x, y]]
+
+        excess = {}
+        for n in (2000, 8000):
+            text = fc(*({"type": "Feature", "geometry": {"type": "Polygon",
+                                                         "coordinates": [ring(k)]},
+                         "properties": {"parcel_id": f"p{k}", "current_assessment": 1000 + k,
+                                        "land_area": 100}} for k in range(n)))
+            records = [Feature(f"p{k}", [[ring(k)]], 1000 + k, 100) for k in range(n)]
+            excess[n] = self.transient(parse_parcels, text) - self.transient(ParcelTable, records)
+        # decoded whole, 6000 more such features take about 7 MB more
+        assert excess[8000] - excess[2000] <= 512 * 1024
+
+
 class TestDamageCurveParsing:
     def test_two_point_curve(self):
         curve = parse_damage_curve("[[0, 0], [10, 1]]")
