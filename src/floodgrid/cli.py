@@ -23,7 +23,7 @@ from pathlib import Path
 from .eda import read_attribute_table, run_eda, scatter_export
 from .geodata import (
     ParseError,
-    format_number,
+    format_numbers,
     load_default_curve,
     load_json,
     parse_ascii_grid,
@@ -185,7 +185,7 @@ def run_assessment(config: RunConfig) -> Iterator[tuple[str, Iterable[str]]]:
                     cell_area=config.cell_size ** 2)
 
     names = ["report.csv", "cells.csv",
-             *(f"flood_{format_number(r.slr)}.geojson" for r in results)]
+             *(f"flood_{s}.geojson" for s in format_numbers([r.slr for r in results]))]
     return zip(names, chain([[write_report(results)], cell_states_csv(g, states)],
                             flooded_cells_geojson(g, results)))
 

@@ -61,14 +61,12 @@ class EdaReport:
 def read_attribute_table(source) -> np.ndarray:
     """Parse the attribute CSV (fixed 5-column header) into a TABLE_DTYPE array.
 
-    ``source`` is a binary file open at its start, or the text, whose UTF-8
-    bytes ("?" for a surrogate) are read. A field may be of any length, as
-    it may for numpy's reader. A row csv cannot split, or a non-numeric or
-    non-finite field, is a ParseError naming the line on which its record
-    ends; bytes that are not UTF-8 are a UnicodeDecodeError first.
+    ``source`` is a binary file open at its start, read as UTF-8. A field
+    may be of any length, as it may for numpy's reader. A row csv cannot
+    split, or a non-numeric or non-finite field, is a ParseError naming the
+    line on which its record ends; bytes that are not UTF-8 are a
+    UnicodeDecodeError first.
     """
-    if isinstance(source, str):
-        return read_attribute_table(io.BytesIO(source.encode(errors="replace")))
     # numpy's C reader quotes as csv.reader does and gives the doubles float()
     # gives. It refuses what only float() reads ("1_000", non-ASCII digits);
     # the row loop over the whole decoded text, which words every error, reads

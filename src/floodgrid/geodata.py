@@ -39,20 +39,11 @@ class ParseError(ValueError):
 BATCH_ENTRIES = 1 << 16
 
 
-def format_number(x: float) -> str:
-    """Shortest decimal rendering that parses back to the same float.
-
-    Integral values drop the trailing ``.0`` so canonical files stay compact.
-    """
-    s = repr(float(x))
-    if s.endswith(".0"):
-        return s[:-2]
-    return s
-
-
-def format_numbers(values: np.ndarray):
-    """format_number of each value, lazily: repr, less the ".0" it ends in exactly on
-    the integral values below 1e16 in magnitude (from 1e16 up it has an exponent)."""
+def format_numbers(values):
+    """The shortest decimal that reads back as each float of ``values``, lazily:
+    repr, less the ".0" it ends in exactly on the integral values below 1e16 in
+    magnitude (from 1e16 up it has an exponent), so canonical files stay compact."""
+    values = np.asarray(values, dtype=float)
     cut = (values == np.trunc(values)) & (np.abs(values) < 1e16)
     return map(operator.getitem, map(repr, values.tolist()),
                map((slice(None), slice(-2)).__getitem__, cut.tolist()))
@@ -325,7 +316,8 @@ def write_ascii_grid(r: Raster) -> str:
     shortest round-trip decimal rendering. ``parse_ascii_grid`` of the
     result reproduces ``r`` exactly.
     """
-    lines = [f"{key} {format_number(getattr(r, key))}" for key in _HEADER_KEYS]
+    header = format_numbers([getattr(r, key) for key in _HEADER_KEYS])
+    lines = [f"{key} {s}" for key, s in zip(_HEADER_KEYS, header)]
     (values,) = r.bands([0, r.nrows])
     lines += map(" ".join, map(format_numbers, values))
     return "\n".join(lines) + "\n"
@@ -809,7 +801,8 @@ def evaluate_curve(curve: DamageCurve, depth):
     Elementwise over arrays. Depths below the first breakpoint clamp to the
     first fraction, above the last to the last fraction. Each depth is
     interpolated as f0 + ((x - d0) / (d1 - d0)) * (f1 - f0) on the first
-    segment whose right end reaches it; ``np.interp`` rounds differently.
+    segment whose right end reaches it, capped at f1 so that rounding never
+    lets it fall as depth rises; ``np.interp`` rounds differently.
     """
     d = np.array([p[0] for p in curve.breakpoints])
     f = np.array([p[1] for p in curve.breakpoints])
@@ -819,7 +812,7 @@ def evaluate_curve(curve: DamageCurve, depth):
     # depths off the curve's ends are replaced below; on a segment narrower
     # than they are far away (say 1e-308 wide), their ratio would overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        out = f0 + ((x - d0) / (d1 - d0)) * (f1 - f0)
+        out = np.minimum(f0 + ((x - d0) / (d1 - d0)) * (f1 - f0), f1)
     return np.where(x <= d[0], f[0], np.where(x >= d[-1], f[-1], out))[()]
 
 
@@ -865,11 +858,9 @@ def write_report(results) -> str:
         raise ValueError("scenarios must be ascending")
 
     lines = [REPORT_HEADER]
-    for r in results:
+    areas = format_numbers([r.total_flooded_area for r in results])
+    for r, slr, area in zip(results, format_numbers(slrs), areas):
         cost_delta = "" if r.cost_pct_delta is None else f"{r.cost_pct_delta * 100:.2f}"
         area_delta = "" if r.area_pct_delta is None else f"{r.area_pct_delta * 100:.2f}"
-        lines.append(
-            f"{format_number(r.slr)},{r.total_damage:.2f},"
-            f"{format_number(r.total_flooded_area)},{cost_delta},{area_delta}"
-        )
+        lines.append(f"{slr},{r.total_damage:.2f},{area},{cost_delta},{area_delta}")
     return "\n".join(lines) + "\n"

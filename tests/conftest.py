@@ -159,6 +159,12 @@ def attributed_areas(attrs, g: GridSpec) -> dict[tuple[int, int], float]:
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def format_number(x: float) -> str:
+    """repr of one float, less a trailing ".0": the scalar oracle for geodata.format_numbers."""
+    s = repr(float(x))
+    return s[:-2] if s.endswith(".0") else s
+
+
 def points_in_polygon(xs, ys, rings) -> np.ndarray:
     """Even-odd containment of points (xs, ys) in all rings (holes excluded).
 

@@ -219,6 +219,20 @@ class TestAssessCommand:
         assert self.run(coastal_fixture) == EXIT_OK
         assert read_outputs(coastal_fixture / "out") == first
 
+    def test_fractional_rises_name_their_files_as_the_report_spells_them(self, coastal_fixture):
+        assert self.run(coastal_fixture, "--slr", "0,1e-05,0.5,2.25") == EXIT_OK
+        out = coastal_fixture / "out"
+        report = (out / "report.csv").read_text().splitlines()[1:]
+        spelled = [line.split(",")[0] for line in report]
+        assert spelled == ["0", "1e-05", "0.5", "2.25"]
+        assert {p.name for p in out.iterdir()} == \
+            {"report.csv", "cells.csv", *(f"flood_{s}.geojson" for s in spelled)}
+        for s in spelled:
+            text = (out / f"flood_{s}.geojson").read_text()
+            features = json.loads(text)["features"]
+            assert features and {f["properties"]["slr"] for f in features} == {float(s)}
+            assert text.count(f'"slr":{json.dumps(float(s))},') == len(features)
+
     def test_thread_count_does_not_change_bytes(self, coastal_fixture, monkeypatch):
         split = geodata._workers
         monkeypatch.setattr(geodata, "_workers", lambda: 1)
@@ -798,6 +812,25 @@ def test_readme_library_snippet_runs(tiny_fixture, monkeypatch, capsys):
 def test_tiny_fixture_runs(tiny_fixture):
     assert main(["assess", "--config", str(tiny_fixture / "run.json")]) == EXIT_OK
     assert (tiny_fixture / "out" / "report.csv").exists()
+
+
+def test_curve_rounding_past_a_breakpoint_assesses(tiny_fixture, capsys):
+    # at depth 10, 0.3 + (0.9 - 0.3) rounds an ulp above 0.9, where the next
+    # segment starts: sweep once found the damage falling and raised
+    (tiny_fixture / "dem.asc").write_text(write_ascii_grid(Raster(
+        2, 2, 0.0, 0.0, 10.0, -9999.0, np.zeros((2, 2)))))
+    for name, keys, value in [("parcels.geojson", ASSESSMENT, 1_000_000),
+                              ("bfe.geojson", ("features", 0, "properties", "static_bfe"), 10),
+                              ("run.json", ("slr_list",), [0, 1e-15])]:
+        doc = json.loads((tiny_fixture / name).read_text())
+        edit_json(doc, keys, value)
+        (tiny_fixture / name).write_text(json.dumps(doc))
+    (tiny_fixture / "curve.json").write_text("[[0, 0], [7, 0.3], [10, 0.9], [16, 1.0]]")
+    assert main(["assess", "--config", str(tiny_fixture / "run.json")]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
+    report = (tiny_fixture / "out" / "report.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in report] == [["0", "900000.00"],
+                                                        ["1e-15", "900000.00"]]
 
 
 def test_config_numbers_may_be_strings(tiny_fixture):

@@ -21,7 +21,7 @@ from floodgrid.geodata import (
     ParseError,
     Raster,
     data_mask,
-    format_number,
+    format_numbers,
     parse_ascii_grid,
     parse_bfe_zones,
     parse_damage_curve,
@@ -152,6 +152,14 @@ class TestAsciiGrid:
     def test_write_canonical_golden(self):
         r = Raster(2, 2, 0.0, 0.0, 98.0, -9999.0, np.array([1.0, 2.0, 3.0, 4.0]))
         assert write_ascii_grid(r) == MINIMAL_GRID
+
+    @pytest.mark.parametrize("nodata, spelled", [
+        (float("nan"), "nan"), (-0.0, "-0"), (-3.4e38, "-3.4e+38")])
+    def test_header_spelling(self, nodata, spelled):
+        r = Raster(2, 1, 0.5, -7.0, 2.5, nodata, np.array([nodata, 1e-05]))
+        assert write_ascii_grid(r).splitlines() == [
+            "ncols 2", "nrows 1", "xllcorner 0.5", "yllcorner -7", "cellsize 2.5",
+            f"nodata_value {spelled}", f"{spelled} 1e-05"]
 
     def test_nodata_serializes_as_sentinel(self):
         r = Raster(2, 1, 0.0, 0.0, 1.0, -5.0, np.array([-5.0, 2.0]))
@@ -1061,12 +1069,12 @@ class TestFormatNumber:
         (98.0, "98"), (0.5, "0.5"), (-9999.0, "-9999"), (1e22, "1e+22"), (0.0, "0"),
     ])
     def test_rendering(self, value, expected):
-        assert format_number(value) == expected
+        assert list(format_numbers([value])) == [expected]
 
     def test_round_trips(self):
         rng = np.random.default_rng(7)
         for v in rng.uniform(-1e8, 1e8, 500):
-            assert float(format_number(v)) == v
+            assert [float(s) for s in format_numbers([v])] == [v]
 
 
 @pytest.mark.parametrize("line, token", [(7, 2), (1, None)])

@@ -210,12 +210,19 @@ class TestSweep:
         assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
     def test_decreasing_totals_raise(self):
-        # validation forbids a falling curve; force one past it so the
-        # monotonicity check fires (it must survive python -O)
-        curve = DamageCurve([(0.0, 0.0), (10.0, 1.0)])
-        curve.breakpoints = [(0.0, 1.0), (10.0, 0.0)]
+        # a negative exposed value (which build_cell_states never gives) loses
+        # more as the water rises, so the monotonicity check fires (it must
+        # survive python -O)
         with pytest.raises(RuntimeError, match="damage decreased"):
-            sweep(one_cell_states(), curve, [0.0, 1.0])
+            sweep(one_cell_states(value=-100_000.0), LINEAR, [0.0, 1.0])
+
+    def test_fraction_rounding_past_a_breakpoint_keeps_totals_monotone(self):
+        # at depth 10, 0.3 + (0.9 - 0.3) rounds an ulp above 0.9, where the next
+        # segment starts: so 1e-15 ft more water once lowered the damage
+        curve = DamageCurve([(0, 0), (7, 0.3), (10, 0.9), (16, 1.0)])
+        states = one_cell_states(bfe=10.0, elev=0.0, value=1_000_000.0, area=400.0)
+        results = sweep(states, curve, [0.0, 1e-15])
+        assert [r.total_damage for r in results] == [900_000.0, 900_000.0]
 
     def test_decreasing_flooded_area_raises(self):
         # the second cell floods only at the higher rise, and its negative

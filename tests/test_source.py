@@ -96,10 +96,11 @@ def test_no_name_is_bound_twice(path):
     assert rebound_names(path.read_text()) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each private module-level function, class or constant
-    of ``sources`` (module name -> source) that no other statement of any of
-    them reads: by name, as an attribute, or in an import."""
+def unread_names(sources: dict[str, str], public: bool = False) -> list[str]:
+    """``module.name`` for each private (if ``public``, public) module-level
+    function, class or constant of ``sources`` (module name -> source) that no
+    other statement of any of them reads: by name, as an attribute, or in an
+    import, so an export from ``__init__`` counts as a read."""
     defined, reads = [], []  # (module, name, statement); (module, statement, names read)
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
@@ -111,7 +112,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 names = []
             defined += [(module, name, stmt) for name in names
-                        if name.startswith("_") and not name.endswith("__")]
+                        if name.startswith("_") != public and not name.endswith("__")]
             reads.append((module, stmt, {
                 *(n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
                   and isinstance(n.ctx, ast.Load)),
@@ -126,12 +127,25 @@ def test_unread_private_names_are_found():
     sources = {"a": "_K = 1\n_J = 2\ndef _f():\n    return _f()\n"
                     "class _C:\n    pass\ndef g():\n    return _K\n",
                "b": "from .a import _J\nimport a\na._C\n"}
-    assert unread_private_names(sources) == ["a._f"]
+    assert unread_names(sources) == ["a._f"]
+
+
+def test_unread_public_names_are_found():
+    sources = {"a": "K = 1\nJ = 2\ndef f():\n    return f()\nclass C:\n    pass\n"
+                    "def g():\n    return K\n__all__ = []\n_P = 3\n",
+               "__init__": "from .a import J\n", "b": "import a\na.C\n"}
+    assert unread_names(sources, public=True) == ["a.f", "a.g"]
 
 
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources) == []
+
+
+def test_every_public_name_is_read_or_exported():
+    # a public helper that only tests call is code that does not pay for itself
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_names(sources, public=True) == []
 
 
 def assert_lines(source: str) -> list[int]:

@@ -14,12 +14,13 @@ from conftest import (
     assert_no_child_left,
     brute_force_zonal_means,
     cell_map,
+    format_number,
     points_in_polygon,
     random_raster,
     wrap_rows,
 )
 from floodgrid import geodata, terrain
-from floodgrid.geodata import BfeZone, ParseError, Raster, format_number, parse_ascii_grid
+from floodgrid.geodata import BfeZone, ParseError, Raster, parse_ascii_grid
 from floodgrid.terrain import (
     ATTRIBUTION_DTYPE,
     CellArrays,
