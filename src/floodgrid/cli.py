@@ -92,7 +92,7 @@ class RunConfig:
         try:
             if not isinstance(self.slr_list, list) or bool in map(type, self.slr_list):
                 raise TypeError
-            self.slr_list = [float(s) for s in self.slr_list]
+            self.slr_list = [float(s) + 0.0 for s in self.slr_list]  # -0.0 is spelled 0
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"slr_list must be a list of numbers, "
                               f"got {self.slr_list!r}") from None
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
                 raise EmptyInputError(str(exc)) from None
             _write_outputs(args.out, [
                 ("eda_report.json", [report.to_json()]),
-                ("scatter.csv", scatter_export(kept)),
+                ("scatter.csv", scatter_export(*kept)),
             ])
     except (ValueError, OverflowError, EmptyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

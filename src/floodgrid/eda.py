@@ -142,25 +142,27 @@ def _read_rows(reader) -> np.ndarray:
     return np.fromiter(rows(), dtype=TABLE_DTYPE)
 
 
-def area_cost(t: np.ndarray) -> np.ndarray:
-    """Per-row shape_area / land_area * current_assessment; it must be defined and finite."""
-    bad = t["land_area"] <= 0
+def area_cost(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per row ``idx`` of ``t``: shape_area / land_area * current_assessment, defined and finite."""
+    land = t["land_area"][idx]
+    bad = land <= 0
     if bad.any():
-        raise ValueError(f"undefined area cost for parcel {t['parcel_id'][bad][0]!r} "
+        raise ValueError(f"undefined area cost for parcel {t['parcel_id'][idx[bad][0]]!r} "
                          "(land_area <= 0)")
     with np.errstate(over="ignore"):
-        cost = t["shape_area"] / t["land_area"] * t["current_assessment"]
+        cost = t["shape_area"][idx] / land * t["current_assessment"][idx]
     bad = ~np.isfinite(cost)
     if bad.any():
-        raise OverflowError(f"area cost of parcel {t['parcel_id'][bad][0]!r} is not finite")
+        raise OverflowError(f"area cost of parcel {t['parcel_id'][idx[bad][0]]!r} is not finite")
     return cost
 
 
-def filter_records(t: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
+def filter_records(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Apply the four record filters in order, tracking survivors per stage.
 
     All comparisons are strict: assessment > $10,000, price per square foot
-    (assessment / land area) > $1, base flood > 0, area cost > 0.
+    (assessment / land area) > $1, base flood > 0, area cost > 0. Returns the
+    survivors' ascending index into ``t``, their area costs and the counts.
     """
     counts = {"input": len(t)}
     assessment, land = t["current_assessment"], t["land_area"]
@@ -176,11 +178,12 @@ def filter_records(t: np.ndarray) -> tuple[np.ndarray, dict[str, int]]:
     keep &= t["base_flood"] > 0
     counts["positive_base_flood"] = int(np.count_nonzero(keep))
 
-    t = t[keep]
-    t = t[area_cost(t) > 0]
-    counts["positive_area_cost"] = len(t)
-
-    return t, counts
+    idx = np.flatnonzero(keep)
+    cost = area_cost(t, idx)
+    positive = cost > 0
+    idx, cost = idx[positive], cost[positive]
+    counts["positive_area_cost"] = len(idx)
+    return idx, cost, counts
 
 
 def tukey_outlier_mask(values) -> np.ndarray:
@@ -273,8 +276,9 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
     return lm, lm > CHI2_1DF_5PCT
 
 
-def scatter_export(t: np.ndarray) -> list[str]:
-    """Plot-ready CSV of the filtered records: parcel_id, shape_area, area_cost.
+def scatter_export(ids, shape_area: np.ndarray, cost: np.ndarray) -> list[str]:
+    """Plot-ready CSV of the kept records' columns, as run_eda returns them:
+    parcel_id, shape_area, area_cost.
 
     Its chunks: the header line, then parts of at least SCATTER_PART_ROWS
     rows, one per CPU, rendered by one ``geodata._forked`` call in this process
@@ -282,15 +286,14 @@ def scatter_export(t: np.ndarray) -> list[str]:
     the bytes are the same. A row is one str.format, unless an id is not a
     str or holds one of _QUOTED; then csv.writer writes every row.
     """
-    ids = t["parcel_id"].tolist()
-    shape, cost = t["shape_area"], area_cost(t)
+    ids = list(ids)
     try:
         plain = not _QUOTED.search("".join(ids))
     except TypeError:
         plain = False
 
     def rows(a, b):
-        cells = (ids[a:b], format_numbers(shape[a:b]), format_numbers(cost[a:b]))
+        cells = (ids[a:b], format_numbers(shape_area[a:b]), format_numbers(cost[a:b]))
         if plain:
             return "".join(map("{},{},{}\n".format, *cells))
         buf = io.StringIO()
@@ -301,37 +304,30 @@ def scatter_export(t: np.ndarray) -> list[str]:
     return ["parcel_id,shape_area,area_cost\n", *parts]
 
 
-def run_eda(table: np.ndarray) -> tuple[EdaReport, np.ndarray]:
+def run_eda(table: np.ndarray) -> tuple[EdaReport, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Full EDA pipeline: filters, outlier removal, OLS, Breusch-Pagan.
 
     A record is dropped as an outlier if it trips the Tukey fences on either
     area cost or shape area. The outlier stage is skipped when fewer than 4
     records survive the filters (fences need 4 values). Raises ValueError
-    when fewer than 3 records remain for the regression.
+    when fewer than 3 records remain for the regression. Returns the report and
+    scatter_export's arguments: the kept ids, shape areas and costs, no view of ``table``.
     """
-    kept, counts = filter_records(table)
-    cost = area_cost(kept)
+    idx, cost, counts = filter_records(table)
+    shape = table["shape_area"][idx]
 
-    if len(kept) >= 4:
-        inlier = ~(tukey_outlier_mask(cost) | tukey_outlier_mask(kept["shape_area"]))
-        kept, cost = kept[inlier], cost[inlier]
-    counts["outlier_removal"] = len(kept)
+    if len(idx) >= 4:
+        inlier = ~(tukey_outlier_mask(cost) | tukey_outlier_mask(shape))
+        idx, shape, cost = idx[inlier], shape[inlier], cost[inlier]
+    counts["outlier_removal"] = len(idx)
     logger.info("filter funnel: %s", " -> ".join(f"{k}={v}" for k, v in counts.items()))
 
-    if len(kept) < 3:
-        raise ValueError(
-            f"only {len(kept)} records survive filtering; regression impossible"
-        )
+    if len(idx) < 3:
+        raise ValueError(f"only {len(idx)} records survive filtering; regression impossible")
 
-    slope, intercept, r2 = ols_fit(kept["shape_area"], cost)
-    lm, het = breusch_pagan(kept["shape_area"], cost)
+    slope, intercept, r2 = ols_fit(shape, cost)
+    lm, het = breusch_pagan(shape, cost)
 
-    report = EdaReport(
-        counts=counts,
-        slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        bp_statistic=lm,
-        heteroskedastic=het,
-    )
-    return report, kept
+    report = EdaReport(counts=counts, slope=slope, intercept=intercept, r_squared=r2,
+                       bp_statistic=lm, heteroskedastic=het)
+    return report, (table["parcel_id"][idx], shape, cost)

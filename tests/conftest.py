@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
+import re
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from floodgrid import geodata
+from floodgrid.eda import EdaReport, breusch_pagan, ols_fit, tukey_outlier_mask
 from floodgrid.geodata import Raster
 from floodgrid.terrain import SLIVER_MIN_AREA, GridSpec, cell_rect
 
@@ -163,6 +167,66 @@ def format_number(x: float) -> str:
     """repr of one float, less a trailing ".0": the scalar oracle for geodata.format_numbers."""
     s = repr(float(x))
     return s[:-2] if s.endswith(".0") else s
+
+
+def structured_area_cost(t: np.ndarray) -> np.ndarray:
+    """Per-row area cost of a copied TABLE_DTYPE table, naming its first bad row."""
+    bad = t["land_area"] <= 0
+    if bad.any():
+        raise ValueError(f"undefined area cost for parcel {t['parcel_id'][bad][0]!r} "
+                         "(land_area <= 0)")
+    with np.errstate(over="ignore"):
+        cost = t["shape_area"] / t["land_area"] * t["current_assessment"]
+    bad = ~np.isfinite(cost)
+    if bad.any():
+        raise OverflowError(f"area cost of parcel {t['parcel_id'][bad][0]!r} is not finite")
+    return cost
+
+
+def structured_run_eda(t: np.ndarray):
+    """The structured-row EDA pipeline that the row-index one replaced: each
+    stage copies the TABLE_DTYPE rows it keeps. Returns (report, kept rows)."""
+    counts = {"input": len(t)}
+    assessment, land = t["current_assessment"], t["land_area"]
+    keep = assessment > 10_000
+    counts["min_assessment"] = int(np.count_nonzero(keep))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        keep &= (land > 0) & (assessment / land > 1)
+    counts["min_price_per_sqft"] = int(np.count_nonzero(keep))
+    keep &= t["base_flood"] > 0
+    counts["positive_base_flood"] = int(np.count_nonzero(keep))
+    t = t[keep]
+    kept = t[structured_area_cost(t) > 0]
+    counts["positive_area_cost"] = len(kept)
+
+    cost = structured_area_cost(kept)
+    if len(kept) >= 4:
+        inlier = ~(tukey_outlier_mask(cost) | tukey_outlier_mask(kept["shape_area"]))
+        kept, cost = kept[inlier], cost[inlier]
+    counts["outlier_removal"] = len(kept)
+    if len(kept) < 3:
+        raise ValueError(f"only {len(kept)} records survive filtering; regression impossible")
+    slope, intercept, r2 = ols_fit(kept["shape_area"], cost)
+    lm, het = breusch_pagan(kept["shape_area"], cost)
+    return EdaReport(counts, slope, intercept, r2, lm, het), kept
+
+
+def structured_scatter(kept: np.ndarray) -> str:
+    """scatter.csv of the kept TABLE_DTYPE rows, rendered in one part."""
+    ids = kept["parcel_id"].tolist()
+    cells = (ids, geodata.format_numbers(kept["shape_area"]),
+             geodata.format_numbers(structured_area_cost(kept)))
+    try:
+        plain = not re.search('[,"\r\n]', "".join(ids))
+    except TypeError:
+        plain = False
+    if plain:
+        rows = "".join(map("{},{},{}\n".format, *cells))
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(zip(*cells))
+        rows = buf.getvalue()
+    return "parcel_id,shape_area,area_cost\n" + rows
 
 
 def points_in_polygon(xs, ys, rings) -> np.ndarray:

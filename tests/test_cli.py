@@ -454,6 +454,25 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    def test_negative_zero_base_is_spelled_0(self, coastal_fixture):
+        config = coastal_fixture / "run.json"
+        cfg = RunConfig.from_file(str(config))
+        cfg.slr_list = ["-0", 1]
+        cfg.validate()
+        assert [math.copysign(1.0, s) for s in cfg.slr_list] == [1.0, 1.0]
+        for out, slr in (("plain", "0,1"), ("flag", "-0,1")):
+            assert main(["assess", "--config", str(config), f"--slr={slr}",
+                         "--out", str(coastal_fixture / out)]) == EXIT_OK
+        doc = json.loads(config.read_text())
+        doc.update(slr_list=[-0.0, 1], output_dir="config")  # json writes and reads -0.0
+        config.write_text(json.dumps(doc))
+        assert main(["assess", "--config", str(config)]) == EXIT_OK
+        expected = read_outputs(coastal_fixture / "plain")
+        assert sorted(expected) == ["cells.csv", "flood_0.geojson", "flood_1.geojson",
+                                    "report.csv"]
+        assert read_outputs(coastal_fixture / "flag") == expected
+        assert read_outputs(coastal_fixture / "config") == expected
+
 
 EDA_TABLE = (
     "parcel_id,current_assessment,land_area,shape_area,base_flood\n"
@@ -579,6 +598,18 @@ class TestEdaCommand:
             f"error: attribute table file {table}: not utf-8 text: byte 0xff at offset "
             f"{offset} (invalid start byte)")
         assert not (tmp_path / "o").exists()
+
+    def test_area_cost_is_computed_once(self, tmp_path, monkeypatch):
+        table = tmp_path / "table.csv"
+        table.write_text(EDA_TABLE)
+        calls, area_cost = [], eda.area_cost
+
+        def spy(t, idx):
+            calls.append(idx.tolist())
+            return area_cost(t, idx)
+        monkeypatch.setattr(eda, "area_cost", spy)
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert calls == [[*range(15), 18]]  # the rows that pass the first three filters
 
     def test_overflowing_area_cost_names_parcel(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -807,6 +838,11 @@ def test_readme_library_snippet_runs(tiny_fixture, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith("148000.0\n")  # the largest assessment, g14's
     assert "parcel_id,shape_area,area_cost\ng0," in out
+    # what the block prints is what `floodgrid eda` writes for the same table
+    assert main(["eda", "--table", "parcels.csv", "--out", "eda_out"]) == EXIT_OK
+    written = read_outputs(tiny_fixture / "eda_out")
+    assert out.encode() == (b"148000.0\n" + written["eda_report.json"] + b"\n"
+                            + written["scatter.csv"] + b"\n")
 
 
 def test_tiny_fixture_runs(tiny_fixture):

@@ -6,14 +6,18 @@ import json
 import os
 import signal
 import time
+import tracemalloc
+import warnings
+import weakref
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, format_number, ols_normal_equations
+from conftest import (assert_no_child_left, format_number, ols_normal_equations,
+                      structured_run_eda, structured_scatter)
 from floodgrid import eda, geodata
 from floodgrid.eda import (
     CHI2_1DF_5PCT,
@@ -41,6 +45,16 @@ def table(*rows):
     return np.concatenate(rows) if rows else np.empty(0, dtype=TABLE_DTYPE)
 
 
+def every_row(t: np.ndarray) -> np.ndarray:
+    """The index of every row of ``t``, ascending."""
+    return np.arange(len(t))
+
+
+def kept_columns(t: np.ndarray) -> tuple:
+    """scatter_export's arguments for every row of ``t``."""
+    return t["parcel_id"], t["shape_area"], area_cost(t, every_row(t))
+
+
 def read_text(text: str) -> np.ndarray:
     """read_attribute_table of the binary file of ``text``."""
     return read_attribute_table(io.BytesIO(text.encode()))
@@ -48,59 +62,71 @@ def read_text(text: str) -> np.ndarray:
 
 class TestAreaCost:
     def test_equal_areas(self):
-        assert area_cost(record()).tolist() == [100_000.0]
+        assert area_cost(record(), every_row(record())).tolist() == [100_000.0]
 
     def test_half_ratio(self):
-        assert area_cost(record(shape=2_500.0)).tolist() == [50_000.0]
+        r = record(shape=2_500.0)
+        assert area_cost(r, every_row(r)).tolist() == [50_000.0]
 
     def test_zero_land_area(self):
         with pytest.raises(ValueError, match="undefined area cost"):
-            area_cost(record(land=0.0))
+            area_cost(record(land=0.0), every_row(record()))
+        t = table(record("a"), record("b", land=-1.0), record("c", land=0.0))
         with pytest.raises(ValueError, match="undefined area cost for parcel 'b'"):
-            area_cost(table(record("a"), record("b", land=-1.0), record("c", land=0.0)))
+            area_cost(t, every_row(t))
 
     def test_column_in_row_order(self):
         t = table(record("a"), record("b", shape=2_500.0), record("c", assessment=3.0))
-        assert area_cost(t).tolist() == [100_000.0, 50_000.0, 3.0]
+        assert area_cost(t, every_row(t)).tolist() == [100_000.0, 50_000.0, 3.0]
 
     def test_overflow_names_parcel(self):
         t = table(record("a"), record("huge", shape=1e308, land=1e-10))
         with pytest.raises(OverflowError, match="area cost of parcel 'huge' is not finite"):
-            area_cost(t)
+            area_cost(t, every_row(t))
+
+    def test_only_the_indexed_rows(self):
+        t = table(record("a"), record("b", land=0.0), record("c", shape=2_500.0),
+                  record("d", shape=1e308, land=1e-10))
+        assert area_cost(t, np.array([0, 2])).tolist() == [100_000.0, 50_000.0]
+        assert area_cost(t, np.array([], dtype=np.int64)).tolist() == []
+        with pytest.raises(ValueError, match="^undefined area cost for parcel 'b' "):
+            area_cost(t, every_row(t))
+        with pytest.raises(OverflowError, match="^area cost of parcel 'd' is not finite$"):
+            area_cost(t, np.array([0, 2, 3]))
 
 
 class TestFilterRecords:
     def test_threshold_is_strict(self):
-        kept, _ = filter_records(record(assessment=10_000.0))
-        assert len(kept) == 0
-        kept, _ = filter_records(record(assessment=10_000.01))
-        assert len(kept) == 1
+        idx, _, _ = filter_records(record(assessment=10_000.0))
+        assert len(idx) == 0
+        idx, _, _ = filter_records(record(assessment=10_000.01))
+        assert len(idx) == 1
 
     def test_price_per_sqft_strict(self):
         # $50,000 over 100,000 sqft = $0.50/sqft
-        kept, _ = filter_records(record(assessment=50_000.0, land=100_000.0))
-        assert len(kept) == 0
-        kept, _ = filter_records(record(assessment=50_000.0, land=50_000.0))
-        assert len(kept) == 0
+        idx, _, _ = filter_records(record(assessment=50_000.0, land=100_000.0))
+        assert len(idx) == 0
+        idx, _, _ = filter_records(record(assessment=50_000.0, land=50_000.0))
+        assert len(idx) == 0
 
     def test_zero_base_flood_excluded(self):
-        kept, _ = filter_records(record(bfe=0.0))
-        assert len(kept) == 0
+        idx, _, _ = filter_records(record(bfe=0.0))
+        assert len(idx) == 0
 
     def test_zero_area_cost_excluded(self):
-        kept, _ = filter_records(record(shape=0.0))
-        assert len(kept) == 0
+        idx, _, _ = filter_records(record(shape=0.0))
+        assert len(idx) == 0
 
     def test_nonpositive_land_area_fails_price_filter(self):
-        kept, counts = filter_records(table(record(land=0.0), record(land=-5.0)))
-        assert len(kept) == 0
+        idx, _, counts = filter_records(table(record(land=0.0), record(land=-5.0)))
+        assert len(idx) == 0
         assert counts["min_assessment"] == 2
         assert counts["min_price_per_sqft"] == 0
 
     def test_price_overflowing_to_inf_passes_without_warning(self):
         # 1e300 / 1e-10 overflows; the area cost 1e-20 / 1e-10 * 1e300 does not
-        kept, _ = filter_records(record(assessment=1e300, land=1e-10, shape=1e-20))
-        assert len(kept) == 1
+        idx, _, _ = filter_records(record(assessment=1e300, land=1e-10, shape=1e-20))
+        assert len(idx) == 1
 
     def test_stage_counts(self):
         records = table(
@@ -110,8 +136,9 @@ class TestFilterRecords:
             record("no_bfe", bfe=0.0),
             record("no_shape", shape=0.0),
         )
-        kept, counts = filter_records(records)
-        assert kept["parcel_id"].tolist() == ["ok"]
+        idx, cost, counts = filter_records(records)
+        assert records["parcel_id"][idx].tolist() == ["ok"]
+        assert cost.tolist() == [100_000.0]
         assert all(type(v) is int for v in counts.values())
         assert counts == {
             "input": 5,
@@ -121,14 +148,38 @@ class TestFilterRecords:
             "positive_area_cost": 1,
         }
 
+    def test_index_is_ascending_into_the_table(self):
+        records = table(record("a"), record("cheap", assessment=1.0), record("b"),
+                        record("noshape", shape=0.0), record("c", shape=2_500.0))
+        idx, cost, _ = filter_records(records)
+        assert idx.dtype == np.int64 and idx.tolist() == [0, 2, 4]
+        assert cost.tolist() == [100_000.0, 100_000.0, 50_000.0]
+
+    def test_first_overflow_in_file_order_is_named(self):
+        records = table(record("a"), record("z_first", shape=1e308, land=1e-10), record("b"),
+                        record("a_second", assessment=1e300, shape=1e300, land=1e-10))
+        for run in (filter_records, run_eda):
+            with pytest.raises(OverflowError,
+                               match="^area cost of parcel 'z_first' is not finite$"):
+                run(records)
+
+    def test_overflow_dropped_by_an_earlier_filter_raises_nothing(self):
+        records = table(record("a"), record("dry", shape=1e308, land=1e-10, bfe=0.0),
+                        record("cheap", assessment=1.0, shape=1e308, land=1e-320))
+        idx, cost, counts = filter_records(records)
+        assert idx.tolist() == [0] and cost.tolist() == [100_000.0]
+        assert counts["positive_base_flood"] == counts["positive_area_cost"] == 1
+
     def test_order_invariant(self):
         rng = np.random.default_rng(67)
         records = table(*(record(f"r{k}", assessment=float(rng.uniform(0, 50_000)))
                           for k in range(30)))
-        kept_a, _ = filter_records(records)
-        kept_b, _ = filter_records(records[::-1])
+        idx_a, cost_a, _ = filter_records(records)
+        idx_b, cost_b, _ = filter_records(records[::-1])
+        kept_a, kept_b = records[idx_a], records[::-1][idx_b]
         assert set(kept_a["parcel_id"]) == set(kept_b["parcel_id"])
         assert kept_b.tolist() == kept_a[::-1].tolist()
+        assert cost_b.tolist() == cost_a[::-1].tolist()
 
 
 class TestTukeyMask:
@@ -294,24 +345,25 @@ class TestBreuschPagan:
 
 class TestScatterExport:
     def test_empty_input(self):
-        assert "".join(scatter_export(table())) == "parcel_id,shape_area,area_cost\n"
+        assert "".join(scatter_export(*kept_columns(table()))) == \
+            "parcel_id,shape_area,area_cost\n"
 
     def test_rows_in_input_order(self):
         rs = table(record("a"), record("b", shape=2_500.0), record("c", shape=7_500.0))
-        out = "".join(scatter_export(rs)).strip().split("\n")
+        out = "".join(scatter_export(*kept_columns(rs))).strip().split("\n")
         assert len(out) == 4
         assert out[1].startswith("a,")
         assert out[2] == "b,2500,50000"
 
     def test_full_precision_round_trip(self):
         r = record("p", assessment=123_456.789, land=3_333.31, shape=1_234.567)
-        line = "".join(scatter_export(r)).strip().split("\n")[1]
+        line = "".join(scatter_export(*kept_columns(r))).strip().split("\n")[1]
         _, shape_s, cost_s = line.split(",")
         assert float(shape_s) == r["shape_area"][0]
-        assert float(cost_s) == area_cost(r)[0]
+        assert float(cost_s) == area_cost(r, every_row(r))[0]
 
     def test_ids_are_quoted_as_csv(self):
-        out = "".join(scatter_export(table(record("x,1"), record('say "hi"'))))
+        out = "".join(scatter_export(*kept_columns(table(record("x,1"), record('say "hi"')))))
         assert out.split("\n")[1:3] == ['"x,1",5000,100000', '"say ""hi""",5000,100000']
 
     def test_column_renderer_is_format_number(self):
@@ -364,14 +416,14 @@ class TestScatterSplit:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["parcel_id", "shape_area", "area_cost"])
         writer.writerows(zip(t["parcel_id"], map(format_number, t["shape_area"].tolist()),
-                             map(format_number, area_cost(t).tolist())))
+                             map(format_number, area_cost(t, every_row(t)).tolist())))
         return buf.getvalue().encode()
 
     @staticmethod
     def outcome(monkeypatch, t, workers) -> bytes:
         monkeypatch.setattr(geodata, "_workers", lambda: workers)
         try:
-            return "".join(scatter_export(t)).encode()
+            return "".join(scatter_export(*kept_columns(t))).encode()
         finally:
             assert_no_child_left()
 
@@ -731,7 +783,7 @@ class TestRunEda:
         assert report.counts["min_price_per_sqft"] == 17
         assert report.counts["positive_base_flood"] == 16
         assert report.counts["positive_area_cost"] == 15
-        assert report.counts["outlier_removal"] == len(kept)
+        assert all(len(column) == report.counts["outlier_removal"] for column in kept)
         assert 0.0 <= report.r_squared <= 1.0
         assert report.bp_statistic >= 0.0
 
@@ -743,6 +795,31 @@ class TestRunEda:
         records = table(self.make_records(), record("huge", shape=1e308, land=1e-10))
         with pytest.raises(OverflowError, match="parcel 'huge'"):
             run_eda(records)
+
+    def test_peak_is_bounded_by_the_table_and_kept_holds_no_reference(self):
+        rng = np.random.default_rng(0)
+        n = 200_000
+        t = np.empty(n, dtype=TABLE_DTYPE)
+        t["parcel_id"] = [f"r{k:06d}" for k in range(n)]
+        t["current_assessment"] = np.round(np.exp(rng.normal(12.0, 1.0, n)), 2)
+        t["land_area"] = np.round(rng.uniform(2_000, 40_000, n), 1)
+        t["shape_area"] = np.round(t["land_area"] * rng.uniform(0.7, 1.3, n), 1)
+        t["base_flood"] = np.where(rng.random(n) < 0.8, np.round(rng.uniform(1, 12, n), 1), 0.0)
+        tracemalloc.start()
+        try:
+            report, kept = run_eda(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # copies of the kept rows' whole records took 1.95x
+        assert peak <= 1.5 * t.nbytes
+        assert report.counts["outlier_removal"] > n // 2
+        assert all(len(column) == report.counts["outlier_removal"] for column in kept)
+        assert all(column.base is None for column in kept)
+        table_ref = weakref.ref(t)
+        del t
+        assert table_ref() is None  # the kept columns do not keep the table alive
+        assert kept[0][:2].tolist() == ["r000000", "r000002"]
 
     def test_report_json_shape(self):
         report, _ = run_eda(self.make_records())
@@ -841,7 +918,61 @@ class TestPerRecordReference:
         report, kept = run_eda(read_text(text))
         assert report.counts == ref_counts
         assert report.to_json() == ref_report
-        assert "".join(scatter_export(kept)) == ref_scatter
+        assert "".join(scatter_export(*kept)) == ref_scatter
         # the ties sit on the failing side of every strict filter
         assert ref_counts["min_assessment"] < ref_counts["input"]
         assert ref_counts["outlier_removal"] >= 3
+
+
+def eda_outcome(run, scatter, t):
+    """run(t)'s counts, the bits of its four statistics, its report JSON and
+    scatter(kept), or its error; with the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report, kept = run(t)
+            numbers = (report.slope, report.intercept, report.r_squared, report.bp_statistic)
+            outcome = (report.counts, [float(v).hex() for v in numbers],
+                       report.heteroskedastic, report.to_json(), scatter(kept))
+        except (ValueError, OverflowError) as exc:
+            outcome = type(exc), str(exc)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+EDA_ROW = st.tuples(
+    st.one_of(st.text(st.sampled_from('ab ,"\r\n'), max_size=4), st.integers(-3, 3), st.none()),
+    st.one_of(st.sampled_from([5_000.0, 10_000.0, 10_001.0, 20_000.0, 40_000.0, 1e300]),
+              st.floats(0.0, 1e6)),  # current_assessment
+    st.one_of(st.sampled_from([-5.0, 0.0, 1e-10, 1_000.0, 2_000.0, 4_000.0, 20_000.0]),
+              st.floats(-10.0, 1e5)),  # land_area
+    st.one_of(st.sampled_from([0.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0, 7_000.0, 1e300]),
+              st.floats(0.0, 1e5)),  # shape_area
+    st.sampled_from([-1.0, 0.0, 8.0]),  # base_flood
+)
+# assessment over equal land and shape areas: the area cost is the assessment
+FENCE_TIES = [(f"t{k}", a, s, s, 8.0) for k, (a, s) in
+              enumerate(zip([20_000.0, 30_000.0, 40_000.0, 50_000.0, 80_000.0],
+                            [1_000.0, 2_000.0, 3_000.0, 4_000.0, 7_000.0]))]
+
+
+class TestStructuredRowReference:
+    """The row-index funnel against the structured-row pipeline it replaced
+    (conftest), which stays the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(EDA_ROW, max_size=12))
+    @example(FENCE_TIES)  # both upper fences tie a value: nothing is dropped
+    @example(FENCE_TIES[:4] + [("over", 80_000.5, 7_000.0, 7_000.0, 8.0)])  # one cost over
+    @example(FENCE_TIES[:3])  # too few for fences
+    @example(FENCE_TIES[:2])  # too few for a fit
+    @example(FENCE_TIES + [("zero", 50_000.0, 0.0, 1.0, 8.0), ("neg", 50_000.0, -1.0, 1.0, 8.0)])
+    @example(FENCE_TIES + [("z_first", 100_000.0, 1e-10, 1e308, 8.0),
+                           ("a_second", 100_000.0, 1e-10, 1e308, 8.0)])
+    @example([(f"s{k}", 1e6 + 1e4 * k, s, s, 8.0)  # an outlier on shape area alone
+              for k, s in enumerate([1_000.0, 2_000.0, 3_000.0, 4_000.0, 50_000.0])])
+    @example([(pid, *row[1:]) for pid, row in zip(['x,1', 'say "hi"', 7, None, "a\r\nb"],
+                                                  FENCE_TIES)])
+    def test_random_tables(self, rows):
+        t = np.array(rows, dtype=TABLE_DTYPE)
+        expected = eda_outcome(structured_run_eda, structured_scatter, t)
+        assert eda_outcome(run_eda, lambda kept: "".join(scatter_export(*kept)), t) == expected
