@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_assess = sub.add_parser("assess", help="run the full flood risk assessment")
     p_assess.add_argument("--config", required=True, help="JSON run configuration")
-    p_assess.add_argument("--slr", help="override slr scenario list, e.g. 0,1,2,3")
+    p_assess.add_argument("--slr", help="override slr scenario list, e.g. 0,1,2,3; a list "
+                          "that starts with a minus sign is written --slr=-0,1")
     p_assess.add_argument("--area-basis", choices=AREA_BASES,
                           help="count flooded area by parcel exposure or full cells")
     p_assess.add_argument("--out", help="override the configured output directory")
@@ -260,9 +261,9 @@ def main(argv=None) -> int:
             print(g.to_json())
         elif args.command == "assess":
             config = RunConfig.from_file(args.config)
-            config.slr_list = args.slr.split(",") if args.slr else config.slr_list
+            config.slr_list = args.slr.split(",") if args.slr is not None else config.slr_list
             config.area_basis = args.area_basis or config.area_basis
-            config.output_dir = args.out or config.output_dir
+            config.output_dir = args.out if args.out is not None else config.output_dir
             _write_outputs(config.output_dir, run_assessment(config))
         else:
             try:  # the full table is freed once run_eda returns, before the scatter is rendered

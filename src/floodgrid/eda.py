@@ -212,8 +212,8 @@ def _dot(a: np.ndarray, b: np.ndarray, statistic: str) -> float:
 
 
 def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    xm = x.mean()
-    ym = y.mean()
+    with np.errstate(over="ignore"):  # an overflowed mean fails in _dot, which names the sum
+        xm, ym = x.mean(), y.mean()
     dx = x - xm
     sxx = _dot(dx, dx, "sum of squared x deviations")
     if sxx == 0:

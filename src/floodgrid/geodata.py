@@ -426,28 +426,20 @@ def ring_areas(x: np.ndarray, y: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Ring r is the next ``lengths[r]`` vertices, open: the edge back to its
     vertex 0 is implied. Vertices are shifted to the ring's vertex 0 first,
     because the cross products of raw county-scale coordinates cancel
-    catastrophically for small parcels. The cross products are added
-    strictly in vertex order, one vertex position at a time over all rings,
-    so every sum is bit-equal to a scalar ``total += term`` loop.
+    catastrophically for small parcels. ``np.bincount`` adds the weighted
+    cross products in index order, so each ring's sum is 0 + t0 + t1 ... in
+    vertex order, bit-equal to a scalar ``total += term`` loop.
     """
     starts = np.cumsum(lengths) - lengths
-    first = np.repeat(starts, lengths)
+    ring = np.repeat(np.arange(lengths.size), lengths)
     nxt = np.arange(1, x.size + 1)
     live = lengths > 0
     nxt[(starts + lengths - 1)[live]] = starts[live]
-    # longest rings first, so the rings still running at position k are a prefix
-    order = np.argsort(-lengths, kind="stable")
-    starts = starts[order]
-    running = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
-    total = np.zeros(lengths.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = x - x[first]
-        dy = y - y[first]
+        dx = x - x[starts[ring]]
+        dy = y - y[starts[ring]]
         term = dx * dy[nxt] - dx[nxt] * dy
-        for k, m in enumerate(running.tolist()):
-            total[:m] += term[starts[:m] + k]
-    area = np.empty(lengths.size)
-    area[order] = np.abs(0.5 * total)
+        area = np.abs(0.5 * np.bincount(ring, weights=term, minlength=lengths.size))
     area[lengths < 3] = 0.0
     return area
 
@@ -528,21 +520,18 @@ class ParcelTable:
         parts.append(_member_vertices(members, n_members, ids, done))
         xy, ring_counts, lengths = map(np.concatenate, zip(*parts))
 
+        # bincount and subtract.at add in index order: each sum below runs in ring or member order
         area = ring_areas(xy[:, 0], xy[:, 1], lengths)
         outer = np.cumsum(ring_counts) - ring_counts
-        holes = np.zeros(len(ids))  # 0 + h1 + h2 ...
-        poly = area[outer]          # |outer| - h1 - h2 ...
-        for q in range(1, ring_counts.max(initial=0)):
-            has = ring_counts > q
-            holes[has] += area[outer[has] + q]
-            poly[has] -= area[outer[has] + q]
+        member = np.repeat(np.arange(len(ids)), ring_counts)
+        hole = np.ones(member.size, dtype=bool)
+        hole[outer] = False
+        holes = np.bincount(member[hole], weights=area[hole], minlength=len(ids))  # 0 + h1 + h2 ...
+        poly = area[outer]  # |outer| - h1 - h2 ...
+        np.subtract.at(poly, member[hole], area[hole])
         n_members = np.array(n_members, dtype=np.int64)
-        first_member = np.cumsum(n_members) - n_members
-        group = np.zeros(n_members.size)
-        for k in range(n_members.max(initial=0)):
-            has = n_members > k
-            group[has] += poly[first_member[has] + k]
         feature = np.repeat(np.arange(n_members.size), n_members)
+        group = np.bincount(feature, weights=poly, minlength=n_members.size)
         area = area[outer] - holes
         denominator = np.where(n_members[feature] > 1, group[feature], area)
         starts = np.cumsum(lengths) - lengths

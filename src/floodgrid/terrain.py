@@ -219,11 +219,9 @@ def _apportion_chunk(t, g: GridSpec, lo: int, hi: int, j0, nj, i0, ni) -> np.nda
 
     # per cell: |clip(outer)|, minus each clipped hole in ring order
     p, c = _runs(ni * nj)
-    first = (np.cumsum(pieces) - pieces)[p] + c * n_rings[p]
-    area = piece_area[first]
-    for q in range(1, n_rings.max(initial=0)):
-        has = n_rings[p] > q
-        area[has] -= piece_area[first[has] + q]
+    cell, q = _runs(n_rings[p])
+    area = piece_area[q == 0]
+    np.subtract.at(area, cell[q > 0], piece_area[q > 0])
     keep = ~(area < SLIVER_MIN_AREA)
     p, c, area = p[keep], c[keep], area[keep]
 

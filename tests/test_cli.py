@@ -25,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,21 @@ class TestAssessCommand:
     def test_slr_not_starting_at_zero(self, coastal_fixture):
         assert self.run(coastal_fixture, "--slr", "1,2") == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--slr=", "slr_list must be a list of numbers, got ['']"),
+        ("--out=", "output_dir must be a path, got ''"),
+    ])
+    def test_empty_override_is_refused(self, coastal_fixture, capsys, flag, message):
+        before = sorted(coastal_fixture.rglob("*"))
+        assert self.run(coastal_fixture, flag) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(coastal_fixture.rglob("*")) == before
+
+    def test_slr_list_starting_with_a_minus_sign_is_one_argument(self, coastal_fixture):
+        assert self.run(coastal_fixture, "--slr=-0,1") == EXIT_OK
+        assert sorted(p.name for p in (coastal_fixture / "out").glob("flood_*")) \
+            == ["flood_0.geojson", "flood_1.geojson"]
+
     def test_non_finite_assessment_is_parse_error(self, coastal_fixture, capsys):
         doc = json.loads((coastal_fixture / "parcels.geojson").read_text())
         doc["features"][2]["properties"]["current_assessment"] = float("nan")
@@ -629,6 +645,21 @@ class TestEdaCommand:
         assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
             == EXIT_PARSE_ERROR
         assert "error: sum of squared x deviations is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_mean_prints_only_its_error(self, tmp_path, capsys):
+        # the shape areas' sum overflows in the mean, before any sum of squares
+        table = tmp_path / "table.csv"
+        table.write_text("parcel_id,current_assessment,land_area,shape_area,base_flood\n"
+                         "a,100000,50000,0.85e308,6\nb,100000,50000,0.8e308,6\n"
+                         "c,100000,50000,0.75e308,6\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape main
+            assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) \
+                == EXIT_PARSE_ERROR
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("INFO ")]
+        assert err == ["error: sum of squared x deviations is not finite"]
         assert not (tmp_path / "o").exists()
 
 def test_traced_layer_names_are_bound_in_cli():

@@ -243,6 +243,15 @@ class TestOlsFit:
         assert ols_fit([1, 2, 3], [0.1] * 3)[2] == 1.0
         assert ols_fit([1, 2, 3], [2.0] * 3)[2] == 1.0
 
+    def test_underflowed_total_variance_with_residue_is_refused(self):
+        # y varies, but its squared deviations underflow to 0; the residuals' squares do not
+        x = [-4.608152781815448e+125, -6.801132931336298e+125, 1.082075168059552e+126,
+             -1.0964635064415435e+126]
+        y = [5.431742779386162e-162, 5.590492187484155e-162, 2.97275727714687e-162,
+             3.1107388765925996e-162]
+        with pytest.raises(ValueError, match="^zero total variance with nonzero residuals$"):
+            ols_fit(x, y)
+
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(73)
         for _ in range(100):

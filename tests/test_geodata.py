@@ -661,6 +661,15 @@ class TestParcels:
         assert table.denominator.tolist() == [in_member_order] * 12 + [1.0]
         assert table.current_assessment.tolist() == [2.0] * 12 + [1.0]
 
+    def test_group_area_subtracts_each_hole_in_turn(self):
+        # |outer| - h1 - h2 and |outer| - (h1 + h2) round apart; the denominator is the first
+        s = 39.797
+        outer = [(0, 0), (s, 0), (s, s), (0, s)]
+        holes = [[(x0, 1), (x0, 2), (x1, 2), (x1, 1)] for x0, x1 in [(1, 1.07), (3, 4.417)]]
+        unit = [(50, 0), (51, 0), (51, 1), (50, 1)]
+        table = ParcelTable([Feature("m", [[outer, *holes], [unit]], 1.0)])
+        assert table.denominator.tolist() == [1583.314209] * 2
+
     def test_empty_collection(self):
         table = parse_parcels(fc())
         assert len(table) == 0
