@@ -20,18 +20,9 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
-from .eda import read_attribute_table, run_eda, scatter_export
-from .geodata import (
-    ParseError,
-    format_numbers,
-    load_default_curve,
-    load_json,
-    parse_ascii_grid,
-    parse_bfe_zones,
-    parse_damage_curve,
-    parse_parcels,
-    write_report,
-)
+from .eda import filter_records, read_attribute_table, run_eda, scatter_export
+from .geodata import (ParseError, format_numbers, load_default_curve, load_json, parse_ascii_grid,
+                      parse_bfe_zones, parse_damage_curve, parse_parcels, write_report)
 from .terrain import (AREA_BASES, apportion_many, assign_bfe, build_cell_states, cell_states_csv,
                       check_scenarios, flooded_cells_geojson, make_fishnet, sweep,
                       zonal_mean_elevation)
@@ -266,9 +257,9 @@ def main(argv=None) -> int:
             config.output_dir = args.out if args.out is not None else config.output_dir
             _write_outputs(config.output_dir, run_assessment(config))
         else:
-            try:  # the full table is freed once run_eda returns, before the scatter is rendered
-                report, kept = run_eda(_parse_input(args.table, "attribute table",
-                                                    read_attribute_table, "rb"))
+            try:  # the full table is freed once filtered, before the fences and fits
+                report, kept = run_eda(*filter_records(_parse_input(
+                    args.table, "attribute table", read_attribute_table, "rb")))
             except ParseError:
                 raise
             except ValueError as exc:  # too few records, or a degenerate fit

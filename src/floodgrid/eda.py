@@ -28,7 +28,7 @@ CHI2_1DF_5PCT = 3.8415
 
 TABLE_HEADER = ["parcel_id", "current_assessment", "land_area", "shape_area", "base_flood"]
 
-# The attribute table as one structured array: a row per record, in file order.
+# The rows numpy's reader and the row loop read: a record each, in file order.
 TABLE_DTYPE = np.dtype([("parcel_id", object)] + [(name, float) for name in TABLE_HEADER[1:]])
 
 # A body with no byte but line breaks holds no rows.
@@ -58,8 +58,8 @@ class EdaReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def read_attribute_table(source) -> np.ndarray:
-    """Parse the attribute CSV (fixed 5-column header) into a TABLE_DTYPE array.
+def read_attribute_table(source) -> dict[str, np.ndarray]:
+    """Parse the attribute CSV (fixed 5-column header) into TABLE_HEADER columns, in file order.
 
     ``source`` is a binary file open at its start, read as UTF-8. A field
     may be of any length, as it may for numpy's reader. A row csv cannot
@@ -86,7 +86,7 @@ def read_attribute_table(source) -> np.ndarray:
             finally:
                 fh.detach()  # leaves source open for the row loop
             if all(np.isfinite(table[name]).all() for name in TABLE_HEADER[1:]):
-                return table
+                return _columns(table)
     except (ValueError, csv.Error):  # a UnicodeDecodeError too
         pass
     source.seek(0)
@@ -100,7 +100,7 @@ def read_attribute_table(source) -> np.ndarray:
         if [h.strip() for h in header] != TABLE_HEADER:
             raise ParseError(f"line 1: expected header {','.join(TABLE_HEADER)!r}, "
                              f"got {','.join(header)!r}")
-        return _read_rows(reader)
+        return _columns(_read_rows(reader))
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
     finally:
@@ -115,6 +115,13 @@ def _rows_for_numpy(source) -> bool:
             return False
         content = content or bool(_CONTENT.search(chunk))
     return content
+
+
+def _columns(rows: np.ndarray) -> dict[str, np.ndarray]:
+    """TABLE_DTYPE ``rows`` as TABLE_HEADER columns: StringDType ids, each str freed, and floats."""
+    ids = rows["parcel_id"].astype(np.dtypes.StringDType())
+    rows["parcel_id"] = None
+    return {"parcel_id": ids, **{name: rows[name].copy() for name in TABLE_HEADER[1:]}}
 
 
 def _read_rows(reader) -> np.ndarray:
@@ -142,30 +149,32 @@ def _read_rows(reader) -> np.ndarray:
     return np.fromiter(rows(), dtype=TABLE_DTYPE)
 
 
-def area_cost(t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per row ``idx`` of ``t``: shape_area / land_area * current_assessment, defined and finite."""
-    land = t["land_area"][idx]
+def area_cost(t, rows) -> np.ndarray:
+    """Per row ``rows`` (index or mask) of ``t``: shape_area / land_area * current_assessment,
+    defined and finite."""
+    land = t["land_area"][rows]
     bad = land <= 0
     if bad.any():
-        raise ValueError(f"undefined area cost for parcel {t['parcel_id'][idx[bad][0]]!r} "
+        raise ValueError(f"undefined area cost for parcel {t['parcel_id'][rows][bad][0]!r} "
                          "(land_area <= 0)")
     with np.errstate(over="ignore"):
-        cost = t["shape_area"][idx] / land * t["current_assessment"][idx]
+        cost = t["shape_area"][rows] / land * t["current_assessment"][rows]
     bad = ~np.isfinite(cost)
     if bad.any():
-        raise OverflowError(f"area cost of parcel {t['parcel_id'][idx[bad][0]]!r} is not finite")
+        raise OverflowError(f"area cost of parcel {t['parcel_id'][rows][bad][0]!r} is not finite")
     return cost
 
 
-def filter_records(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Apply the four record filters in order, tracking survivors per stage.
+def filter_records(t) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
+    """Apply the four record filters in order to the columns ``t``, counting survivors.
 
     All comparisons are strict: assessment > $10,000, price per square foot
-    (assessment / land area) > $1, base flood > 0, area cost > 0. Returns the
-    survivors' ascending index into ``t``, their area costs and the counts.
+    (assessment / land area) > $1, base flood > 0, area cost > 0. Returns
+    run_eda's arguments: the survivors' ids, shape areas and area costs, each
+    gathered by one mask, and the counts.
     """
-    counts = {"input": len(t)}
     assessment, land = t["current_assessment"], t["land_area"]
+    counts = {"input": len(assessment)}
 
     keep = assessment > 10_000
     counts["min_assessment"] = int(np.count_nonzero(keep))
@@ -178,12 +187,11 @@ def filter_records(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, int
     keep &= t["base_flood"] > 0
     counts["positive_base_flood"] = int(np.count_nonzero(keep))
 
-    idx = np.flatnonzero(keep)
-    cost = area_cost(t, idx)
+    cost = area_cost(t, keep)
     positive = cost > 0
-    idx, cost = idx[positive], cost[positive]
-    counts["positive_area_cost"] = len(idx)
-    return idx, cost, counts
+    keep[keep] = positive
+    counts["positive_area_cost"] = int(np.count_nonzero(positive))
+    return t["parcel_id"][keep], t["shape_area"][keep], cost[positive], counts
 
 
 def tukey_outlier_mask(values) -> np.ndarray:
@@ -262,11 +270,12 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
     explain and the statistic is 0. A sum of squares that overflows raises
     OverflowError naming it.
     """
-    x, _, _, _, resid = _fit(x, y)
+    x, _, _, _, e2 = _fit(x, y)
     with np.errstate(over="ignore", invalid="ignore"):
-        e2 = resid * resid
+        e2 *= e2  # squared in place: the residuals are not read again
         de = e2 - e2.mean()
     ss_tot = _dot(de, de, "Breusch-Pagan total sum of squares")
+    del de  # not held through the auxiliary fit
     if ss_tot == 0:
         return 0.0, False
     aux_slope, aux_intercept = _least_squares_line(x, e2)
@@ -276,58 +285,60 @@ def breusch_pagan(x, y) -> tuple[float, bool]:
     return lm, lm > CHI2_1DF_5PCT
 
 
-def scatter_export(ids, shape_area: np.ndarray, cost: np.ndarray) -> list[str]:
+def scatter_export(ids: np.ndarray, shape_area: np.ndarray, cost: np.ndarray) -> list[str]:
     """Plot-ready CSV of the kept records' columns, as run_eda returns them:
     parcel_id, shape_area, area_cost.
 
     Its chunks: the header line, then parts of at least SCATTER_PART_ROWS
     rows, one per CPU, rendered by one ``geodata._forked`` call in this process
     and forked children, or all here in one part should it not split or fail:
-    the bytes are the same. A row is one str.format, unless an id is not a
-    str or holds one of _QUOTED; then csv.writer writes every row.
+    the bytes are the same. A part is spelled ``BATCH_ENTRIES // 16`` rows at a
+    time, as one str.format a row, or by csv.writer if an id of them is not a str or
+    holds one of _QUOTED: both spell the other ids alike.
     """
-    ids = list(ids)
-    try:
-        plain = not _QUOTED.search("".join(ids))
-    except TypeError:
-        plain = False
+    step = geodata.BATCH_ENTRIES // 16
 
-    def rows(a, b):
-        cells = (ids[a:b], format_numbers(shape_area[a:b]), format_numbers(cost[a:b]))
+    def batch(a, b):
+        cells = (ids[a:b].tolist(), format_numbers(shape_area[a:b]), format_numbers(cost[a:b]))
+        try:
+            plain = not _QUOTED.search("".join(cells[0]))
+        except TypeError:
+            plain = False
         if plain:
             return "".join(map("{},{},{}\n".format, *cells))
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(zip(*cells))
         return buf.getvalue()
 
+    def rows(a, b):
+        return "".join(batch(c, min(c + step, b)) for c in range(a, b, step))
+
     parts = geodata._forked(rows, len(ids), SCATTER_PART_ROWS) or [rows(0, len(ids))]
     return ["parcel_id,shape_area,area_cost\n", *parts]
 
 
-def run_eda(table: np.ndarray) -> tuple[EdaReport, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Full EDA pipeline: filters, outlier removal, OLS, Breusch-Pagan.
+def run_eda(ids: np.ndarray, shape: np.ndarray, cost: np.ndarray, counts: dict[str, int]
+            ) -> tuple[EdaReport, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The EDA past filter_records, whose values it takes: outlier removal, OLS, Breusch-Pagan.
 
     A record is dropped as an outlier if it trips the Tukey fences on either
     area cost or shape area. The outlier stage is skipped when fewer than 4
     records survive the filters (fences need 4 values). Raises ValueError
     when fewer than 3 records remain for the regression. Returns the report and
-    scatter_export's arguments: the kept ids, shape areas and costs, no view of ``table``.
+    scatter_export's arguments: the kept ids, shape areas and costs.
     """
-    idx, cost, counts = filter_records(table)
-    shape = table["shape_area"][idx]
-
-    if len(idx) >= 4:
-        inlier = ~(tukey_outlier_mask(cost) | tukey_outlier_mask(shape))
-        idx, shape, cost = idx[inlier], shape[inlier], cost[inlier]
-    counts["outlier_removal"] = len(idx)
+    inlier = (~(tukey_outlier_mask(cost) | tukey_outlier_mask(shape)) if len(cost) >= 4
+              else np.ones(len(cost), dtype=bool))
+    shape, cost = shape[inlier], cost[inlier]
+    counts = {**counts, "outlier_removal": len(cost)}
     logger.info("filter funnel: %s", " -> ".join(f"{k}={v}" for k, v in counts.items()))
 
-    if len(idx) < 3:
-        raise ValueError(f"only {len(idx)} records survive filtering; regression impossible")
+    if len(cost) < 3:
+        raise ValueError(f"only {len(cost)} records survive filtering; regression impossible")
 
     slope, intercept, r2 = ols_fit(shape, cost)
     lm, het = breusch_pagan(shape, cost)
 
     report = EdaReport(counts=counts, slope=slope, intercept=intercept, r_squared=r2,
                        bp_statistic=lm, heteroskedastic=het)
-    return report, (table["parcel_id"][idx], shape, cost)
+    return report, (ids[inlier], shape, cost)  # the ids gathered past the fits' peak

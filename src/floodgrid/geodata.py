@@ -36,6 +36,7 @@ class ParseError(ValueError):
 # rows times their zone edges plus grid columns, or DEM rows read into the
 # zonal sums at once times the DEM's columns. A 64th of it is the parcel
 # members whose rings are flattened at once: some 8 k positions of 8-vertex rings.
+# A 16th is the rows of cells.csv or scatter.csv spelled at once, ~150 B of objects each.
 BATCH_ENTRIES = 1 << 16
 
 

@@ -445,13 +445,17 @@ def build_cell_states(
 
 
 def cell_states_csv(g: GridSpec, states: CellArrays) -> Iterator[str]:
-    """Yield cells.csv line by line, header first, row-major; absent elevations/BFEs are empty."""
-    elev, bfe = (("" if s == "nan" else s for s in format_numbers(column))
-                 for column in (states.mean_elevation, states.bfe))
-    rows = zip(elev, bfe, states.exposed_value.tolist(), format_numbers(states.exposed_area))
+    """Yield cells.csv line by line, header first, row-major; absent elevations/BFEs are empty.
+    The cells are spelled and yielded BATCH_ENTRIES // 16 at a time, so what is held is bounded."""
     yield "row,col,mean_elevation,bfe,exposed_value,exposed_area\n"
-    for k, (e, b, value, area) in enumerate(rows):
-        yield f"{k // g.n_cols},{k % g.n_cols},{e},{b},{value:.2f},{area}\n"
+    for start in range(0, len(states.mean_elevation), BATCH_ENTRIES // 16):
+        cut = slice(start, start + BATCH_ENTRIES // 16)
+        elev, bfe = (("" if s == "nan" else s for s in format_numbers(column[cut]))
+                     for column in (states.mean_elevation, states.bfe))
+        rows = zip(elev, bfe, states.exposed_value[cut].tolist(),
+                   format_numbers(states.exposed_area[cut]))
+        for k, (e, b, value, area) in enumerate(rows, start):
+            yield f"{k // g.n_cols},{k % g.n_cols},{e},{b},{value:.2f},{area}\n"
 
 
 @dataclass

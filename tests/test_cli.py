@@ -26,6 +26,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -620,12 +621,30 @@ class TestEdaCommand:
         table.write_text(EDA_TABLE)
         calls, area_cost = [], eda.area_cost
 
-        def spy(t, idx):
-            calls.append(idx.tolist())
-            return area_cost(t, idx)
+        def spy(t, rows):
+            calls.append(np.flatnonzero(rows).tolist())
+            return area_cost(t, rows)
         monkeypatch.setattr(eda, "area_cost", spy)
         assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) == EXIT_OK
         assert calls == [[*range(15), 18]]  # the rows that pass the first three filters
+
+    def test_the_table_is_freed_before_the_fit(self, tmp_path, monkeypatch):
+        table = tmp_path / "table.csv"
+        table.write_text(EDA_TABLE)
+        refs, alive, read, fit = [], [], cli.read_attribute_table, eda.ols_fit
+
+        def read_spy(source):
+            columns = read(source)
+            refs.extend(map(weakref.ref, columns.values()))
+            return columns
+
+        def fit_spy(x, y):
+            alive.append([ref() is not None for ref in refs])
+            return fit(x, y)
+        monkeypatch.setattr(cli, "read_attribute_table", read_spy)
+        monkeypatch.setattr(eda, "ols_fit", fit_spy)
+        assert main(["eda", "--table", str(table), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert alive == [[False] * 5]
 
     def test_overflowing_area_cost_names_parcel(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -1039,8 +1058,9 @@ def test_cells_csv_is_written_a_line_at_a_time(tmp_path):
 
 def test_eda_table_is_read_without_holding_its_text(tmp_path):
     # benchmark-shaped rows: numpy reads them from the file a line at a time,
-    # so the peak is about the table itself (~1.1x); holding the text and a
-    # 4-byte-a-character copy of it beside the table comes to ~3x
+    # so the peak is about the records it reads, their id strs and the ids'
+    # StringDType copy (~1.0x); holding the text and a 4-byte-a-character copy
+    # of it beside them comes to ~2.7x
     rng = np.random.default_rng(3)
     columns = np.round(np.exp(rng.normal(9.0, 2.0, (4, 20_000))), 1).tolist()
     path = tmp_path / "table.csv"
@@ -1053,8 +1073,9 @@ def test_eda_table_is_read_without_holding_its_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = table.nbytes + sum(map(sys.getsizeof, table["parcel_id"]))
-    assert len(table) == 20_000
+    ids = table["parcel_id"]
+    own = eda.TABLE_DTYPE.itemsize * len(ids) + sum(map(sys.getsizeof, ids.tolist())) + ids.nbytes
+    assert len(ids) == 20_000
     assert peak < 1.25 * own < path.stat().st_size + own
 
 

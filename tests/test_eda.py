@@ -55,9 +55,14 @@ def kept_columns(t: np.ndarray) -> tuple:
     return t["parcel_id"], t["shape_area"], area_cost(t, every_row(t))
 
 
-def read_text(text: str) -> np.ndarray:
+def read_text(text: str) -> dict:
     """read_attribute_table of the binary file of ``text``."""
     return read_attribute_table(io.BytesIO(text.encode()))
+
+
+def eda_pipeline(t):
+    """run_eda of the filtered table ``t``, as the CLI runs it."""
+    return run_eda(*filter_records(t))
 
 
 class TestAreaCost:
@@ -97,36 +102,36 @@ class TestAreaCost:
 
 class TestFilterRecords:
     def test_threshold_is_strict(self):
-        idx, _, _ = filter_records(record(assessment=10_000.0))
-        assert len(idx) == 0
-        idx, _, _ = filter_records(record(assessment=10_000.01))
-        assert len(idx) == 1
+        ids, _, _, _ = filter_records(record(assessment=10_000.0))
+        assert len(ids) == 0
+        ids, _, _, _ = filter_records(record(assessment=10_000.01))
+        assert len(ids) == 1
 
     def test_price_per_sqft_strict(self):
         # $50,000 over 100,000 sqft = $0.50/sqft
-        idx, _, _ = filter_records(record(assessment=50_000.0, land=100_000.0))
-        assert len(idx) == 0
-        idx, _, _ = filter_records(record(assessment=50_000.0, land=50_000.0))
-        assert len(idx) == 0
+        ids, _, _, _ = filter_records(record(assessment=50_000.0, land=100_000.0))
+        assert len(ids) == 0
+        ids, _, _, _ = filter_records(record(assessment=50_000.0, land=50_000.0))
+        assert len(ids) == 0
 
     def test_zero_base_flood_excluded(self):
-        idx, _, _ = filter_records(record(bfe=0.0))
-        assert len(idx) == 0
+        ids, _, _, _ = filter_records(record(bfe=0.0))
+        assert len(ids) == 0
 
     def test_zero_area_cost_excluded(self):
-        idx, _, _ = filter_records(record(shape=0.0))
-        assert len(idx) == 0
+        ids, _, _, _ = filter_records(record(shape=0.0))
+        assert len(ids) == 0
 
     def test_nonpositive_land_area_fails_price_filter(self):
-        idx, _, counts = filter_records(table(record(land=0.0), record(land=-5.0)))
-        assert len(idx) == 0
+        ids, _, _, counts = filter_records(table(record(land=0.0), record(land=-5.0)))
+        assert len(ids) == 0
         assert counts["min_assessment"] == 2
         assert counts["min_price_per_sqft"] == 0
 
     def test_price_overflowing_to_inf_passes_without_warning(self):
         # 1e300 / 1e-10 overflows; the area cost 1e-20 / 1e-10 * 1e300 does not
-        idx, _, _ = filter_records(record(assessment=1e300, land=1e-10, shape=1e-20))
-        assert len(idx) == 1
+        ids, _, _, _ = filter_records(record(assessment=1e300, land=1e-10, shape=1e-20))
+        assert len(ids) == 1
 
     def test_stage_counts(self):
         records = table(
@@ -136,8 +141,9 @@ class TestFilterRecords:
             record("no_bfe", bfe=0.0),
             record("no_shape", shape=0.0),
         )
-        idx, cost, counts = filter_records(records)
-        assert records["parcel_id"][idx].tolist() == ["ok"]
+        ids, shape, cost, counts = filter_records(records)
+        assert ids.tolist() == ["ok"]
+        assert shape.tolist() == [5_000.0]
         assert cost.tolist() == [100_000.0]
         assert all(type(v) is int for v in counts.values())
         assert counts == {
@@ -148,17 +154,18 @@ class TestFilterRecords:
             "positive_area_cost": 1,
         }
 
-    def test_index_is_ascending_into_the_table(self):
+    def test_survivors_are_in_table_order(self):
         records = table(record("a"), record("cheap", assessment=1.0), record("b"),
                         record("noshape", shape=0.0), record("c", shape=2_500.0))
-        idx, cost, _ = filter_records(records)
-        assert idx.dtype == np.int64 and idx.tolist() == [0, 2, 4]
+        ids, shape, cost, _ = filter_records(records)
+        assert ids.tolist() == ["a", "b", "c"]
+        assert shape.tolist() == [5_000.0, 5_000.0, 2_500.0]
         assert cost.tolist() == [100_000.0, 100_000.0, 50_000.0]
 
     def test_first_overflow_in_file_order_is_named(self):
         records = table(record("a"), record("z_first", shape=1e308, land=1e-10), record("b"),
                         record("a_second", assessment=1e300, shape=1e300, land=1e-10))
-        for run in (filter_records, run_eda):
+        for run in (filter_records, eda_pipeline):
             with pytest.raises(OverflowError,
                                match="^area cost of parcel 'z_first' is not finite$"):
                 run(records)
@@ -166,20 +173,19 @@ class TestFilterRecords:
     def test_overflow_dropped_by_an_earlier_filter_raises_nothing(self):
         records = table(record("a"), record("dry", shape=1e308, land=1e-10, bfe=0.0),
                         record("cheap", assessment=1.0, shape=1e308, land=1e-320))
-        idx, cost, counts = filter_records(records)
-        assert idx.tolist() == [0] and cost.tolist() == [100_000.0]
+        ids, _, cost, counts = filter_records(records)
+        assert ids.tolist() == ["a"] and cost.tolist() == [100_000.0]
         assert counts["positive_base_flood"] == counts["positive_area_cost"] == 1
 
     def test_order_invariant(self):
         rng = np.random.default_rng(67)
         records = table(*(record(f"r{k}", assessment=float(rng.uniform(0, 50_000)))
                           for k in range(30)))
-        idx_a, cost_a, _ = filter_records(records)
-        idx_b, cost_b, _ = filter_records(records[::-1])
-        kept_a, kept_b = records[idx_a], records[::-1][idx_b]
-        assert set(kept_a["parcel_id"]) == set(kept_b["parcel_id"])
-        assert kept_b.tolist() == kept_a[::-1].tolist()
-        assert cost_b.tolist() == cost_a[::-1].tolist()
+        *kept_a, _ = filter_records(records)
+        *kept_b, _ = filter_records(records[::-1])
+        assert set(kept_a[0]) == set(kept_b[0])
+        for column_a, column_b in zip(kept_a, kept_b):
+            assert column_b.tolist() == column_a[::-1].tolist()
 
 
 class TestTukeyMask:
@@ -446,6 +452,23 @@ class TestScatterSplit:
         if kind == "quoted":
             assert b'\n"x,10",' in expected and b'\n"say ""hi""1",' in expected
 
+    @pytest.mark.parametrize("odd, dtype", [
+        *((["a\r\nb"], dtype) for dtype in (object, np.dtypes.StringDType())),
+        (["x,1"], object), (['say "hi"'], np.dtypes.StringDType()), ([7, None], object),
+    ], ids=["crlf", "crlf StringDType", "comma", "quote StringDType", "not str"])
+    def test_a_batch_that_needs_csv_writer_alone(self, monkeypatch, forks, odd, dtype):
+        monkeypatch.setattr(geodata, "BATCH_ENTRIES", 16 * 3)  # batches of three rows
+        ids = [f"r{k:02d}" for k in range(40)]
+        ids[36:36 + len(odd)] = odd  # in the last part's later batch [35, 38), or [36, 39) unsplit
+        t = self.records(ids)
+        expected = self.written(t)
+        columns = (np.array(ids, dtype=dtype), *kept_columns(t)[1:])
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(geodata, "_workers", lambda: workers)
+            assert "".join(scatter_export(*columns)).encode() == expected
+            assert_no_child_left()
+        assert forks == [True] * 3
+
     def test_parts_hold_the_fewest_rows(self, monkeypatch, forks):
         monkeypatch.setattr(eda, "SCATTER_PART_ROWS", 20)
         t = self.records(self.IDS["ascii"])
@@ -519,16 +542,18 @@ class TestReadAttributeTable:
 
     def test_parse(self):
         records = read_text(self.GOOD)
-        assert records.dtype == TABLE_DTYPE
-        assert len(records) == 2
+        assert list(records) == TABLE_HEADER
+        assert records["parcel_id"].dtype == np.dtypes.StringDType()
+        assert all(records[name].dtype == float for name in TABLE_HEADER[1:])
         assert records["parcel_id"][0] == "a"
         assert records["base_flood"][1] == 0.0
-        assert records.tolist() == [("a", 100000.0, 5000.0, 5000.0, 8.0),
-                                    ("b", 50000.0, 2000.0, 1800.0, 0.0)]
+        assert list(zip(*(records[name].tolist() for name in TABLE_HEADER))) == \
+            [("a", 100000.0, 5000.0, 5000.0, 8.0), ("b", 50000.0, 2000.0, 1800.0, 0.0)]
 
     def test_header_only_gives_empty_table(self):
         records = read_text(self.GOOD.split("\n")[0] + "\n")
-        assert records.dtype == TABLE_DTYPE and len(records) == 0
+        assert list(records) == TABLE_HEADER
+        assert all(len(column) == 0 for column in records.values())
 
     def test_values_are_float_of_each_field(self):
         fields = ["0.1", "1e-320", "-0", "1_000", "  7.5 ", "123456789.123456789"]
@@ -542,6 +567,12 @@ class TestReadAttributeTable:
     def test_quoted_ids_and_blank_lines(self):
         text = self.GOOD + '\n"c,d",1,2,3,4\n\n'
         assert read_text(text)["parcel_id"].tolist() == ["a", "b", "c,d"]
+
+    @pytest.mark.parametrize("number", ["1", "1_000"])  # numpy's reader, then the row loop
+    def test_ids_keep_every_character(self, number):
+        ids = ["a\x00", "", " x ", "東京", "\U0001f30a", "y" * 40, "z\x00" * 20]
+        text = self.GOOD.split("\n")[0] + "\n" + "".join(f"{pid},{number},2,3,4\n" for pid in ids)
+        assert read_text(text)["parcel_id"].tolist() == ids
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity", "-NaN", "1e999"])
     @pytest.mark.parametrize("column", [1, 2, 3, 4])
@@ -591,7 +622,8 @@ def table_outcome(text):
         t = read_text(text)
     except (ParseError, csv.Error) as exc:
         return type(exc), str(exc)
-    assert t.dtype == TABLE_DTYPE and t.ndim == 1
+    assert list(t) == TABLE_HEADER and t["parcel_id"].dtype == np.dtypes.StringDType()
+    assert all(t[name].dtype == float and t[name].ndim == 1 for name in TABLE_HEADER[1:])
     assert all(type(pid) is str for pid in t["parcel_id"])
     return t["parcel_id"].tolist(), [t[name].tobytes() for name in TABLE_HEADER[1:]]
 
@@ -717,7 +749,7 @@ class TestReaderOracle:
                                      for k, (a, b, c, d) in enumerate(zip(*columns)))
         assert table_outcome(text) == row_loop_outcome(text)
         row_loop_calls.clear()
-        assert len(read_text(text)) == 500
+        assert len(read_text(text)["parcel_id"]) == 500
         assert row_loop_calls == []
         # one spelling only float() reads sends the whole body to the row loop
         read_text(text.replace("r000007,", "r000007,1_0", 1))
@@ -786,7 +818,7 @@ class TestRunEda:
         return table(*records)
 
     def test_funnel_counts(self):
-        report, kept = run_eda(self.make_records())
+        report, kept = eda_pipeline(self.make_records())
         assert report.counts["input"] == 20
         assert report.counts["min_assessment"] == 18
         assert report.counts["min_price_per_sqft"] == 17
@@ -798,40 +830,40 @@ class TestRunEda:
 
     def test_too_few_survivors(self):
         with pytest.raises(ValueError, match="regression impossible"):
-            run_eda(np.repeat(record("cheap", assessment=1.0), 10))
+            eda_pipeline(np.repeat(record("cheap", assessment=1.0), 10))
 
     def test_overflowing_area_cost_names_parcel(self):
         records = table(self.make_records(), record("huge", shape=1e308, land=1e-10))
         with pytest.raises(OverflowError, match="parcel 'huge'"):
-            run_eda(records)
+            eda_pipeline(records)
 
     def test_peak_is_bounded_by_the_table_and_kept_holds_no_reference(self):
         rng = np.random.default_rng(0)
         n = 200_000
-        t = np.empty(n, dtype=TABLE_DTYPE)
-        t["parcel_id"] = [f"r{k:06d}" for k in range(n)]
+        t = {"parcel_id": np.array([f"r{k:06d}" for k in range(n)],
+                                   dtype=np.dtypes.StringDType())}
         t["current_assessment"] = np.round(np.exp(rng.normal(12.0, 1.0, n)), 2)
         t["land_area"] = np.round(rng.uniform(2_000, 40_000, n), 1)
         t["shape_area"] = np.round(t["land_area"] * rng.uniform(0.7, 1.3, n), 1)
         t["base_flood"] = np.where(rng.random(n) < 0.8, np.round(rng.uniform(1, 12, n), 1), 0.0)
         tracemalloc.start()
         try:
-            report, kept = run_eda(t)
+            report, kept = run_eda(*filter_records(t))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # copies of the kept rows' whole records took 1.95x
-        assert peak <= 1.5 * t.nbytes
+        assert peak <= 1.5 * sum(column.nbytes for column in t.values())
         assert report.counts["outlier_removal"] > n // 2
         assert all(len(column) == report.counts["outlier_removal"] for column in kept)
         assert all(column.base is None for column in kept)
-        table_ref = weakref.ref(t)
+        table_ref = weakref.ref(t["parcel_id"])
         del t
         assert table_ref() is None  # the kept columns do not keep the table alive
         assert kept[0][:2].tolist() == ["r000000", "r000002"]
 
     def test_report_json_shape(self):
-        report, _ = run_eda(self.make_records())
+        report, _ = eda_pipeline(self.make_records())
         doc = json.loads(report.to_json())
         assert set(doc) == {"counts", "slope", "intercept", "r_squared",
                             "bp_statistic", "heteroskedastic"}
@@ -924,7 +956,7 @@ class TestPerRecordReference:
         assert '"p7, lot 1"' in text and "\n\n" in text
 
         ref_counts, ref_report, ref_scatter = per_record_eda(text)
-        report, kept = run_eda(read_text(text))
+        report, kept = eda_pipeline(read_text(text))
         assert report.counts == ref_counts
         assert report.to_json() == ref_report
         assert "".join(scatter_export(*kept)) == ref_scatter
@@ -984,4 +1016,4 @@ class TestStructuredRowReference:
     def test_random_tables(self, rows):
         t = np.array(rows, dtype=TABLE_DTYPE)
         expected = eda_outcome(structured_run_eda, structured_scatter, t)
-        assert eda_outcome(run_eda, lambda kept: "".join(scatter_export(*kept)), t) == expected
+        assert eda_outcome(eda_pipeline, lambda kept: "".join(scatter_export(*kept)), t) == expected

@@ -477,7 +477,9 @@ class TestZonalMeanParts:
 
 class TestPartMemory:
     """The zonal pass holds one part of at most BATCH_ENTRIES // ncols DEM
-    rows at a time, so its peak does not grow with the cell size."""
+    rows at a time, so its peak does not grow with the cell size; cells.csv
+    spells BATCH_ENTRIES // 16 cells at a time, so its peak does not grow
+    with the grid."""
 
     def test_peak_does_not_grow_with_the_cell_size(self, tmp_path, monkeypatch):
         ncols, nrows = 1024, 100
@@ -500,6 +502,26 @@ class TestPartMemory:
                 tracemalloc.stop()
         # a band of 50 DEM rows is 400 KiB of float64; two rows are 16 KiB
         assert abs(peaks[50] - peaks[2]) <= 64 * 1024
+
+    def test_cells_csv_peak_does_not_grow_with_the_grid(self):
+        part = terrain.BATCH_ENTRIES // 16
+        rng = np.random.default_rng(51)
+        peaks = {}
+        for parts in (2, 8):
+            g = GridSpec(0.0, 0.0, 10.0, 64, parts * part // 64)
+            n = g.n_cells
+            states = CellArrays(np.where(rng.random(n) < 0.2, np.nan, rng.uniform(0, 60, n)),
+                                np.round(rng.uniform(2, 9, n), 1), rng.uniform(0, 1e6, n),
+                                rng.uniform(0, 100, n))
+            tracemalloc.start()
+            try:
+                assert sum(map(len, cell_states_csv(g, states))) > 40 * n
+                peaks[parts] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a part spelled holds some 150 bytes a cell; six parts more would add 3.7 MB
+        assert peaks[2] > 100 * part
+        assert abs(peaks[8] - peaks[2]) <= 64 * 1024
 
 
 class TestAssignBfe:
@@ -761,8 +783,10 @@ class TestCellStatesCsvBytes:
                                 np.array([value]), np.array([value]))
             assert "".join(cell_states_csv(g, states)) == per_row_cell_states_csv(g, states)
 
+    @pytest.mark.parametrize("batch", [1, 5, 4096])  # cells spelled at once
     @pytest.mark.parametrize("n_rows, n_cols", [(3, 4), (7, 5), (1, 9), (12, 1)])
-    def test_random_grids(self, n_rows, n_cols):
+    def test_random_grids(self, n_rows, n_cols, batch, monkeypatch):
+        monkeypatch.setattr(terrain, "BATCH_ENTRIES", 16 * batch)
         rng = np.random.default_rng([n_rows, n_cols])
         g = GridSpec(0, 0, 10, n_cols, n_rows)
         n = g.n_cells
