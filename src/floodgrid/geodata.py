@@ -32,7 +32,7 @@ class ParseError(ValueError):
 
 
 # Entries of one transient batch array, whatever the batch size: ring vertices
-# times bbox cells clipped at once (a traced peak of about 6 MB), scanline
+# times bbox cells clipped at once (a traced peak of about 5.5 MB), scanline
 # rows times their zone edges plus grid columns, or DEM rows read into the
 # zonal sums at once times the DEM's columns. A 64th of it is the parcel
 # members whose rings are flattened at once: some 8 k positions of 8-vertex rings.

@@ -154,12 +154,13 @@ ATTRIBUTION_DTYPE = np.dtype([("cell", np.int64), ("area", float), ("value", flo
 def _clip(a, o, lengths, bound, keep_ge: bool):
     """One Sutherland-Hodgman half-plane step on every ring at once.
 
-    ``a`` holds each vertex's coordinate on the clip axis and ``o`` the
-    other one; ring m is the next ``lengths[m]`` vertices and keeps the side
-    ``a >= bound[m]`` (``keep_ge``) or ``a <= bound[m]``. For each edge
-    s -> e, s being the vertex before e (wrapping round), the crossing is
-    emitted when s and e lie on different sides, then e when it is inside.
-    Output slots come from a cumsum. Returns the clipped ``(a, o, lengths)``.
+    ``a`` holds each vertex's coordinate on the clip axis and ``o`` the other;
+    ring m is the next ``lengths[m]`` vertices and keeps ``a >= bound[m]``
+    (``keep_ge``) or ``a <= bound[m]``. For each edge s -> e, s being the
+    vertex before e (wrapping round), the crossing is emitted when s and e lie
+    on different sides, then e when it is inside. Kept and crossing vertices
+    are gathered once each, by index, into slots from a cumsum, with the
+    scalar step's arithmetic. Returns the clipped ``(a, o, lengths)``.
     """
     b = np.repeat(bound, lengths)
     inside = a >= b if keep_ge else a <= b
@@ -169,17 +170,16 @@ def _clip(a, o, lengths, bound, keep_ge: bool):
     prev[starts[live]] = (starts + lengths - 1)[live]
     cross = inside[prev] != inside
     emit = cross.astype(np.int64) + inside
-    slot = np.cumsum(emit)  # one past the last slot of each e
-    out_a = np.empty(slot[-1] if slot.size else 0)
-    out_o = np.empty_like(out_a)
-    out_a[slot[inside] - 1] = a[inside]
-    out_o[slot[inside] - 1] = o[inside]
-    s = prev[cross]
-    at = slot[cross] - emit[cross]
-    out_a[at] = b[cross]
-    t = (b[cross] - a[s]) / (a[cross] - a[s])
-    out_o[at] = o[s] + t * (o[cross] - o[s])
-    ends = np.concatenate(([0], slot))
+    ends = np.concatenate(([0], np.cumsum(emit)))  # e emits to slots ends[e]..ends[e + 1] - 1
+    out_a, out_o = np.empty(ends[-1]), np.empty(ends[-1])
+    keep = np.flatnonzero(inside)
+    at = ends[1:][keep] - 1
+    out_a[at], out_o[at] = a[keep], o[keep]
+    e = np.flatnonzero(cross)
+    s, at = prev[e], ends[e]
+    be, a_s, o_s = b[e], a[s], o[s]
+    out_a[at] = be
+    out_o[at] = o_s + (be - a_s) / (a[e] - a_s) * (o[e] - o_s)
     return out_a, out_o, ends[starts + lengths] - ends[starts]
 
 
@@ -256,7 +256,7 @@ def apportion_many(table, g: GridSpec) -> np.ndarray:
     not renormalized. Parcels are clipped in consecutive chunks of about
     BATCH_ENTRIES ring-vertex x bbox-cell copies.
 
-    A parcel with zero geometric area, or whose apportioned value is not
+    A parcel with a geometric area <= 0, or whose apportioned value is not
     finite, raises ValueError; the first such parcel in table order wins.
     """
     degenerate = np.flatnonzero(table.area <= 0)
@@ -275,7 +275,9 @@ def apportion_many(table, g: GridSpec) -> np.ndarray:
         parts = [_apportion_chunk(table, g, lo, hi, j0[lo:hi], nj[lo:hi], i0[lo:hi], ni[lo:hi])
                  for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if degenerate.size:
-        raise ValueError(f"degenerate parcel {table.parcel_id[n]!r} (zero geometric area)")
+        area, = format_numbers(table.area[n:n + 1])
+        what = "zero geometric area" if table.area[n] == 0 else f"negative geometric area {area}"
+        raise ValueError(f"degenerate parcel {table.parcel_id[n]!r} ({what})")
     return np.concatenate(parts) if parts else np.empty(0, dtype=ATTRIBUTION_DTYPE)
 
 

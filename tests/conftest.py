@@ -330,6 +330,32 @@ def clip_half_plane(ring, axis: int, bound: float, keep_ge: bool):
     return out
 
 
+def mask_clip(a, o, lengths, bound, keep_ge: bool):
+    """The boolean-mask ragged half-plane step that terrain._clip replaced:
+    each operand is compressed by the ``inside`` or ``cross`` mask each time it
+    is used. Returns the clipped ``(a, o, lengths)``."""
+    b = np.repeat(bound, lengths)
+    inside = a >= b if keep_ge else a <= b
+    starts = np.cumsum(lengths) - lengths
+    live = lengths > 0
+    prev = np.arange(-1, a.size - 1)
+    prev[starts[live]] = (starts + lengths - 1)[live]
+    cross = inside[prev] != inside
+    emit = cross.astype(np.int64) + inside
+    slot = np.cumsum(emit)  # one past the last slot of each e
+    out_a = np.empty(slot[-1] if slot.size else 0)
+    out_o = np.empty_like(out_a)
+    out_a[slot[inside] - 1] = a[inside]
+    out_o[slot[inside] - 1] = o[inside]
+    s = prev[cross]
+    at = slot[cross] - emit[cross]
+    out_a[at] = b[cross]
+    t = (b[cross] - a[s]) / (a[cross] - a[s])
+    out_o[at] = o[s] + t * (o[cross] - o[s])
+    ends = np.concatenate(([0], slot))
+    return out_a, out_o, ends[starts + lengths] - ends[starts]
+
+
 def reference_apportion(feature, g: GridSpec):
     """(parcel_id, cell, area, value) rows of one feature's members, in input
     order, each with its cells in row-major order.

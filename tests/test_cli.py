@@ -403,6 +403,17 @@ class TestAssessCommand:
                 in capsys.readouterr().err)
         assert not (coastal_fixture / "out").exists()
 
+    def test_negative_area_parcel_is_exit_1_naming_parcel(self, coastal_fixture, capsys):
+        doc = json.loads((coastal_fixture / "parcels.geojson").read_text())
+        hole = rect_feature("h1", 0, 0, 20, 20, 1)["geometry"]["coordinates"][0]
+        doc["features"].append(rect_feature("h1", 0, 0, 10, 10, 1000))
+        doc["features"][-1]["geometry"]["coordinates"].append(hole)
+        (coastal_fixture / "parcels.geojson").write_text(json.dumps(doc))
+        assert self.run(coastal_fixture) == EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == (
+            "error: degenerate parcel 'h1' (negative geometric area -300)\n")
+        assert not (coastal_fixture / "out").exists()
+
     def test_unknown_config_key(self, coastal_fixture):
         doc = json.loads((coastal_fixture / "run.json").read_text())
         doc["cellsize"] = 98

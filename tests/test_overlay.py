@@ -9,6 +9,7 @@ from conftest import (
     Feature,
     attributed_areas,
     clip_half_plane,
+    mask_clip,
     mc_cell_areas,
     points_in_polygon,
     polygon,
@@ -129,6 +130,42 @@ class TestClip:
         assert area <= min(ring_area, rect_area) * (1 + 1e-9) + 1e-12
 
 
+# a coarse grid of coordinates, so that many vertices lie exactly on a bound
+COARSE = st.integers(-4, 4).map(lambda k: k / 2)
+
+
+@st.composite
+def ragged_batches(draw):
+    """(rings, bounds, keep_ge) for one _clip call: rings of (a, o) vertices,
+    each with its own bound, among them one wholly inside, one wholly outside
+    and empty rings at the start, in the middle and at the end."""
+    keep_ge = draw(st.booleans())
+    far = 3.0 if keep_ge else -3.0  # beyond every vertex, on the outside
+    ring = st.lists(st.tuples(COARSE, COARSE), max_size=7)
+    body = draw(st.lists(st.tuples(ring, COARSE), min_size=1, max_size=6))
+    body = draw(st.permutations(body + [(draw(ring), -far), (draw(ring), far)]))
+    mid = draw(st.integers(0, len(body)))
+    empty = st.tuples(st.just([]), COARSE)
+    batch = [draw(empty), *body[:mid], draw(empty), *body[mid:], draw(empty)]
+    return [r for r, _ in batch], [bound for _, bound in batch], keep_ge
+
+
+class TestRaggedClip:
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_batches())
+    def test_batch_matches_each_ring_and_the_mask_step(self, batch):
+        rings, bounds, keep_ge = batch
+        a, o = (np.array([p[axis] for r in rings for p in r], dtype=float) for axis in (0, 1))
+        args = (a, o, np.array([len(r) for r in rings]), np.array(bounds), keep_ge)
+        got = _clip(*args)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in mask_clip(*args)]
+        scalar = [clip_half_plane(r, 0, bound, keep_ge) for r, bound in zip(rings, bounds)]
+        flat = [p for r in scalar for p in r]
+        assert got[2].tolist() == [len(r) for r in scalar]
+        for axis in (0, 1):
+            assert got[axis].tobytes() == np.array([p[axis] for p in flat], dtype=float).tobytes()
+
+
 def point_in_polygon(p, rings) -> bool:
     """Scalar even-odd test, one edge at a time: the oracle for points_in_polygon."""
     x, y = p
@@ -201,6 +238,18 @@ class TestApportion:
         bad = polygon("z", [(0, 0), (5, 0), (10, 0)], 1, 1)
         with pytest.raises(ValueError, match="degenerate parcel 'z'"):
             one(bad, g)
+
+    def test_negative_area_parcel_is_named_by_sign(self):
+        g = GridSpec(0, 0, 98, 3, 3)
+        bad = polygon("h1", [(0, 0), (10, 0), (10, 10), (0, 10)], 1, 1,
+                      holes=[[(0, 0), (20, 0), (20, 20), (0, 20)]])
+        assert ParcelTable([bad]).area.tolist() == [-300.0]
+        with pytest.raises(ValueError) as exc:
+            one(bad, g)
+        assert str(exc.value) == "degenerate parcel 'h1' (negative geometric area -300)"
+        with pytest.raises(ValueError) as exc:
+            one(polygon("z", [(0, 0), (5, 0), (10, 0)], 1, 1), g)
+        assert str(exc.value) == "degenerate parcel 'z' (zero geometric area)"
 
     def test_hole_reduces_area_and_value(self):
         g = GridSpec(0, 0, 98, 1, 1)
